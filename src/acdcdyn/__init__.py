@@ -14,10 +14,9 @@ from .lti import (AlgebraicLoop, FrequencyResponse, ImproperTF, NoDcGain,
                   Spectrum, StateSpace, TimeSeries, TooShort, UnstableWarning,
                   compose, dc_gain, fft_magnitude, freq_response, integrator,
                   poles, series, step_response, tf_to_ss)
-from .units import (GfmCtrlParams, NotCurtailed, OutOfRange, PerUnitBase,
-                    PvParams, SgParams, VscParams, convert_k_pv, gfm_ctrl_tf,
-                    governor_droop_tf, pv_curve, pv_linearize, sm_tf,
-                    turbine_governor_tf, vsc_dclink_tf)
+from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
+                    convert_k_pv, gfm_ctrl_tf, governor_droop_tf, sm_tf,
+                    vsc_dclink_tf)
 from .network import (AcEdge, DcEdge, HybridGraph, LoadBlockVerdict, NodeKind,
                       SingularLL, ac_edge_tf, check_assumption1, dc_edge_tf,
                       kron_reduce, kron_reduce_symbolic, line_impedance,

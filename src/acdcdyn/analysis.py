@@ -131,21 +131,21 @@ def check_ratio_bounds_async(k_p_1: float, k_d_1: float, k_p_2: float,
             "note": "conservative bound; larger gains may still be stable"}
 
 
-def interior_peak(x: np.ndarray, y: np.ndarray,
-                  refine_loglog: bool = True) -> tuple[float, float]:
-    """Largest interior local maximum of y over x, refined by a 3-point
-    quadratic fit (in log-x coordinates when requested)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cand = [i for i in range(1, len(y) - 1)
+def _local_maxima(y: np.ndarray) -> list[int]:
+    """Indices of the interior samples that no neighbour exceeds and at
+    least one lies below."""
+    return [i for i in range(1, len(y) - 1)
             if y[i] >= y[i - 1] and y[i] >= y[i + 1]
             and (y[i] > y[i - 1] or y[i] > y[i + 1])]
-    if not cand:
-        raise NoInteriorPeak("no interior local maximum")
-    i = max(cand, key=lambda j: y[j])
+
+
+def _refine_peak(x: np.ndarray, y: np.ndarray, i: int,
+                 refine_loglog: bool) -> tuple[float, float]:
+    """Vertex of the 3-point quadratic fit around sample i (in log-x
+    coordinates when requested), or the sample itself when the fit is not
+    concave or its vertex leaves the three points."""
     xs = np.log10(x[i - 1:i + 2]) if refine_loglog else x[i - 1:i + 2]
-    ys = y[i - 1:i + 2]
-    a, b, c = np.polyfit(xs, ys, 2)
+    a, b, c = np.polyfit(xs, y[i - 1:i + 2], 2)
     if a < 0:
         xv = -b / (2.0 * a)
         if xs[0] <= xv <= xs[2]:
@@ -154,25 +154,25 @@ def interior_peak(x: np.ndarray, y: np.ndarray,
     return float(x[i]), float(y[i])
 
 
+def interior_peak(x: np.ndarray, y: np.ndarray,
+                  refine_loglog: bool = True) -> tuple[float, float]:
+    """Largest interior local maximum of y over x, refined by a 3-point
+    quadratic fit (in log-x coordinates when requested)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    cand = _local_maxima(y)
+    if not cand:
+        raise NoInteriorPeak("no interior local maximum")
+    return _refine_peak(x, y, max(cand, key=lambda j: y[j]), refine_loglog)
+
+
 def interior_peaks(x: np.ndarray, y: np.ndarray,
                    refine_loglog: bool = True) -> list[tuple[float, float]]:
     """All interior local maxima of y over x, each refined like
     interior_peak, in ascending x order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    out = []
-    for i in range(1, len(y) - 1):
-        if (y[i] >= y[i - 1] and y[i] >= y[i + 1]
-                and (y[i] > y[i - 1] or y[i] > y[i + 1])):
-            xs = np.log10(x[i - 1:i + 2]) if refine_loglog else x[i - 1:i + 2]
-            a, b, c = np.polyfit(xs, y[i - 1:i + 2], 2)
-            if a < 0 and xs[0] <= -b / (2 * a) <= xs[2]:
-                xv = -b / (2 * a)
-                xp = 10.0 ** xv if refine_loglog else xv
-                out.append((float(xp), float(np.polyval([a, b, c], xv))))
-            else:
-                out.append((float(x[i]), float(y[i])))
-    return out
+    return [_refine_peak(x, y, i, refine_loglog) for i in _local_maxima(y)]
 
 
 def resonance_peak(table: BodeTable) -> tuple[float, float]:

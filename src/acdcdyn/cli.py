@@ -274,7 +274,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         manifest["assumption1"] = verdict.verdict
         manifest["stable"] = stab.stable
         try:
-            gains = dc_gain(model.ss)
+            dc_gain(model.ss)
             manifest["dc_gain_available"] = True
         except NoDcGain:
             manifest["dc_gain_available"] = False

@@ -22,7 +22,7 @@ from .lti import (RationalTF, StateSpace, compose, integrator, tf_to_ss)
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
                       kron_reduce_symbolic, line_impedance, load_cable_catalog)
-from .units import (GfmCtrlParams, PerUnitBase, PvParams, SgParams, VscParams,
+from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                     convert_k_pv, gfm_ctrl_tf, governor_droop_tf,
                     sg_damping_tf, sm_tf, vsc_dclink_tf)
 
@@ -49,7 +49,6 @@ class SystemConfig:
     vsc: dict                  # AC node name -> VscParams
     ctrl: dict                 # VSC node name -> GfmCtrlParams
     pv_droop: dict             # VSC node name -> k_pv in the system base
-    pv_params: dict = field(default_factory=dict)   # node -> PvParams
     c_extra: dict = field(default_factory=dict)     # DC node name -> F
     metadata: dict = field(default_factory=dict)
 
@@ -73,30 +72,6 @@ class SystemConfig:
     @property
     def has_infinite_bus(self) -> bool:
         return any(k is NodeKind.INFINITE_BUS for _, k in self.graph.ac_nodes)
-
-    @property
-    def i_g(self) -> np.ndarray:
-        """Resource-to-conversion incidence (rows: conversion units in node
-        order; columns: governor resources then PV resources)."""
-        conv = [n for n, k in self.graph.ac_nodes
-                if k in (NodeKind.SM, NodeKind.VSC)]
-        resources_ = list(self.sg) + list(self.pv_droop)
-        M = np.zeros((len(conv), len(resources_)))
-        for j, r in enumerate(resources_):
-            M[conv.index(r), j] = 1.0
-        return M
-
-    @property
-    def i_dc(self) -> np.ndarray:
-        """AC-conversion-node-to-DC-node incidence."""
-        conv = [n for n, k in self.graph.ac_nodes
-                if k in (NodeKind.SM, NodeKind.VSC)]
-        dc = self.graph.dc_names
-        M = np.zeros((len(conv), len(dc)))
-        for i, n in enumerate(conv):
-            if n in dc:
-                M[i, dc.index(n)] = 1.0
-        return M
 
 
 @dataclass(frozen=True)
@@ -366,8 +341,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                        2.0 * math.pi * b["f_base_hz"])
     catalog = load_cable_catalog(data.get("cable_catalog"))
 
-    sg_params, vsc_params, ctrl, pv_droop, pv_params, c_extra = \
-        {}, {}, {}, {}, {}, {}
+    sg_params, vsc_params, ctrl, pv_droop, c_extra = {}, {}, {}, {}, {}
     if data.get("sg"):
         s = data["sg"]
         sg_params[s["node"]] = SgParams(
@@ -386,9 +360,6 @@ def config_from_dict(data: dict) -> SystemConfig:
         v_dc_star[node] = v["v_dc_star_v"]
         if v.get("pv"):
             pv = v["pv"]
-            pv_params[node] = PvParams(pv["v_mpp_v"], pv["i_mpp_a"],
-                                       pv["v_oc_v"], pv["i_sc_a"],
-                                       pv["v_op_v"])
             pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
                                   pv["v_base_dc_v"], base.omega_base)
             pv_droop[node] = convert_k_pv(pv["k_pv_pu"], pv_base, base)
@@ -438,7 +409,7 @@ def config_from_dict(data: dict) -> SystemConfig:
     meta = {k: data[k] for k in ("scenario", "ratio_bounds", "nominal")
             if k in data}
     return SystemConfig(graph, base, sg_params, vsc_params, ctrl, pv_droop,
-                        pv_params, c_extra, meta)
+                        c_extra, meta)
 
 
 def _scenario(name: str, overrides: dict | None = None,

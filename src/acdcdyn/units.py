@@ -2,9 +2,10 @@
 
 Each factory maps a physical parameter record to the small-signal transfer
 function of the device: synchronous-machine swing integrator, VSC DC-link
-capacitor, PV source sensitivity, turbine/governor droop, and the dual-port
-grid-forming (GFM) frequency/DC-voltage controller.  Per-unit bases are
-always explicit; nothing is normalized implicitly.
+capacitor, governor droop with washout damping, and the dual-port
+grid-forming (GFM) frequency/DC-voltage controller.  The PV source enters
+as a per-unit sensitivity k_pv, re-based by convert_k_pv.  Per-unit bases
+are always explicit; nothing is normalized implicitly.
 """
 
 from __future__ import annotations
@@ -12,21 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .lti import Polynomial, RationalTF
-
-
-class UnitsError(Exception):
-    pass
-
-
-class OutOfRange(UnitsError):
-    """Argument outside the physically valid interval."""
-
-
-class NotCurtailed(UnitsError):
-    """PV operating point is not in the curtailed (dP/dV < 0) region."""
 
 
 @dataclass(frozen=True)
@@ -95,25 +82,6 @@ class VscParams:
 
 
 @dataclass(frozen=True)
-class PvParams:
-    """PV source anchors and curtailed operating voltage."""
-
-    V_mpp: float         # V
-    I_mpp: float         # A
-    V_oc: float          # V
-    I_sc: float          # A
-    V_op: float          # V
-
-    def __post_init__(self):
-        if not (0 < self.V_mpp < self.V_oc):
-            raise ValueError("require 0 < V_mpp < V_oc")
-        if not (0 < self.I_mpp < self.I_sc):
-            raise ValueError("require 0 < I_mpp < I_sc")
-        if not (self.V_mpp <= self.V_op < self.V_oc):
-            raise ValueError("require V_mpp <= V_op < V_oc")
-
-
-@dataclass(frozen=True)
 class GfmCtrlParams:
     """Dual-port GFM controller: omega = omega* + (k_p + k_d s/(tau s+1)) dv."""
 
@@ -153,59 +121,9 @@ def vsc_dclink_tf(p: VscParams, base: PerUnitBase | None = None,
     return RationalTF(Polynomial([1.0]), Polynomial([0.0, coeff]))
 
 
-def _pv_fit_c2(p: PvParams) -> float:
-    """Shape parameter of the exponential I-V fit placing the power maximum
-    at V_mpp; I(0) = I_sc and I(V_oc) = 0 hold exactly by construction."""
-
-    def p_prime_at_mpp(c2: float) -> float:
-        # stable for small c2: c1*exp(V/(c2 Voc)) = exp((V/Voc-1)/c2)/d
-        # with d = 1 - exp(-1/c2)
-        d = -math.expm1(-1.0 / c2)
-        c1 = math.exp(-1.0 / c2) / d
-        c1e = math.exp((p.V_mpp / p.V_oc - 1.0) / c2) / d
-        current = p.I_sc * (1.0 - c1e + c1)
-        didv = -p.I_sc * c1e / (c2 * p.V_oc)
-        return current + p.V_mpp * didv
-
-    return brentq(p_prime_at_mpp, 1e-3, 0.5, xtol=1e-14)
-
-
-def pv_curve(p: PvParams, V: float) -> float:
-    """Current of the fitted exponential single-diode characteristic."""
-    if V < 0 or V > p.V_oc:
-        raise OutOfRange(f"V = {V} outside [0, {p.V_oc}]")
-    c2 = _pv_fit_c2(p)
-    c1 = 1.0 / math.expm1(1.0 / c2)
-    return p.I_sc * (1.0 - c1 * math.expm1(V / (c2 * p.V_oc)))
-
-
-def pv_linearize(p: PvParams, base: PerUnitBase) -> float:
-    """Per-unit sensitivity k_pv = -(dP/dV at V_op) * V_base_dc / S_base,
-    by central finite difference with a 0.1 V step."""
-    h = 0.1
-    v_hi = min(p.V_op + h, p.V_oc)
-    v_lo = p.V_op - h
-    p_hi = v_hi * pv_curve(p, v_hi)
-    p_lo = v_lo * pv_curve(p, v_lo)
-    dpdv = (p_hi - p_lo) / (v_hi - v_lo)
-    # require a genuinely negative slope, not finite-difference noise at MPP
-    if dpdv >= -1e-6 * p.I_sc:
-        raise NotCurtailed("dP/dV >= 0 at the operating voltage")
-    return -dpdv * base.V_base_dc / base.S_base
-
-
 def convert_k_pv(k_pv: float, src: PerUnitBase, dst: PerUnitBase) -> float:
     """Re-express a per-unit DC-voltage/power sensitivity in another base."""
     return k_pv * (dst.V_base_dc / src.V_base_dc) * (src.S_base / dst.S_base)
-
-
-def turbine_governor_tf(p: SgParams) -> RationalTF:
-    """Speed-droop governor -(k_omega + k_tg G1 G2) S_n/P_max with first-order
-    lags G_i = 1/(T_i s + 1); maps speed deviation to turbine power."""
-    scale = p.S_n / p.P_max
-    lag = RationalTF(Polynomial([1.0]),
-                     Polynomial([1.0, p.T1]) * Polynomial([1.0, p.T2]))
-    return (-scale) * (RationalTF.constant(p.k_omega) + p.k_tg * lag)
 
 
 def governor_droop_tf(p: SgParams, S_base: float) -> RationalTF:

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from acdcdyn.network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                              kron_reduce, kron_reduce_sequential,
                              kron_reduce_symbolic, line_impedance,
                              load_cable_catalog)
+from acdcdyn.system import build, scenario_islanded_pv
 
 W0 = 2 * math.pi * 50.0
 
@@ -181,6 +184,132 @@ class TestKron:
         assert Gl.shape == (2, 0)
 
 
+def adjacent_loads_graph(r_load_load=8e-3):
+    l1, l2, l3 = 1.0e-6, 5.0e-6, 2.0e-6
+    return HybridGraph(
+        ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
+                  ("ld1", NodeKind.LOAD_AC), ("ld2", NodeKind.LOAD_AC)),
+        dc_nodes=(("vsc", NodeKind.VSC),),
+        ac_edges=(AcEdge("sm", "ld1", l1, 1e-3),
+                  AcEdge("ld1", "ld2", l2, r_load_load),
+                  AcEdge("ld2", "vsc", l3, 1e-3, l_virt_k=1e-4)),
+        dc_edges=(), V_ac_star=400.0, omega_star=W0,
+        v_dc_star={"vsc": 650.0})
+
+
+def radial_feeder(n_loads):
+    """SG at the head of a chain of loads, a GFM VSC at every second load."""
+    cat = load_cable_catalog()
+    cables = ("NAYY 4x240", "NAYY 4x150", "NAYY 4x35")
+    loads = [f"ld{i}" for i in range(1, n_loads + 1)]
+    vscs = [f"vsc{i}" for i in range(1, n_loads + 1, 2)]
+    edges, prev = [], "sm"
+    for i, ld in enumerate(loads):
+        r, l = line_impedance(cat, cables[i % 3], 20.0 + 15.0 * i)
+        edges.append(AcEdge(prev, ld, l, r))
+        prev = ld
+    for i, v in enumerate(vscs):
+        r, l = line_impedance(cat, "NAYY 4x35", 10.0 + 5.0 * i)
+        edges.append(AcEdge(loads[2 * i], v, l, r, l_virt_k=0.0023))
+    return HybridGraph(
+        ac_nodes=(("sm", NodeKind.SM),)
+        + tuple((v, NodeKind.VSC) for v in vscs)
+        + tuple((ld, NodeKind.LOAD_AC) for ld in loads),
+        dc_nodes=tuple((v, NodeKind.VSC) for v in vscs),
+        ac_edges=tuple(edges), dc_edges=(), V_ac_star=400.0, omega_star=W0,
+        v_dc_star={v: 740.0 for v in vscs})
+
+
+@st.composite
+def meshed_graphs(draw):
+    """Connected AC graphs: a random spanning tree plus extra mesh edges,
+    SG and VSC conversion nodes, lossless lines allowed."""
+    n_sm = draw(st.integers(0, 2))
+    n_vsc = draw(st.integers(1 if n_sm == 0 else 0, 2))
+    n_load = draw(st.integers(1, 11))
+    conv = [f"sm{i}" for i in range(n_sm)] + [f"vsc{i}" for i in range(n_vsc)]
+    names = conv + [f"ld{i}" for i in range(n_load)]
+    pairs = [(a, draw(st.integers(0, a - 1))) for a in range(1, len(names))]
+    pairs += draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                     st.integers(0, len(names) - 1))
+                           .filter(lambda p: p[0] != p[1]), max_size=4))
+    edges = []
+    for a, b in pairs:
+        l = draw(st.floats(1e-6, 1e-3))
+        r = draw(st.sampled_from([0.0, 1e-4, 3e-3, 2e-2, 0.1]))
+        l_virt = draw(st.sampled_from([0.0, 1e-4, 2.3e-3]))
+        kw = {"l_virt_n": l_virt} if names[a].startswith("vsc") else {}
+        edges.append(AcEdge(names[a], names[b], l, r, **kw))
+    vscs = tuple((n, NodeKind.VSC) for n in conv if n.startswith("vsc"))
+    kinds = {"sm": NodeKind.SM, "vs": NodeKind.VSC, "ld": NodeKind.LOAD_AC}
+    return HybridGraph(
+        ac_nodes=tuple((n, kinds[n[:2]]) for n in names), dc_nodes=vscs,
+        ac_edges=tuple(edges), dc_edges=(), V_ac_star=400.0, omega_star=W0,
+        v_dc_star={n: 740.0 for n, _ in vscs})
+
+
+def denominator_groups(g):
+    """Edges touching a load grouped by equal denominator (rho and k equal
+    to 1e-9), each with the rank of its load-row incidence columns: the
+    group's share of the McMillan degree of L_L(s) is twice that rank."""
+    inc = g.incidence_ac()[len(g.conv_names):]
+    groups = []
+    for j, e in enumerate(g.ac_edges):
+        if not inc[:, j].any():
+            continue
+        for grp in groups:
+            f = g.ac_edges[grp[0]]
+            if (math.isclose(e.rho, f.rho, rel_tol=1e-9, abs_tol=1e-9)
+                    and math.isclose(e.k_nk, f.k_nk, rel_tol=1e-9)):
+                grp.append(j)
+                break
+        else:
+            groups.append([j])
+    return [(g.ac_edges[js[0]], np.linalg.matrix_rank(inc[:, js]))
+            for js in groups]
+
+
+def assert_zeros_of_load_block(g, roots):
+    """Each root lies off every edge pole.  Where it is also well separated
+    from them (close to a pole sigma_min cannot be resolved in double
+    precision), it makes the load block singular relative to the edge
+    weights there."""
+    poles = np.array([complex(-e.rho, e.k_nk * g.omega_star)
+                      for e in g.ac_edges])
+    tfs = [ac_edge_tf(e, g.V_ac_star, g.omega_star) for e in g.ac_edges]
+    for z in roots:
+        dist = np.min(np.abs(complex(z.real, abs(z.imag)) - poles))
+        assert dist > 1e-10 * abs(z)
+        if dist > 1e-5 * abs(z):
+            _, blocks = assemble_ac_laplacian(g, z)
+            sigma = np.linalg.svd(blocks["L_load"], compute_uv=False)[-1]
+            assert sigma <= 1e-8 * max(abs(tf(z)) for tf in tfs)
+
+
+def assert_all_zeros(g, roots):
+    """The roots are all the zeros, multiplicity included.  Their number is
+    2 (edges touching a load) - 2 (loads) when all denominators differ,
+    less what shared denominators cancel; and at points in the right
+    half-plane det L_L(s) prod_k d_k(s)^rank_k = det(G_L) prod_i (s - z_i),
+    with G_L the load block of the Laplacian weighted by the edge gains."""
+    groups = denominator_groups(g)
+    assert len(roots) == (2 * sum(r for _, r in groups)
+                          - 2 * len(g.load_names))
+    inc = g.incidence_ac()[len(g.conv_names):]
+    gains = [ac_edge_tf(e, g.V_ac_star, g.omega_star).num.coeffs[0]
+             for e in g.ac_edges]
+    log_det_gl = np.linalg.slogdet((inc * gains) @ inc.T)[1]
+    scale = max([abs(z) for z in roots] + [W0])
+    for s in (scale * (0.3 + 1.0j), scale * (1.5 - 0.2j)):
+        _, blocks = assemble_ac_laplacian(g, s)
+        sign, log_abs = np.linalg.slogdet(blocks["L_load"])
+        lhs = np.log(sign) + log_abs + sum(
+            r * np.log(ac_edge_tf(e, g.V_ac_star, g.omega_star).den(s))
+            for e, r in groups)
+        rhs = log_det_gl + sum(np.log(s - z) for z in roots)
+        assert abs(np.exp(lhs - rhs) - 1.0) < 1e-7
+
+
 class TestAssumption1:
     def test_uniform_rho_trivial(self):
         v = check_assumption1(chain_graph(uniform_rho=True))
@@ -191,19 +320,88 @@ class TestAssumption1:
         assert v.verdict == "holds_trivially"
 
     def test_adjacent_loads_numeric(self):
-        l1, l2, l3 = 1.0e-6, 5.0e-6, 2.0e-6
-        g = HybridGraph(
-            ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
-                      ("ld1", NodeKind.LOAD_AC), ("ld2", NodeKind.LOAD_AC)),
-            dc_nodes=(("vsc", NodeKind.VSC),),
-            ac_edges=(AcEdge("sm", "ld1", l1, 1e-3),
-                      AcEdge("ld1", "ld2", l2, 8e-3),
-                      AcEdge("ld2", "vsc", l3, 1e-3, l_virt_k=1e-4)),
-            dc_edges=(), V_ac_star=400.0, omega_star=W0,
-            v_dc_star={"vsc": 650.0})
+        v = check_assumption1(adjacent_loads_graph())
+        assert v.verdict == "holds"
+        assert sorted(v.roots, key=lambda z: z.imag) == [
+            pytest.approx(-1493.51 - 1349.49j, abs=0.01),
+            pytest.approx(-1493.51 + 1349.49j, abs=0.01)]
+
+    def test_lossless_load_load_edge(self):
+        # the edge pole at +-314.16j cancels; the zeros stay in the LHP
+        g = adjacent_loads_graph(r_load_load=0.0)
         v = check_assumption1(g)
         assert v.verdict == "holds"
-        assert all(r.real < 0 for r in v.roots)
+        assert sorted(v.roots, key=lambda z: z.imag) == [
+            pytest.approx(-168.83 - 1379.75j, abs=0.01),
+            pytest.approx(-168.83 + 1379.75j, abs=0.01)]
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    def test_lossless_load_load_edge_builds_without_warning(self):
+        cfg = scenario_islanded_pv()
+        renamed = {"sm": "sg", "vsc": "vsc1"}
+        g = adjacent_loads_graph(r_load_load=0.0)
+        g = HybridGraph(
+            tuple((renamed.get(n, n), k) for n, k in g.ac_nodes),
+            (("vsc1", NodeKind.VSC),),
+            tuple(dataclasses.replace(e, n=renamed.get(e.n, e.n),
+                                      k=renamed.get(e.k, e.k))
+                  for e in g.ac_edges),
+            (), g.V_ac_star, g.omega_star, {"vsc1": 740.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = build(dataclasses.replace(cfg, graph=g))
+        assert model.network_verdict == "holds"
+
+    @pytest.mark.parametrize("n_loads", [5, 6])
+    def test_radial_feeder_many_loads(self, n_loads):
+        g = radial_feeder(n_loads)
+        v = check_assumption1(g)
+        assert v.verdict == "holds"
+        assert len(v.roots) == 6
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    def test_same_cable_different_lengths_share_a_denominator(self):
+        # rho of the two NAYY 4x35 lines differs in the last bit; treated
+        # as two denominators, their common pole came back as a zero
+        cat = load_cable_catalog()
+        lines = [("sm1", "ld1", "NAYY 4x35", 30.0),
+                 ("sm2", "ld1", "NAYY 4x35", 40.0),
+                 ("ld1", "ld2", "NAYY 4x240", 20.0),
+                 ("ld2", "sm1", "NAYY 4x150", 25.0)]
+        edges = []
+        for n, k, cable, length in lines:
+            r, l = line_impedance(cat, cable, length)
+            edges.append(AcEdge(n, k, l, r))
+        assert edges[0].rho != edges[1].rho
+        g = HybridGraph(
+            ac_nodes=(("sm1", NodeKind.SM), ("sm2", NodeKind.SM),
+                      ("ld1", NodeKind.LOAD_AC), ("ld2", NodeKind.LOAD_AC)),
+            dc_nodes=(), ac_edges=tuple(edges), dc_edges=(),
+            V_ac_star=400.0, omega_star=W0)
+        v = check_assumption1(g)
+        assert v.verdict == "holds"
+        assert len(v.roots) == 2
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    @given(meshed_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_roots_are_all_zeros_of_det_LL(self, g):
+        v = check_assumption1(g)
+        if v.reason:
+            return
+        assert_zeros_of_load_block(g, v.roots)
+        if v.verdict == "holds":
+            assert_all_zeros(g, v.roots)
+
+    def test_loads_without_conversion_node_rejected(self):
+        with pytest.raises(ValueError):
+            HybridGraph(
+                ac_nodes=(("a", NodeKind.LOAD_AC), ("b", NodeKind.LOAD_AC)),
+                dc_nodes=(), ac_edges=(AcEdge("a", "b", 1e-5, 1e-3),),
+                dc_edges=(), V_ac_star=400.0, omega_star=W0)
 
 
 class TestCatalog:

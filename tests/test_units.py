@@ -2,17 +2,14 @@ import math
 
 import pytest
 
-from acdcdyn.units import (GfmCtrlParams, NotCurtailed, OutOfRange,
-                           PerUnitBase, PvParams, SgParams, VscParams,
+from acdcdyn.units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                            convert_k_pv, gfm_ctrl_tf, governor_droop_tf,
-                           pv_curve, pv_linearize, sg_damping_tf, sm_tf,
-                           turbine_governor_tf, vsc_dclink_tf)
+                           sg_damping_tf, sm_tf, vsc_dclink_tf)
 
 SG = SgParams(S_n=105e3, P_max=50e3, V_n=400.0, n_r=25.0, H=0.1417,
               k_tg=20.0, k_omega=0.5, T1=0.03, T2=0.1)
 VSC = VscParams(S_rated=22e3, V_rated=800.0, C_dc=0.0031, v_dc_star=740.0,
                 l_virtual=0.0023, r_virtual=0.0)
-PV = PvParams(V_mpp=650.0, I_mpp=28.0, V_oc=812.5, I_sc=31.1, V_op=740.0)
 BASE = PerUnitBase(50e3, 400.0, 650.0, 2 * math.pi * 50.0)
 
 
@@ -60,29 +57,6 @@ class TestVscDclink:
 
 
 class TestPv:
-    def test_curve_anchors(self):
-        assert pv_curve(PV, 0.0) == pytest.approx(PV.I_sc)
-        assert pv_curve(PV, PV.V_oc) == pytest.approx(0.0, abs=1e-9)
-
-    def test_mpp_is_power_maximum(self):
-        h = 0.5
-        p0 = PV.V_mpp * pv_curve(PV, PV.V_mpp)
-        assert p0 > (PV.V_mpp - h) * pv_curve(PV, PV.V_mpp - h)
-        assert p0 > (PV.V_mpp + h) * pv_curve(PV, PV.V_mpp + h)
-
-    def test_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            pv_curve(PV, -1.0)
-
-    def test_linearize_positive_when_curtailed(self):
-        k = pv_linearize(PV, BASE)
-        assert k > 0
-
-    def test_linearize_rejects_mpp_operation(self):
-        pv = PvParams(650.0, 28.0, 812.5, 31.1, 650.0)
-        with pytest.raises(NotCurtailed):
-            pv_linearize(pv, BASE)
-
     def test_convert_roundtrip(self):
         src = PerUnitBase(18.2e3, 400.0, 650.0, BASE.omega_base)
         k = convert_k_pv(3.4581, src, BASE)
@@ -96,11 +70,13 @@ class TestGovernor:
         assert g(0.0) == pytest.approx(-20.0)
 
     def test_full_formula_dc_gain(self):
-        g = turbine_governor_tf(SG)
-        assert g(0.0) == pytest.approx(-(0.5 + 20.0) * 105.0 / 50.0)
+        # droop plus washout damping, as build wires them: the damping
+        # drops out in steady state
+        g = governor_droop_tf(SG, 50e3) + sg_damping_tf(SG, 50e3)
+        assert g(0.0) == pytest.approx(-20.0)
 
     def test_full_formula_hf_gain(self):
-        g = turbine_governor_tf(SG)
+        g = governor_droop_tf(SG, 50e3) + sg_damping_tf(SG, 50e3)
         assert abs(g(1j * 1e6)) == pytest.approx(0.5 * 105.0 / 50.0, rel=1e-3)
 
     def test_damping_washout(self):
