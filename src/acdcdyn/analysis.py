@@ -213,5 +213,6 @@ def sweep(builder, grids: dict, channels,
             out.append(SweepPoint(params, verdict.stable,
                                   dominant_damping(verdict), peaks))
         except Exception as exc:  # per-point isolation by contract
-            out.append(SweepPoint(params, None, None, {}, str(exc)))
+            out.append(SweepPoint(params, None, None, {},
+                                  f"{type(exc).__name__}: {exc}"))
     return SweepResult(tuple(out))

@@ -144,10 +144,6 @@ def run(cfg: RunConfig, out_dir: str) -> int:
             "v_base_dc_v": sysconf.base.V_base_dc,
             "omega_base_rad_s": sysconf.base.omega_base,
         }
-        if cfg.command == "step" and any(
-                c.tau_kd == 0.0 for c in sysconf.ctrl.values()):
-            raise ValidationError(
-                "ImproperController: tau_kd = 0 is not realizable")
         _dispatch(cfg, sysconf, out, manifest)
     except (CliError, ImproperController, ValueError, KeyError) as exc:
         _write_error(out, manifest, exc)
@@ -259,11 +255,11 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                 ("stable", "true" if stab.stable else "false")]
         bounds = sysconf.metadata.get("ratio_bounds")
         if bounds:
-            names = sorted(sysconf.ctrl)
+            names = sorted(sysconf.vsc)
             if len(names) == 2:
+                c1, c2 = (sysconf.vsc[n].control for n in names)
                 res = analysis.check_ratio_bounds_async(
-                    sysconf.ctrl[names[0]].k_p, sysconf.ctrl[names[0]].k_d,
-                    sysconf.ctrl[names[1]].k_p, sysconf.ctrl[names[1]].k_d,
+                    c1.k_p, c1.k_d, c2.k_p, c2.k_d,
                     bounds=(bounds[names[0]], bounds[names[1]]))
                 rows += [(f"ratio_bound_{names[0]}",
                           "pass" if res["vsc1"] else "fail"),

@@ -169,6 +169,8 @@ class HybridGraph:
         for n in dc_names:
             if n not in self.v_dc_star:
                 raise ValueError(f"missing DC setpoint for node {n}")
+            if self.v_dc_star[n] <= 0:
+                raise ValueError(f"DC setpoint of node {n} must be positive")
         if not self._connected():
             raise ValueError("hybrid graph must be connected")
 

@@ -45,29 +45,17 @@ class SystemConfig:
 
     graph: HybridGraph
     base: PerUnitBase
-    sg: dict                   # AC node name -> SgParams
-    vsc: dict                  # AC node name -> VscParams
-    ctrl: dict                 # VSC node name -> GfmCtrlParams
-    pv_droop: dict             # VSC node name -> k_pv in the system base
-    c_extra: dict = field(default_factory=dict)     # DC node name -> F
+    sg: dict                   # SM node name -> SgParams
+    vsc: dict                  # VSC node name -> VscParams
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        kinds = dict(self.graph.ac_nodes)
-        for n in self.sg:
-            if kinds.get(n) is not NodeKind.SM:
-                raise ValueError(f"SG parameters assigned to non-SM node {n}")
-        for n in self.vsc:
-            if kinds.get(n) is not NodeKind.VSC:
-                raise ValueError(f"VSC parameters assigned to non-VSC node {n}")
-        for n, k in self.graph.ac_nodes:
-            if k is NodeKind.SM and n not in self.sg:
-                raise ValueError(f"missing SG parameters for {n}")
-            if k is NodeKind.VSC and (n not in self.vsc or n not in self.ctrl):
-                raise ValueError(f"missing VSC/controller parameters for {n}")
-        for n in self.pv_droop:
-            if n not in self.vsc:
-                raise ValueError(f"PV attached to non-VSC node {n}")
+        for params, kind in ((self.sg, NodeKind.SM), (self.vsc, NodeKind.VSC)):
+            nodes = {n for n, k in self.graph.ac_nodes if k is kind}
+            if set(params) != nodes:
+                raise ValueError(
+                    f"{kind.name} parameters given for {sorted(params)}, "
+                    f"but the graph's {kind.name} nodes are {sorted(nodes)}")
 
     @property
     def has_infinite_bus(self) -> bool:
@@ -96,20 +84,13 @@ class SteadyState:
 # realization helpers
 # --------------------------------------------------------------------------
 
-def _mimo_from_tf_matrix(tfm, input_names, output_names,
-                         diag_extra=None) -> StateSpace:
-    """Realize a matrix of rational transfer functions entrywise.
-
-    `diag_extra` optionally adds a transfer function on the diagonal (used for
-    the DC loss injection, which acts on each node's own voltage).
-    """
+def _mimo_from_tf_matrix(tfm, input_names, output_names) -> StateSpace:
+    """Realize a matrix of rational transfer functions entrywise."""
     p, m = len(tfm), len(tfm[0])
     parts = []
     for i in range(p):
         for j in range(m):
             tf = tfm[i][j]
-            if diag_extra is not None and i == j and i < len(diag_extra):
-                tf = (tf + diag_extra[i]).simplify()
             if tf.num.is_zero():
                 continue
             parts.append((i, j, tf_to_ss(tf)))
@@ -142,8 +123,8 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
     """
     g = config.graph
     base = config.base
-    for name, ctrl in config.ctrl.items():
-        if ctrl.tau_kd == 0.0:
+    for name, p in config.vsc.items():
+        if p.control.tau_kd == 0.0:
             raise ImproperController(
                 f"controller at {name} has tau_kd = 0 (not realizable)")
     verdict = ""
@@ -180,11 +161,13 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
         Ldc, loss = dc_laplacian_tfs(g)
         k_v = base.V_base_dc / base.S_base
         dc_tfm = [[(k_v * tf).simplify() for tf in row] for row in Ldc]
-        dc_loss = [(k_v * tf).simplify() for tf in loss]
+        # the loss injection acts on each node's own voltage
+        for i, tf in enumerate(loss):
+            dc_tfm[i][i] = (dc_tfm[i][i] + (k_v * tf).simplify()).simplify()
         dc_names = g.dc_names
         blocks["dcnet"] = _mimo_from_tf_matrix(
             dc_tfm, [f"v_{n}" for n in dc_names],
-            [f"p_{n}" for n in dc_names], diag_extra=dc_loss)
+            [f"p_{n}" for n in dc_names])
 
     kinds = dict(g.ac_nodes)
     for n in conv:
@@ -214,11 +197,9 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                         (f"p_tg_{n}", f"tg_{n}.p")]
         elif kind is NodeKind.VSC:
             p = config.vsc[n]
-            cap = vsc_dclink_tf(p, base=base,
-                                c_extra=config.c_extra.get(n, 0.0))
+            cap = vsc_dclink_tf(p, g.v_dc_star[n], base)
             blocks[f"cap_{n}"] = tf_to_ss(cap, "p", "v")
-            blocks[f"ctr_{n}"] = tf_to_ss(gfm_ctrl_tf(config.ctrl[n]),
-                                          "v", "omega")
+            blocks[f"ctr_{n}"] = tf_to_ss(gfm_ctrl_tf(p.control), "v", "omega")
             blocks[f"th_{n}"] = integrator(base.omega_base, "omega", "theta")
             conns += [
                 (f"cap_{n}.p", f"acnet.p_{n}", -1.0),
@@ -228,9 +209,9 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                 (f"acnet.th_{n}", f"th_{n}.theta", 1.0),
             ]
             ext_in.append(f"n_{n}")
-            if n in config.pv_droop:
+            if p.k_pv is not None:
                 blocks[f"pv_{n}"] = StateSpace.static(
-                    [[-config.pv_droop[n]]], ("v",), ("p",))
+                    [[-p.k_pv]], ("v",), ("p",))
                 conns += [(f"pv_{n}.v", f"cap_{n}.v", 1.0),
                           (f"cap_{n}.p", f"pv_{n}.p", 1.0)]
                 ext_out.append((f"p_pv_{n}", f"pv_{n}.p"))
@@ -269,8 +250,8 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     system base, consumption-positive), assuming lossless conversion."""
     kappa_tg_inv = sum(p.k_tg * p.P_max / config.base.S_base
                        for p in config.sg.values())
-    kappa_pv_inv = sum(config.pv_droop[n] / config.ctrl[n].k_p
-                       for n in config.pv_droop)
+    kappa_pv_inv = sum(p.k_pv / p.control.k_p for p in config.vsc.values()
+                       if p.k_pv is not None)
     kappa_tg = math.inf if kappa_tg_inv == 0 else 1.0 / kappa_tg_inv
     kappa_pv = math.inf if kappa_pv_inv == 0 else 1.0 / kappa_pv_inv
     if config.has_infinite_bus:
@@ -281,7 +262,7 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     if stiffness == 0:
         raise NoDroop("no unit provides steady-state droop")
     domega = -dp_load / stiffness
-    dv = {n: domega / config.ctrl[n].k_p for n in config.vsc}
+    dv = {n: domega / p.control.k_p for n, p in config.vsc.items()}
     dp_tg = kappa_tg_inv / stiffness * dp_load
     dp_pv = kappa_pv_inv / stiffness * dp_load
     dp_ac = {}
@@ -289,7 +270,8 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
         if k is NodeKind.SM:
             dp_ac[n] = dp_tg
         elif k is NodeKind.VSC:
-            share = config.pv_droop.get(n, 0.0) / config.ctrl[n].k_p
+            p = config.vsc[n]
+            share = (0.0 if p.k_pv is None else p.k_pv) / p.control.k_p
             dp_ac[n] = (share / stiffness) * dp_load
     return SteadyState(domega, dv, dp_tg, dp_pv, dp_ac, kappa_tg, kappa_pv)
 
@@ -341,28 +323,27 @@ def config_from_dict(data: dict) -> SystemConfig:
                        2.0 * math.pi * b["f_base_hz"])
     catalog = load_cable_catalog(data.get("cable_catalog"))
 
-    sg_params, vsc_params, ctrl, pv_droop, c_extra = {}, {}, {}, {}, {}
+    sg_params, vsc_params, v_dc_star = {}, {}, {}
     if data.get("sg"):
         s = data["sg"]
         sg_params[s["node"]] = SgParams(
             s["s_n_va"], s["p_max_w"], s["v_n_v"], s["n_r_hz"], s["h_s"],
             s["k_tg"], s["k_omega"], s["t1_s"], s["t2_s"])
-    v_dc_star = {}
     for v in data.get("vscs", []):
         node = v["node"]
-        vsc_params[node] = VscParams(
-            v["s_rated_va"], v["v_rated_v"], v["c_dc_f"], v["v_dc_star_v"],
-            v["l_virtual_h"], v.get("r_virtual_ohm", 0.0))
-        c = v["control"]
-        ctrl[node] = GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"],
-                                   omega_star=base.omega_base)
-        c_extra[node] = v.get("c_extra_f", 0.0)
-        v_dc_star[node] = v["v_dc_star_v"]
+        k_pv = None
         if v.get("pv"):
             pv = v["pv"]
             pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
                                   pv["v_base_dc_v"], base.omega_base)
-            pv_droop[node] = convert_k_pv(pv["k_pv_pu"], pv_base, base)
+            k_pv = convert_k_pv(pv["k_pv_pu"], pv_base, base)
+        c = v["control"]
+        vsc_params[node] = VscParams(
+            v["s_rated_va"], v["v_rated_v"], v["c_dc_f"], v["l_virtual_h"],
+            v.get("r_virtual_ohm", 0.0),
+            GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
+            k_pv, v.get("c_extra_f", 0.0))
+        v_dc_star[node] = v["v_dc_star_v"]
 
     kind_map = {"sm": NodeKind.SM, "vsc": NodeKind.VSC,
                 "load_ac": NodeKind.LOAD_AC,
@@ -408,8 +389,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                         v_dc_star)
     meta = {k: data[k] for k in ("scenario", "ratio_bounds", "nominal")
             if k in data}
-    return SystemConfig(graph, base, sg_params, vsc_params, ctrl, pv_droop,
-                        c_extra, meta)
+    return SystemConfig(graph, base, sg_params, vsc_params, meta)
 
 
 def _scenario(name: str, overrides: dict | None = None,

@@ -62,40 +62,44 @@ class SgParams:
 
 
 @dataclass(frozen=True)
-class VscParams:
-    """Voltage source converter DC link and virtual output impedance."""
-
-    S_rated: float       # VA
-    V_rated: float       # V
-    C_dc: float          # F
-    v_dc_star: float     # V
-    l_virtual: float     # H
-    r_virtual: float     # Ohm
-
-    def __post_init__(self):
-        if self.C_dc <= 0:
-            raise ValueError("C_dc must be positive")
-        if min(self.S_rated, self.V_rated, self.v_dc_star) <= 0:
-            raise ValueError("ratings and v_dc_star must be positive")
-        if self.l_virtual < 0 or self.r_virtual < 0:
-            raise ValueError("virtual impedance terms must be nonnegative")
-
-
-@dataclass(frozen=True)
 class GfmCtrlParams:
     """Dual-port GFM controller: omega = omega* + (k_p + k_d s/(tau s+1)) dv."""
 
     k_p: float           # p.u.
     k_d: float           # p.u.
     tau_kd: float        # s (0 flags the improper ideal differentiator)
-    omega_star: float = 2.0 * math.pi * 50.0   # rad/s
-    v_dc_star: float = 1.0                     # p.u.
 
     def __post_init__(self):
         if self.k_p <= 0:
             raise ValueError("k_p must be positive")
         if self.k_d < 0 or self.tau_kd < 0:
             raise ValueError("k_d and tau_kd must be nonnegative")
+
+
+@dataclass(frozen=True)
+class VscParams:
+    """One VSC: DC link, virtual output impedance, GFM controller and the
+    PV source on its DC bus.  The DC-voltage setpoint is part of the
+    operating point and lives in `HybridGraph.v_dc_star`."""
+
+    S_rated: float       # VA
+    V_rated: float       # V
+    C_dc: float          # F
+    l_virtual: float     # H
+    r_virtual: float     # Ohm
+    control: GfmCtrlParams
+    k_pv: float | None = None   # p.u., system base; None: no PV
+    c_extra: float = 0.0        # F, bus capacitance on the same DC node
+
+    def __post_init__(self):
+        if self.C_dc <= 0:
+            raise ValueError("C_dc must be positive")
+        if min(self.S_rated, self.V_rated) <= 0:
+            raise ValueError("ratings must be positive")
+        if self.l_virtual < 0 or self.r_virtual < 0:
+            raise ValueError("virtual impedance terms must be nonnegative")
+        if self.c_extra < 0:
+            raise ValueError("c_extra must be nonnegative")
 
 
 def sm_tf(p: SgParams, per_unit: bool = False) -> RationalTF:
@@ -105,17 +109,14 @@ def sm_tf(p: SgParams, per_unit: bool = False) -> RationalTF:
     return RationalTF(Polynomial([1.0]), Polynomial([0.0, denom]))
 
 
-def vsc_dclink_tf(p: VscParams, base: PerUnitBase | None = None,
-                  c_extra: float = 0.0) -> RationalTF:
-    """DC-link capacitor energy balance 1/(C v_dc* s).
+def vsc_dclink_tf(p: VscParams, v_dc_star: float,
+                  base: PerUnitBase | None = None) -> RationalTF:
+    """DC-link capacitor energy balance 1/((C_dc + c_extra) v_dc* s) at the
+    DC-voltage setpoint `v_dc_star` (V).
 
-    `c_extra` adds bus capacitance sharing the same DC node.  With `base`
-    given, the result maps per-unit power to per-unit DC voltage.
+    With `base` given, the result maps per-unit power to per-unit DC voltage.
     """
-    if c_extra < 0:
-        raise ValueError("c_extra must be nonnegative")
-    c_total = p.C_dc + c_extra
-    coeff = c_total * p.v_dc_star
+    coeff = (p.C_dc + p.c_extra) * v_dc_star
     if base is not None:
         coeff *= base.V_base_dc / base.S_base
     return RationalTF(Polynomial([1.0]), Polynomial([0.0, coeff]))

@@ -45,7 +45,7 @@ class TestConfigHandling:
         out = tmp_path / "o"
         assert main(["step", "--config", cfg, "--out", str(out)]) == 1
         err = json.loads((out / "error.json").read_text())
-        assert "ImproperController" in err["message"]
+        assert err["error"] == "ImproperController"
 
 
 class TestArtifacts:
@@ -114,6 +114,20 @@ class TestArtifacts:
         assert rows[0][:4] == ["k_d", "stable", "f_peak_hz", "mag_peak_db"]
         assert len(rows) == 3
         assert all(r[1] == "1" for r in rows[1:])
+
+    def test_sweep_records_error_type(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"parameter": "tau_kd", "values": [0.0, 0.01],
+                        "input": "p_load_load1", "output": "omega_vsc1"}})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")
+        assert rows[0][4] == "error"
+        assert rows[1][1:4] == ["", "", ""]
+        assert rows[1][4].startswith("ImproperController: ")
+        assert rows[2][1] == "1" and rows[2][4] == ""
+        assert float(rows[2][2]) > 0
 
     def test_spectrum_csv(self, tmp_path):
         cfg = write_config(tmp_path, {

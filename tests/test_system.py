@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,20 +37,20 @@ class TestPresets:
         data = _load_preset("islanded_pv")
         cfg1 = config_from_dict(data)
         cfg2 = scenario_islanded_pv()
-        assert cfg1.ctrl["vsc1"].k_p == cfg2.ctrl["vsc1"].k_p
+        assert cfg1.vsc["vsc1"].control.k_p == cfg2.vsc["vsc1"].control.k_p
         assert cfg1.graph.ac_edges == cfg2.graph.ac_edges
 
 
 class TestOverrides:
     def test_global_gain_override(self):
         cfg = scenario_lvdc_async(k_p=0.05)
-        assert cfg.ctrl["vsc1"].k_p == 0.05
-        assert cfg.ctrl["vsc2"].k_p == 0.05
+        assert cfg.vsc["vsc1"].control.k_p == 0.05
+        assert cfg.vsc["vsc2"].control.k_p == 0.05
 
     def test_indexed_gain_override(self):
         cfg = scenario_lvdc_async(k_d_1=0.1)
-        assert cfg.ctrl["vsc1"].k_d == 0.1
-        assert cfg.ctrl["vsc2"].k_d == 0.001
+        assert cfg.vsc["vsc1"].control.k_d == 0.1
+        assert cfg.vsc["vsc2"].control.k_d == 0.001
 
     def test_setpoint_pu_override(self):
         cfg = scenario_parallel_ac_dc(v_dc_star_pu=(0.9975, 1.0))
@@ -66,6 +67,48 @@ class TestOverrides:
     def test_dotted_override(self):
         cfg = scenario_lvdc_async(overrides={"vscs.0.c_dc_f": 0.0062})
         assert cfg.vsc["vsc1"].C_dc == 0.0062
+
+
+class TestConfigSurface:
+    def test_graph_setpoint_drives_the_capacitor(self):
+        # the DC setpoint has one home: replacing it in the graph gives the
+        # same model as editing it in the preset
+        cfg = scenario_parallel_ac_dc()
+        v_dc_star = dict(cfg.graph.v_dc_star, vsc1=760.0)
+        via_graph = build(replace(
+            cfg, graph=replace(cfg.graph, v_dc_star=v_dc_star))).ss
+        data = _load_preset("parallel_ac_dc")
+        data["vscs"][0]["v_dc_star_v"] = 760.0
+        via_preset = build(config_from_dict(data)).ss
+        for name in ("A", "B", "C", "D"):
+            assert np.array_equal(getattr(via_graph, name),
+                                  getattr(via_preset, name))
+        assert via_graph.output_names == via_preset.output_names
+
+    def test_vsc_keys_must_match_vsc_nodes(self):
+        cfg = scenario_lvdc_async()
+        missing = {n: p for n, p in cfg.vsc.items() if n != "vsc2"}
+        with pytest.raises(ValueError):
+            replace(cfg, vsc=missing)
+        with pytest.raises(ValueError):
+            replace(cfg, vsc=dict(cfg.vsc, load1=cfg.vsc["vsc1"]))
+
+    def test_sg_keys_must_match_sm_nodes(self):
+        cfg = scenario_islanded_pv()
+        with pytest.raises(ValueError):
+            replace(cfg, sg={})
+
+    def test_pv_at_zero_droop_keeps_its_channel(self):
+        cfg = scenario_islanded_pv(overrides={"vscs.0.pv.k_pv_pu": 0.0})
+        assert cfg.vsc["vsc1"].k_pv == 0.0
+        assert "p_pv_vsc1" in build(cfg).ss.output_names
+        no_pv = scenario_islanded_pv(overrides={"vscs.0.pv": None})
+        assert no_pv.vsc["vsc1"].k_pv is None
+        assert "p_pv_vsc1" not in build(no_pv).ss.output_names
+
+    def test_nonpositive_setpoint_rejected(self):
+        with pytest.raises(ValueError):
+            scenario_lvdc_async(overrides={"vscs.0.v_dc_star_v": 0.0})
 
 
 class TestBuildErrors:

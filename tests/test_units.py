@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -8,8 +9,8 @@ from acdcdyn.units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
 
 SG = SgParams(S_n=105e3, P_max=50e3, V_n=400.0, n_r=25.0, H=0.1417,
               k_tg=20.0, k_omega=0.5, T1=0.03, T2=0.1)
-VSC = VscParams(S_rated=22e3, V_rated=800.0, C_dc=0.0031, v_dc_star=740.0,
-                l_virtual=0.0023, r_virtual=0.0)
+VSC = VscParams(S_rated=22e3, V_rated=800.0, C_dc=0.0031, l_virtual=0.0023,
+                r_virtual=0.0, control=GfmCtrlParams(0.025, 0.01, 0.01))
 BASE = PerUnitBase(50e3, 400.0, 650.0, 2 * math.pi * 50.0)
 
 
@@ -24,7 +25,7 @@ class TestBases:
 
     def test_vsc_validation(self):
         with pytest.raises(ValueError):
-            VscParams(22e3, 800.0, -0.0031, 740.0, 0.0023, 0.0)
+            VscParams(22e3, 800.0, -0.0031, 0.0023, 0.0, VSC.control)
 
 
 class TestSm:
@@ -43,17 +44,17 @@ class TestSm:
 
 class TestVscDclink:
     def test_si_coefficient(self):
-        g = vsc_dclink_tf(VSC)
+        g = vsc_dclink_tf(VSC, 740.0)
         assert g(1j) == pytest.approx(1.0 / (0.0031 * 740.0 * 1j))
 
     def test_per_unit_and_extra_cap(self):
-        g = vsc_dclink_tf(VSC, base=BASE, c_extra=0.0031)
+        g = vsc_dclink_tf(replace(VSC, c_extra=0.0031), 740.0, base=BASE)
         coeff = 2 * 0.0031 * 740.0 * 650.0 / 50e3
         assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
 
     def test_negative_extra_rejected(self):
         with pytest.raises(ValueError):
-            vsc_dclink_tf(VSC, c_extra=-1.0)
+            replace(VSC, c_extra=-1.0)
 
 
 class TestPv:
