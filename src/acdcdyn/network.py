@@ -171,26 +171,9 @@ class HybridGraph:
                 raise ValueError(f"missing DC setpoint for node {n}")
             if self.v_dc_star[n] <= 0:
                 raise ValueError(f"DC setpoint of node {n} must be positive")
-        if not self._connected():
+        nodes = dict.fromkeys(self.ac_names + self.dc_names)
+        if len(_components(nodes, self.ac_edges + self.dc_edges)) != 1:
             raise ValueError("hybrid graph must be connected")
-
-    def _connected(self) -> bool:
-        nodes = {n for n, _ in self.ac_nodes} | {n for n, _ in self.dc_nodes}
-        if not nodes:
-            return False
-        adj = {n: set() for n in nodes}
-        for e in list(self.ac_edges) + list(self.dc_edges):
-            adj[e.n].add(e.k)
-            adj[e.k].add(e.n)
-        seen = set()
-        stack = [next(iter(nodes))]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(adj[n] - seen)
-        return seen == nodes
 
     # -- node bookkeeping ---------------------------------------------------
 
@@ -218,34 +201,32 @@ class HybridGraph:
             B[idx[e.k], j] = -1.0
         return B
 
-    def incidence_dc(self) -> np.ndarray:
-        idx = {n: i for i, n in enumerate(self.dc_names)}
-        B = np.zeros((len(idx), len(self.dc_edges)))
-        for j, e in enumerate(self.dc_edges):
-            B[idx[e.n], j] = 1.0
-            B[idx[e.k], j] = -1.0
-        return B
-
     def ac_components(self) -> list[set[str]]:
         """Connected components of the AC subgraph."""
-        adj = {n: set() for n in self.ac_names}
-        for e in self.ac_edges:
-            adj[e.n].add(e.k)
-            adj[e.k].add(e.n)
-        comps, seen = [], set()
-        for start in self.ac_names:
-            if start in seen:
+        return _components(self.ac_names, self.ac_edges)
+
+
+def _components(nodes, edges) -> list[set[str]]:
+    """Connected components of the graph (nodes, edges), in the order of
+    their first node."""
+    adj = {n: set() for n in nodes}
+    for e in edges:
+        adj[e.n].add(e.k)
+        adj[e.k].add(e.n)
+    comps, seen = [], set()
+    for start in nodes:
+        if start in seen:
+            continue
+        comp, stack = set(), [start]
+        while stack:
+            n = stack.pop()
+            if n in comp:
                 continue
-            comp, stack = set(), [start]
-            while stack:
-                n = stack.pop()
-                if n in comp:
-                    continue
-                comp.add(n)
-                stack.extend(adj[n] - comp)
-            seen |= comp
-            comps.append(comp)
-        return comps
+            comp.add(n)
+            stack.extend(adj[n] - comp)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 # --------------------------------------------------------------------------
@@ -321,10 +302,9 @@ def dc_laplacian_tfs(g: HybridGraph):
     L = [[zero for _ in names] for _ in names]
     loss = [zero for _ in names]
     for e in g.dc_edges:
-        den = Polynomial([e.r_dc, e.l_dc])
-        wn = RationalTF(Polynomial([g.v_dc_star[e.n]]), den)
-        wk = RationalTF(Polynomial([g.v_dc_star[e.k]]), den)
-        dv = RationalTF(Polynomial([g.v_dc_star[e.n] - g.v_dc_star[e.k]]), den)
+        wn = dc_edge_tf(e, g.v_dc_star[e.n])
+        wk = dc_edge_tf(e, g.v_dc_star[e.k])
+        dv = dc_loss_tf(e, g.v_dc_star[e.n] - g.v_dc_star[e.k])
         i, j = idx[e.n], idx[e.k]
         L[i][i] = L[i][i] + wn
         L[i][j] = L[i][j] - wn

@@ -39,6 +39,12 @@ class NoDroop(SystemError_):
     """No unit provides steady-state droop; the steady state is marginal."""
 
 
+class UnpinnedArea(SystemError_):
+    """An infinite bus pins only its own AC area; the steady state of an
+    area without one depends on the DC coupling, which the analytic steady
+    state does not model."""
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Full description of one closed-loop system."""
@@ -174,14 +180,10 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
         kind = kinds[n]
         if kind is NodeKind.SM:
             p = config.sg[n]
-            swing = sm_tf(p, per_unit=True)          # machine base S_n
-            # rescale the power input from the system base to S_n
-            swing = (base.S_base / p.S_n) * swing
-            blocks[f"sm_{n}"] = tf_to_ss(swing, "p", "omega")
+            blocks[f"sm_{n}"] = tf_to_ss(sm_tf(p, base), "p", "omega")
             blocks[f"tg_{n}"] = tf_to_ss(
-                governor_droop_tf(p, base.S_base), "omega", "p")
-            blocks[f"dmp_{n}"] = tf_to_ss(
-                sg_damping_tf(p, base.S_base), "omega", "p")
+                governor_droop_tf(p, base), "omega", "p")
+            blocks[f"dmp_{n}"] = tf_to_ss(sg_damping_tf(p, base), "omega", "p")
             blocks[f"th_{n}"] = integrator(base.omega_base, "omega", "theta")
             conns += [
                 (f"sm_{n}.p", f"tg_{n}.p", 1.0),
@@ -247,7 +249,10 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
 
 def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     """Analytic steady state after a load step of `dp_load` (p.u. in the
-    system base, consumption-positive), assuming lossless conversion."""
+    system base, consumption-positive), assuming lossless conversion.
+
+    With infinite buses, every AC area must hold one: the result is then
+    all zeros.  Otherwise `UnpinnedArea` is raised."""
     kappa_tg_inv = sum(p.k_tg * p.P_max / config.base.S_base
                        for p in config.sg.values())
     kappa_pv_inv = sum(p.k_pv / p.control.k_p for p in config.vsc.values()
@@ -255,8 +260,14 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     kappa_tg = math.inf if kappa_tg_inv == 0 else 1.0 / kappa_tg_inv
     kappa_pv = math.inf if kappa_pv_inv == 0 else 1.0 / kappa_pv_inv
     if config.has_infinite_bus:
+        g = config.graph
+        buses = {n for n, k in g.ac_nodes if k is NodeKind.INFINITE_BUS}
+        for comp in g.ac_components():
+            if not comp & buses:
+                raise UnpinnedArea(f"AC area {sorted(comp)} holds no "
+                                   "infinite bus, but another area does")
         return SteadyState(0.0, {n: 0.0 for n in config.vsc}, 0.0, 0.0,
-                           {n: 0.0 for n in config.graph.conv_names},
+                           {n: 0.0 for n in g.conv_names},
                            kappa_tg, kappa_pv)
     stiffness = kappa_tg_inv + kappa_pv_inv
     if stiffness == 0:
@@ -323,12 +334,12 @@ def config_from_dict(data: dict) -> SystemConfig:
                        2.0 * math.pi * b["f_base_hz"])
     catalog = load_cable_catalog(data.get("cable_catalog"))
 
-    sg_params, vsc_params, v_dc_star = {}, {}, {}
+    sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
     if data.get("sg"):
         s = data["sg"]
         sg_params[s["node"]] = SgParams(
-            s["s_n_va"], s["p_max_w"], s["v_n_v"], s["n_r_hz"], s["h_s"],
-            s["k_tg"], s["k_omega"], s["t1_s"], s["t2_s"])
+            s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"], s["k_omega"],
+            s["t1_s"], s["t2_s"])
     for v in data.get("vscs", []):
         node = v["node"]
         k_pv = None
@@ -339,11 +350,10 @@ def config_from_dict(data: dict) -> SystemConfig:
             k_pv = convert_k_pv(pv["k_pv_pu"], pv_base, base)
         c = v["control"]
         vsc_params[node] = VscParams(
-            v["s_rated_va"], v["v_rated_v"], v["c_dc_f"], v["l_virtual_h"],
-            v.get("r_virtual_ohm", 0.0),
-            GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
+            v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
             k_pv, v.get("c_extra_f", 0.0))
         v_dc_star[node] = v["v_dc_star_v"]
+        virtual[node] = (v["l_virtual_h"], v.get("r_virtual_ohm", 0.0))
 
     kind_map = {"sm": NodeKind.SM, "vsc": NodeKind.VSC,
                 "load_ac": NodeKind.LOAD_AC,
@@ -363,10 +373,8 @@ def config_from_dict(data: dict) -> SystemConfig:
         kw = {}
         virt = e.get("virtual_at")
         if virt is not None:
-            vp = vsc_params[virt]
             side = "n" if virt == e["n"] else "k"
-            kw[f"l_virt_{side}"] = vp.l_virtual
-            kw[f"r_virt_{side}"] = vp.r_virtual
+            kw[f"l_virt_{side}"], kw[f"r_virt_{side}"] = virtual[virt]
         ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
 
     dc_edges = []

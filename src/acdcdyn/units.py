@@ -1,16 +1,16 @@
 """Device and controller transfer-function factories.
 
-Each factory maps a physical parameter record to the small-signal transfer
-function of the device: synchronous-machine swing integrator, VSC DC-link
-capacitor, governor droop with washout damping, and the dual-port
-grid-forming (GFM) frequency/DC-voltage controller.  The PV source enters
-as a per-unit sensitivity k_pv, re-based by convert_k_pv.  Per-unit bases
-are always explicit; nothing is normalized implicitly.
+Each factory maps a physical parameter record and the system per-unit base
+to the small-signal transfer function of the device in that base:
+synchronous-machine swing integrator, VSC DC-link capacitor, governor droop
+with washout damping, and the dual-port grid-forming (GFM)
+frequency/DC-voltage controller.  The PV source enters as a per-unit
+sensitivity k_pv, re-based by convert_k_pv.  Per-unit bases are always
+explicit; nothing is normalized implicitly.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .lti import Polynomial, RationalTF
@@ -37,8 +37,6 @@ class SgParams:
 
     S_n: float           # VA
     P_max: float         # W
-    V_n: float           # V
-    n_r: float           # 1/s, mechanical speed
     H: float             # s
     k_tg: float          # p.u. governor droop gain
     k_omega: float       # p.u. damping gain
@@ -46,19 +44,10 @@ class SgParams:
     T2: float            # s
 
     def __post_init__(self):
-        if min(self.S_n, self.P_max, self.V_n, self.n_r, self.H,
-               self.T1, self.T2) <= 0:
+        if min(self.S_n, self.P_max, self.H, self.T1, self.T2) <= 0:
             raise ValueError("SG parameters must be positive")
         if self.P_max > self.S_n:
             raise ValueError("P_max must not exceed S_n")
-
-    @property
-    def omega_r_star(self) -> float:
-        return 2.0 * math.pi * self.n_r
-
-    @property
-    def inertia_J(self) -> float:
-        return 2.0 * self.H * self.S_n / self.omega_r_star**2
 
 
 @dataclass(frozen=True)
@@ -78,15 +67,12 @@ class GfmCtrlParams:
 
 @dataclass(frozen=True)
 class VscParams:
-    """One VSC: DC link, virtual output impedance, GFM controller and the
-    PV source on its DC bus.  The DC-voltage setpoint is part of the
-    operating point and lives in `HybridGraph.v_dc_star`."""
+    """One VSC: DC link, GFM controller and the PV source on its DC bus.
+    The DC-voltage setpoint is part of the operating point and lives in
+    `HybridGraph.v_dc_star`; the virtual output impedance is part of the
+    network and lives on the `AcEdge` that leaves the VSC."""
 
-    S_rated: float       # VA
-    V_rated: float       # V
     C_dc: float          # F
-    l_virtual: float     # H
-    r_virtual: float     # Ohm
     control: GfmCtrlParams
     k_pv: float | None = None   # p.u., system base; None: no PV
     c_extra: float = 0.0        # F, bus capacitance on the same DC node
@@ -94,31 +80,23 @@ class VscParams:
     def __post_init__(self):
         if self.C_dc <= 0:
             raise ValueError("C_dc must be positive")
-        if min(self.S_rated, self.V_rated) <= 0:
-            raise ValueError("ratings must be positive")
-        if self.l_virtual < 0 or self.r_virtual < 0:
-            raise ValueError("virtual impedance terms must be nonnegative")
         if self.c_extra < 0:
             raise ValueError("c_extra must be nonnegative")
 
 
-def sm_tf(p: SgParams, per_unit: bool = False) -> RationalTF:
-    """Swing integrator 1/(J omega_r* s) in SI, or 1/(2H s) in the machine
-    per-unit base."""
-    denom = 2.0 * p.H if per_unit else p.inertia_J * p.omega_r_star
-    return RationalTF(Polynomial([1.0]), Polynomial([0.0, denom]))
+def sm_tf(p: SgParams, base: PerUnitBase) -> RationalTF:
+    """Swing integrator 1/(2H s) of the machine base S_n, with its power
+    input re-based to the system base: (S_base/S_n)/(2H s)."""
+    return RationalTF(Polynomial([base.S_base / p.S_n]),
+                      Polynomial([0.0, 2.0 * p.H]))
 
 
 def vsc_dclink_tf(p: VscParams, v_dc_star: float,
-                  base: PerUnitBase | None = None) -> RationalTF:
+                  base: PerUnitBase) -> RationalTF:
     """DC-link capacitor energy balance 1/((C_dc + c_extra) v_dc* s) at the
-    DC-voltage setpoint `v_dc_star` (V).
-
-    With `base` given, the result maps per-unit power to per-unit DC voltage.
-    """
-    coeff = (p.C_dc + p.c_extra) * v_dc_star
-    if base is not None:
-        coeff *= base.V_base_dc / base.S_base
+    DC-voltage setpoint `v_dc_star` (V), mapping per-unit power to per-unit
+    DC voltage."""
+    coeff = (p.C_dc + p.c_extra) * v_dc_star * (base.V_base_dc / base.S_base)
     return RationalTF(Polynomial([1.0]), Polynomial([0.0, coeff]))
 
 
@@ -127,22 +105,20 @@ def convert_k_pv(k_pv: float, src: PerUnitBase, dst: PerUnitBase) -> float:
     return k_pv * (dst.V_base_dc / src.V_base_dc) * (src.S_base / dst.S_base)
 
 
-def governor_droop_tf(p: SgParams, S_base: float) -> RationalTF:
+def governor_droop_tf(p: SgParams, base: PerUnitBase) -> RationalTF:
     """Droop-only governor -k_tg G1 G2 scaled from the machine power base
     (P_max) to the system base; the steady-state gain is -k_tg P_max/S_base."""
     lag = RationalTF(Polynomial([1.0]),
                      Polynomial([1.0, p.T1]) * Polynomial([1.0, p.T2]))
-    return (-p.k_tg * p.P_max / S_base) * lag
+    return (-p.k_tg * p.P_max / base.S_base) * lag
 
 
-def sg_damping_tf(p: SgParams, S_base: float, T_w: float = 1.0) -> RationalTF:
+def sg_damping_tf(p: SgParams, base: PerUnitBase) -> RationalTF:
     """Damping-torque contribution -k_omega S_n/S_base passed through a
-    washout T_w s/(T_w s + 1), so transient damping is retained without
-    altering the governor's steady-state droop."""
-    if T_w <= 0:
-        raise ValueError("washout time constant must be positive")
-    gain = -p.k_omega * p.S_n / S_base
-    return RationalTF(Polynomial([0.0, gain * T_w]), Polynomial([1.0, T_w]))
+    washout s/(s + 1) with a 1 s time constant, so transient damping is
+    retained without altering the governor's steady-state droop."""
+    gain = -p.k_omega * p.S_n / base.S_base
+    return RationalTF(Polynomial([0.0, gain]), Polynomial([1.0, 1.0]))
 
 
 def gfm_ctrl_tf(p: GfmCtrlParams) -> RationalTF:

@@ -47,6 +47,15 @@ class TestConfigHandling:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ImproperController"
 
+    def test_steady_unpinned_area_exit_1(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "lvdc_async",
+                                      "options": {"delta_p_l_pu": 0.05}})
+        out = tmp_path / "o"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 1
+        err = json.loads((out / "error.json").read_text())
+        assert err["error"] == "UnpinnedArea"
+        assert not (out / "steady.csv").exists()
+
 
 class TestArtifacts:
     def test_poles_schema_and_manifest(self, tmp_path):

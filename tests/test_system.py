@@ -1,15 +1,22 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from acdcdyn.lti import dc_gain
-from acdcdyn.system import (ImproperController, NoDroop, _apply_simple_override,
-                            _load_preset, build, config_from_dict,
-                            nominal_dc_dispatch, scenario_islanded_pv,
-                            scenario_lvdc_async, scenario_parallel_ac_dc,
-                            steady_state)
+from acdcdyn.system import (ImproperController, NoDroop, UnpinnedArea,
+                            _apply_simple_override, _load_preset, build,
+                            config_from_dict, nominal_dc_dispatch,
+                            scenario_islanded_pv, scenario_lvdc_async,
+                            scenario_parallel_ac_dc, steady_state)
+from acdcdyn.units import GfmCtrlParams, SgParams, VscParams
+
+#: Every numeric field of the device records, by record.
+DEVICE_FIELDS = ([("sg", f.name) for f in fields(SgParams)]
+                 + [("vsc", f.name) for f in fields(VscParams)
+                    if f.name != "control"]
+                 + [("control", f.name) for f in fields(GfmCtrlParams)])
 
 
 class TestPresets:
@@ -110,6 +117,34 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             scenario_lvdc_async(overrides={"vscs.0.v_dc_star_v": 0.0})
 
+    @pytest.mark.parametrize("record,name", DEVICE_FIELDS)
+    def test_every_device_field_reaches_the_model(self, record, name):
+        # a field that build never reads is a parameter without an effect
+        cfg = scenario_islanded_pv()
+        (sg_node, sg), = cfg.sg.items()
+        (vsc_node, vsc), = cfg.vsc.items()
+        old = {"sg": sg, "vsc": vsc, "control": vsc.control}[record]
+        value = getattr(old, name)
+        new = replace(old, **{name: value / 2 if value else 1e-3})
+        if record == "sg":
+            changed = replace(cfg, sg={sg_node: new})
+        elif record == "vsc":
+            changed = replace(cfg, vsc={vsc_node: new})
+        else:
+            changed = replace(cfg, vsc={vsc_node: replace(vsc, control=new)})
+        a, b = build(cfg).ss, build(changed).ss
+        assert not all(np.array_equal(getattr(a, m), getattr(b, m))
+                       for m in "ABCD")
+
+    def test_virtual_impedance_lands_on_the_vsc_side(self):
+        cfg = scenario_parallel_ac_dc(overrides={"vscs.1.l_virtual_h": 0.005})
+        virt = {(e.n, e.k): (e.l_virt_n, e.l_virt_k)
+                for e in cfg.graph.ac_edges}
+        assert virt == {("sg", "load1"): (0.0, 0.0),
+                        ("load1", "vsc1"): (0.0, 0.0023),
+                        ("vsc2", "grid"): (0.005, 0.0),
+                        ("load1", "vsc2"): (0.0, 0.005)}
+
 
 class TestBuildErrors:
     def test_improper_controller_rejected(self):
@@ -138,9 +173,17 @@ class TestSteadyState:
         assert st.dp_tg + st.dp_pv == pytest.approx(0.05)
 
     def test_infinite_bus_pins_frequency(self):
-        st = steady_state(scenario_lvdc_async(), 0.05)
+        # one AC area, and it holds the infinite bus
+        st = steady_state(scenario_parallel_ac_dc(), 0.05)
         assert st.domega == 0.0
         assert all(v == 0.0 for v in st.dv_dc.values())
+        assert all(v == 0.0 for v in st.dp_ac.values())
+
+    def test_area_without_infinite_bus_raises(self):
+        # the SG area of lvdc_async reaches the grid only through the DC
+        # link, so its frequency is not pinned
+        with pytest.raises(UnpinnedArea):
+            steady_state(scenario_lvdc_async(), 0.05)
 
     def test_no_droop_raises(self):
         cfg = scenario_islanded_pv(overrides={"vscs.0.pv": None,

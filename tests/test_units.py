@@ -7,10 +7,9 @@ from acdcdyn.units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                            convert_k_pv, gfm_ctrl_tf, governor_droop_tf,
                            sg_damping_tf, sm_tf, vsc_dclink_tf)
 
-SG = SgParams(S_n=105e3, P_max=50e3, V_n=400.0, n_r=25.0, H=0.1417,
-              k_tg=20.0, k_omega=0.5, T1=0.03, T2=0.1)
-VSC = VscParams(S_rated=22e3, V_rated=800.0, C_dc=0.0031, l_virtual=0.0023,
-                r_virtual=0.0, control=GfmCtrlParams(0.025, 0.01, 0.01))
+SG = SgParams(S_n=105e3, P_max=50e3, H=0.1417, k_tg=20.0, k_omega=0.5,
+              T1=0.03, T2=0.1)
+VSC = VscParams(C_dc=0.0031, control=GfmCtrlParams(0.025, 0.01, 0.01))
 BASE = PerUnitBase(50e3, 400.0, 650.0, 2 * math.pi * 50.0)
 
 
@@ -21,34 +20,28 @@ class TestBases:
 
     def test_sg_validation(self):
         with pytest.raises(ValueError):
-            SgParams(50e3, 105e3, 400.0, 25.0, 0.1417, 20.0, 0.5, 0.03, 0.1)
+            SgParams(50e3, 105e3, 0.1417, 20.0, 0.5, 0.03, 0.1)
 
     def test_vsc_validation(self):
         with pytest.raises(ValueError):
-            VscParams(22e3, 800.0, -0.0031, 0.0023, 0.0, VSC.control)
+            VscParams(-0.0031, VSC.control)
 
 
 class TestSm:
     def test_per_unit_gain(self):
-        g = sm_tf(SG, per_unit=True)
-        # 1/(2Hs): at s = j, magnitude 1/(2H)
-        assert abs(g(1j)) == pytest.approx(1.0 / (2 * 0.1417))
-
-    def test_si_vs_pu_consistency(self):
-        g_si = sm_tf(SG, per_unit=False)
-        g_pu = sm_tf(SG, per_unit=True)
-        # SI maps W -> rad/s; scaling by S_n/omega_r* recovers p.u.
-        s = 2.0 + 1j
-        assert g_si(s) * SG.S_n / SG.omega_r_star == pytest.approx(g_pu(s))
+        g = sm_tf(SG, BASE)
+        # (S_base/S_n)/(2Hs): at s = j, magnitude (50/105)/(2H)
+        assert abs(g(1j)) == pytest.approx(50.0 / 105.0 / (2 * 0.1417))
 
 
 class TestVscDclink:
     def test_si_coefficient(self):
-        g = vsc_dclink_tf(VSC, 740.0)
-        assert g(1j) == pytest.approx(1.0 / (0.0031 * 740.0 * 1j))
+        g = vsc_dclink_tf(VSC, 740.0, BASE)
+        coeff = 0.0031 * 740.0 * 650.0 / 50e3
+        assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
 
     def test_per_unit_and_extra_cap(self):
-        g = vsc_dclink_tf(replace(VSC, c_extra=0.0031), 740.0, base=BASE)
+        g = vsc_dclink_tf(replace(VSC, c_extra=0.0031), 740.0, BASE)
         coeff = 2 * 0.0031 * 740.0 * 650.0 / 50e3
         assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
 
@@ -67,21 +60,21 @@ class TestPv:
 
 class TestGovernor:
     def test_droop_dc_gain(self):
-        g = governor_droop_tf(SG, S_base=50e3)
+        g = governor_droop_tf(SG, BASE)
         assert g(0.0) == pytest.approx(-20.0)
 
     def test_full_formula_dc_gain(self):
         # droop plus washout damping, as build wires them: the damping
         # drops out in steady state
-        g = governor_droop_tf(SG, 50e3) + sg_damping_tf(SG, 50e3)
+        g = governor_droop_tf(SG, BASE) + sg_damping_tf(SG, BASE)
         assert g(0.0) == pytest.approx(-20.0)
 
     def test_full_formula_hf_gain(self):
-        g = governor_droop_tf(SG, 50e3) + sg_damping_tf(SG, 50e3)
+        g = governor_droop_tf(SG, BASE) + sg_damping_tf(SG, BASE)
         assert abs(g(1j * 1e6)) == pytest.approx(0.5 * 105.0 / 50.0, rel=1e-3)
 
     def test_damping_washout(self):
-        g = sg_damping_tf(SG, S_base=50e3)
+        g = sg_damping_tf(SG, BASE)
         assert g(0.0) == 0.0
         assert abs(g(1j * 1e4)) == pytest.approx(0.5 * 105.0 / 50.0, rel=1e-3)
 
