@@ -54,20 +54,45 @@ class RunConfig:
     options: dict
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return "%.9g" % float(x)
+#: Rows written by one %-format string.
+_CSV_BLOCK_ROWS = 2048
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _cell(x) -> tuple[str, object]:
+    """The %-format and the value that write one CSV cell: ``%.9g`` for
+    floats, 1/0 for bools, ``str`` for ints, strings as given."""
+    if isinstance(x, str):
+        return "%s", x
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
+        return "%d", int(x)
+    return "%.9g", float(x)
+
+
+def _column(values) -> tuple[str, np.ndarray]:
+    """One %-format for a whole column, and its cells as an array.  A
+    NumPy array takes the format of its dtype; the cells of any other
+    sequence are formatted one by one and written as strings."""
+    if isinstance(values, np.ndarray):
+        return _cell(values.dtype.type())[0], values
+    return "%s", np.array([spec % v for spec, v in map(_cell, values)],
+                          dtype=object)
+
+
+def _write_csv(path: Path, header: list[str], columns) -> None:
+    """Write one sequence per header name as the columns of a CSV file,
+    ``_CSV_BLOCK_ROWS`` rows per %-format string."""
+    cols = [_column(c) for c in columns]
+    row = ",".join(spec for spec, _ in cols) + "\n"
+    width = len(cols)
+    n = len(cols[0][1]) if cols else 0
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(x) if not isinstance(x, str) else x
-                             for x in row) + "\n")
+        for i in range(0, n, _CSV_BLOCK_ROWS):
+            k = min(_CSV_BLOCK_ROWS, n - i)
+            cells = [None] * (k * width)
+            for j, (_, values) in enumerate(cols):
+                cells[j::width] = values[i:i + k].tolist()
+            f.write(row * k % tuple(cells))
 
 
 def load_config(path: str, command: str) -> RunConfig:
@@ -173,7 +198,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         rows = sorted(((p.value.real, p.value.imag, p.structural)
                        for p in poles(model.ss)),
                       key=lambda r: (r[0], r[1]))
-        _write_csv(out / "poles.csv", ["re", "im", "structural"], rows)
+        _write_csv(out / "poles.csv", ["re", "im", "structural"], zip(*rows))
         manifest["outputs"].append("poles.csv")
 
     elif cfg.command == "bode":
@@ -184,7 +209,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
             f_max=opt.get("f_max_hz", 1e4 / (2 * math.pi)),
             points=int(opt.get("points", 400)))
         _write_csv(out / "bode.csv", ["f_hz", "mag_db", "phase_deg"],
-                   zip(table.f_hz, table.mag_db, table.phase_deg))
+                   [table.f_hz, table.mag_db, table.phase_deg])
         manifest["outputs"].append("bode.csv")
 
     elif cfg.command == "step":
@@ -195,8 +220,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         ts = step_response(model.ss, opt["input"], T, dt)
         names = list(model.ss.output_names)
         cols = [ts.channels[n] * amp for n in names]
-        _write_csv(out / "step.csv", ["t_s"] + names,
-                   zip(ts.t, *cols))
+        _write_csv(out / "step.csv", ["t_s"] + names, [ts.t] + cols)
         manifest["outputs"].append("step.csv")
 
     elif cfg.command == "steady":
@@ -209,7 +233,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                 ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
         rows += [(f"dv_dc_{n}", v) for n, v in sorted(st.dv_dc.items())]
         rows += [(f"dp_ac_{n}", v) for n, v in sorted(st.dp_ac.items())]
-        _write_csv(out / "steady.csv", ["quantity", "value_pu"], rows)
+        _write_csv(out / "steady.csv", ["quantity", "value_pu"], zip(*rows))
         manifest["outputs"].append("steady.csv")
         manifest["effective_droops"] = {"kappa_tg": st.kappa_tg,
                                         "kappa_pv": st.kappa_pv}
@@ -235,7 +259,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                 rows.append((pt.params[param], pt.stable, f_pk, m_pk, ""))
         _write_csv(out / "sweep.csv",
                    [param, "stable", "f_peak_hz", "mag_peak_db", "error"],
-                   rows)
+                   zip(*rows))
         manifest["outputs"].append("sweep.csv")
 
     elif cfg.command == "spectrum":
@@ -245,7 +269,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         ts = step_response(model.ss, opt["input"], T, dt)
         spec = fft_magnitude(ts, opt["channel"])
         _write_csv(out / "spectrum.csv", ["f_hz", "magnitude"],
-                   zip(spec.freq_hz, spec.magnitude))
+                   [spec.freq_hz, spec.magnitude])
         manifest["outputs"].append("spectrum.csv")
 
     elif cfg.command == "check":
@@ -266,7 +290,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                           "pass" if res["vsc1"] else "fail"),
                          (f"ratio_bound_{names[1]}",
                           "pass" if res["vsc2"] else "fail")]
-        _write_csv(out / "check.csv", ["check", "result"], rows)
+        _write_csv(out / "check.csv", ["check", "result"], zip(*rows))
         manifest["outputs"].append("check.csv")
         manifest["assumption1"] = verdict.verdict
         manifest["stable"] = stab.stable

@@ -8,12 +8,13 @@ concurrently without shared state.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm, matrix_balance
 
 
 class LtiError(Exception):
@@ -259,6 +260,13 @@ class StateSpace:
     def n_outputs(self) -> int:
         return self.D.shape[0]
 
+    @cached_property
+    def eigvals(self) -> np.ndarray:
+        """Eigenvalues of A, computed once per model (read-only)."""
+        ev = np.linalg.eigvals(self.A) if self.n_states else np.array([])
+        ev.flags.writeable = False
+        return ev
+
     @classmethod
     def static(cls, gain, input_names=("u",), output_names=("y",)) -> "StateSpace":
         D = np.atleast_2d(np.asarray(gain, dtype=float))
@@ -285,18 +293,109 @@ def tf_to_ss(tf: RationalTF, input_name: str = "u",
     d = b[n]
     if n == 0:
         return StateSpace.static([[d]], (input_name,), (output_name,))
-    A = np.zeros((n, n))
-    A[:-1, 1:] = np.eye(n - 1)
-    A[-1, :] = -den[:n]
     B = np.zeros((n, 1))
     B[-1, 0] = 1.0
     C = (b[:n] - den[:n] * d).reshape(1, n)
     D = np.array([[d]])
-    A_b, T = matrix_balance(A, permute=False)
-    t = np.diag(T)
+    sup, last, t = _balance_companion((-den[:n]).tolist())
+    A = np.zeros((n, n))
+    A[np.arange(n - 1), np.arange(1, n)] = sup
+    A[-1, :] = last
+    t = np.array(t)
     B_b = B / t[:, None]
     C_b = C * t[None, :]
-    return StateSpace(A_b, B_b, C_b, D, (input_name,), (output_name,))
+    return StateSpace(A, B_b, C_b, D, (input_name,), (output_name,))
+
+
+# Safe range of LAPACK xGEBAL: SFMIN1 = dlamch('S') / dlamch('P').
+_SFMIN1 = 2.0 ** -970
+_SFMAX1 = 1.0 / _SFMIN1
+_SFMIN2 = 2.0 * _SFMIN1
+_SFMAX2 = 1.0 / _SFMIN2
+_E_MAX = math.frexp(_SFMAX2)[1]
+_E_MIN = math.frexp(_SFMIN2)[1]
+
+
+def _doublings(small, big, up, down) -> int:
+    """A lower bound on the steps xGEBAL's doubling loop takes, each one
+    doubling ``small`` and the values in ``up`` and halving ``big`` and the
+    values in ``down``, while small < big, max(up) < SFMAX2 and
+    min(down) > SFMIN2.  Read off the binary exponents; a few single steps
+    finish the loop."""
+    lo = min(down)
+    if big == 0.0 or lo == 0.0:
+        return 0
+    return max(0, min((math.frexp(big)[1] - math.frexp(small)[1] + 1) // 2,
+                      _E_MAX - math.frexp(max(up))[1],
+                      math.frexp(lo)[1] - _E_MIN))
+
+
+def _balance_companion(last: list[float]):
+    """Diagonal balancing of a companion matrix, the same as LAPACK xGEBAL
+    with job 'S' (``scipy.linalg.matrix_balance(A, permute=False)``).
+
+    The matrix has ones on the superdiagonal and ``last`` as its last row;
+    scaling keeps that pattern, so a column holds at most two nonzeros and
+    every row but the last one.  Returns the scaled superdiagonal, the
+    scaled last row and the scale vector, all powers of two."""
+    n = len(last)
+    sup = [1.0] * (n - 1)
+    scale = [1.0] * n
+    ldexp = math.ldexp
+    noconv = True
+    while noconv:
+        noconv = False
+        for i in range(n):
+            if i:
+                c = math.hypot(sup[i - 1], last[i])
+                ca = max(abs(sup[i - 1]), abs(last[i]))
+            else:
+                c = ca = abs(last[0])
+            if i < n - 1:
+                r = ra = abs(sup[i])
+            else:
+                r = math.hypot(*last)
+                ra = max(map(abs, last))
+            if c == 0.0 or r == 0.0:
+                continue
+            s = c + r
+            f = 1.0
+            g = r / 2.0
+            k = _doublings(c, g, (f, c, ca), (r, g, ra)) if c < g else 0
+            if k:
+                f, c, ca = ldexp(f, k), ldexp(c, k), ldexp(ca, k)
+                r, g, ra = ldexp(r, -k), ldexp(g, -k), ldexp(ra, -k)
+            while (c < g and max(f, c, ca) < _SFMAX2
+                   and min(r, g, ra) > _SFMIN2):
+                f, c, ca = f * 2.0, c * 2.0, ca * 2.0
+                r, g, ra = r / 2.0, g / 2.0, ra / 2.0
+            g = c / 2.0
+            k = _doublings(r, g, (r, ra), (f, c, g, ca)) if g >= r else 0
+            if k:
+                f, c, g, ca = ldexp(f, -k), ldexp(c, -k), ldexp(g, -k), \
+                    ldexp(ca, -k)
+                r, ra = ldexp(r, k), ldexp(ra, k)
+            while (g >= r and max(r, ra) < _SFMAX2
+                   and min(f, c, g, ca) > _SFMIN2):
+                f, c, g, ca = f / 2.0, c / 2.0, g / 2.0, ca / 2.0
+                r, ra = r * 2.0, ra * 2.0
+            if c + r >= 0.95 * s:
+                continue
+            if f < 1.0 and scale[i] < 1.0 and f * scale[i] <= _SFMIN1:
+                continue
+            if f > 1.0 and scale[i] > 1.0 and scale[i] >= _SFMAX1 / f:
+                continue
+            scale[i] *= f
+            noconv = True
+            g = 1.0 / f                      # row i times 1/f, column i times f
+            if i < n - 1:
+                sup[i] *= g
+            else:
+                last = [x * g for x in last]
+            if i:
+                sup[i - 1] *= f
+            last[i] *= f
+    return sup, last, scale
 
 
 def integrator(gain: float = 1.0, input_name: str = "u",
@@ -439,9 +538,8 @@ def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
 def poles(ss: StateSpace) -> list[Pole]:
     """Eigenvalues of A; structural (angle-reference) zero modes tagged so
     stability verdicts can exclude them."""
-    eigvals = np.linalg.eigvals(ss.A) if ss.n_states else np.array([])
-    mask = _eig_structural_mask(ss.A, eigvals)
-    return [Pole(complex(v), bool(m)) for v, m in zip(eigvals, mask)]
+    mask = _eig_structural_mask(ss.A, ss.eigvals)
+    return [Pole(complex(v), bool(m)) for v, m in zip(ss.eigvals, mask)]
 
 
 @dataclass(frozen=True)
@@ -469,11 +567,10 @@ def freq_response(ss: StateSpace, omega_grid) -> FrequencyResponse:
     if n == 0:
         vals[:] = ss.D
         return FrequencyResponse(omega, vals, ss.input_names, ss.output_names)
-    eigvals = np.linalg.eigvals(ss.A)
     I = np.eye(n)
     for i, w in enumerate(omega):
         s = 1j * w
-        if np.min(np.abs(s - eigvals)) < 1e-9 * (1.0 + abs(s)):
+        if np.min(np.abs(s - ss.eigvals)) < 1e-9 * (1.0 + abs(s)):
             raise SingularAtFrequency(f"omega = {w} rad/s lies on a pole of A")
         vals[i] = ss.C @ np.linalg.solve(s * I - ss.A, ss.B) + ss.D
     return FrequencyResponse(omega, vals, ss.input_names, ss.output_names)
@@ -501,10 +598,20 @@ class TimeSeries:
         return float(self.t[1] - self.t[0])
 
 
+#: Memory budget of the maps precomputed for one block of ``step_response``.
+_STEP_BLOCK_BYTES = 1 << 21
+
+
 def step_response(ss: StateSpace, input_name: str, T: float,
                   dt: float) -> TimeSeries:
     """Unit-step response on the named input via exact zero-order-hold
-    discretization of (A, B) over the step dt.  All outputs are returned."""
+    discretization of (A, B) over the step dt.  All outputs are returned.
+
+    The recurrence x_{i+1} = Ad x_i + Bd, y_i = C x_i + d runs in blocks of
+    K samples.  With x_j = S_j Bd, S_j = sum_{l<j} Ad^l, the zero-state
+    solution, a block starting in state x reads y_{i+j} = C Ad^j x +
+    (C x_j + d), and the next block starts in Ad^K x + x_K.  K is the
+    largest power of two whose maps fit in ``_STEP_BLOCK_BYTES``."""
     if dt <= 0 or dt > T / 100.0:
         raise ValueError("require 0 < dt <= T/100")
     j = ss.input_names.index(input_name)
@@ -513,25 +620,43 @@ def step_response(ss: StateSpace, input_name: str, T: float,
             warnings.warn("model has unstable non-structural poles",
                           UnstableWarning, stacklevel=2)
             break
-    n = ss.n_states
+    n, p = ss.n_states, ss.n_outputs
     steps = int(round(T / dt))
     t = np.arange(steps + 1) * dt
-    y = np.empty((steps + 1, ss.n_outputs))
-    b = ss.B[:, j:j + 1]
     d = ss.D[:, j]
     if n == 0:
+        y = np.empty((steps + 1, p))
         y[:] = d
         return TimeSeries(t, dict(zip(ss.output_names, y.T)))
+    from scipy.linalg import expm
+
     M = np.zeros((n + 1, n + 1))
     M[:n, :n] = ss.A
-    M[:n, n:] = b
+    M[:n, n:] = ss.B[:, j:j + 1]
     Md = expm(M * dt)
     Ad = Md[:n, :n]
     Bd = Md[:n, n]
+    # Doubling: from the maps for j < L, those for L <= j < 2L.
+    CA = ss.C[None]                          # C Ad^j, shape (L, p, n)
+    X = np.zeros((1, n))                     # x_j
+    AL = Ad                                  # Ad^L
+    while 2 * len(X) * (p + 1) * n * 8 <= _STEP_BLOCK_BYTES \
+            and len(X) < steps + 1:
+        xL = Ad @ X[-1] + Bd
+        CA = np.concatenate([CA, CA @ AL])
+        X = np.concatenate([X, X @ AL.T + xL])
+        AL = AL @ AL
+    K = len(X)
+    xK = Ad @ X[-1] + Bd
+    blocks = -(-(steps + 1) // K)
+    starts = np.empty((blocks, n))
     x = np.zeros(n)
-    for i in range(steps + 1):
-        y[i] = ss.C @ x + d
-        x = Ad @ x + Bd
+    for b in range(blocks):
+        starts[b] = x
+        x = AL @ x + xK
+    y = starts @ CA.reshape(K * p, n).T
+    y += (X @ ss.C.T + d).reshape(1, K * p)
+    y = y.reshape(blocks * K, p)[:steps + 1]
     return TimeSeries(t, dict(zip(ss.output_names, y.T)))
 
 
@@ -548,7 +673,7 @@ def dc_gain(ss: StateSpace, residue_tol: float = 1e-6) -> np.ndarray:
     n = ss.n_states
     if n == 0:
         return ss.D.copy()
-    rho = float(np.max(np.abs(np.linalg.eigvals(ss.A))))
+    rho = float(np.max(np.abs(ss.eigvals)))
     tol = max(1e-7 * rho, 1e-12)
     T, Q, k = schur(ss.A, output="real",
                     sort=lambda re, im: np.hypot(re, im) > tol)

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .lti import (RationalTF, StateSpace, compose, integrator, tf_to_ss)
+from .lti import StateSpace, compose, integrator, tf_to_ss
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
                       kron_reduce_symbolic, line_impedance, load_cable_catalog)

@@ -1,10 +1,19 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from acdcdyn.cli import main
+import acdcdyn
+from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from acdcdyn.system import scenario_islanded_pv, steady_state
 
 
@@ -169,3 +178,88 @@ class TestSetFlag:
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
         assert main(["poles", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--set", "nonsense"]) == 1
+
+
+def _fmt_reference(x) -> str:
+    if isinstance(x, (bool, np.bool_)):
+        return "1" if x else "0"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return "%.9g" % float(x)
+
+
+def write_csv_reference(path, header, rows):
+    """The per-cell writer: one formatted cell at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt_reference(x) if not isinstance(x, str)
+                             else x for x in row) + "\n")
+
+
+def assert_same_bytes_as_reference(tmp_path, columns):
+    header = [f"c{j}" for j in range(len(columns))]
+    _write_csv(tmp_path / "new.csv", header, columns)
+    write_csv_reference(tmp_path / "ref.csv", header, zip(*columns))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "ref.csv").read_bytes()
+
+
+class TestCsvWriter:
+    def test_column_kinds_match_per_cell_writer(self, tmp_path):
+        n = 2 * _CSV_BLOCK_ROWS + 3
+        rng = np.random.default_rng(0)
+        floats = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        floats[:6] = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+        ints = rng.integers(-10**12, 10**12, n)
+        bools = rng.random(n) < 0.5
+        strs = [f"s{i}" for i in range(n)]
+        mixed = [[True, "", 1.5, 3, "x", np.float64(-0.0), np.int64(4),
+                  np.bool_(False), math.nan][i % 9] for i in range(n)]
+        assert_same_bytes_as_reference(
+            tmp_path, [floats, ints, bools, strs, mixed, floats.tolist(),
+                       ints.tolist(), bools.tolist(),
+                       rng.standard_normal(n).astype(np.float32)])
+
+    def test_empty_table_writes_header(self, tmp_path):
+        assert_same_bytes_as_reference(tmp_path, [np.zeros(0), []])
+        _write_csv(tmp_path / "none.csv", ["re", "im"], zip(*[]))
+        assert (tmp_path / "none.csv").read_text() == "re,im\n"
+
+    @given(st.lists(st.tuples(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.one_of(st.booleans(), st.integers(), st.text(
+            alphabet="abc ", max_size=3)),
+        st.one_of(st.floats(), st.just(""))), max_size=20))
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_per_cell_writer(self, rows):
+        columns = [list(c) for c in zip(*rows)] or [[], [], []]
+        with tempfile.TemporaryDirectory() as d:
+            assert_same_bytes_as_reference(Path(d), columns)
+
+
+class TestImports:
+    @pytest.mark.parametrize("command, options", [
+        ("poles", {}),
+        ("bode", {"input": "p_load_load1", "output": "omega_vsc1",
+                  "points": 20}),
+        ("steady", {"delta_p_l_pu": 1.0}),
+        ("sweep", {"parameter": "k_d_1", "values": [0.001, 0.002],
+                   "input": "p_load_load1", "output": "omega_vsc1"}),
+    ], ids=["poles", "bode", "steady", "sweep"])
+    def test_command_never_imports_scipy(self, tmp_path, command, options):
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+                                      "options": options})
+        probe = ("import sys, acdcdyn.cli\n"
+                 "loaded = lambda: sorted(m for m in sys.modules\n"
+                 "                        if m.split('.')[0] == 'scipy')\n"
+                 "assert not loaded(), loaded()\n"
+                 "assert acdcdyn.cli.main(sys.argv[1:]) == 0\n"
+                 "assert not loaded(), loaded()\n")
+        src = str(Path(acdcdyn.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, command, "--config", cfg,
+             "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr

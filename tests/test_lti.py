@@ -1,17 +1,27 @@
+import itertools
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm, matrix_balance
 
+import acdcdyn.lti as lti
+import acdcdyn.system as system
 from acdcdyn.lti import (AlgebraicLoop, ImproperTF, NoDcGain, PoleHit,
                          Polynomial, RationalTF, SingularAtFrequency,
                          StateSpace, TimeSeries, TooShort, UnstableWarning,
                          compose, dc_gain, fft_magnitude, freq_response,
                          integrator, poles, poly_from_roots, series,
                          step_response, tf_eval, tf_to_ss)
+from acdcdyn.system import build, config_from_dict, _load_preset
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -117,6 +127,88 @@ class TestStateSpace:
         assert fr.values[0, 0, 0] == pytest.approx(3.0 / 2j)
 
 
+def lapack_balance(last):
+    """``scipy.linalg.matrix_balance`` of the companion matrix with ones on
+    the superdiagonal and ``last`` as its last row."""
+    n = len(last)
+    A = np.zeros((n, n))
+    A[:-1, 1:] = np.eye(n - 1)
+    A[-1] = last
+    with warnings.catch_warnings():
+        # SciPy casts scale factors beyond the int range while splitting
+        # off the (here empty) permutation.
+        warnings.simplefilter("ignore", RuntimeWarning)
+        A_b, T = matrix_balance(A, permute=False)
+    return A_b, T
+
+
+def assert_balanced_like_lapack(tf, ss):
+    """``ss = tf_to_ss(tf)`` is the controllable-canonical realization
+    scaled by the T that LAPACK xGEBAL (job 'S') picks, bit for bit."""
+    den = np.asarray(tf.den.coeffs) / tf.den.coeffs[-1]
+    num = np.asarray(tf.num.coeffs) / tf.den.coeffs[-1]
+    n = len(den) - 1
+    if n == 0:
+        return
+    b = np.zeros(n + 1)
+    b[:len(num)] = num
+    A_b, T = lapack_balance(-den[:n])
+    t = np.diag(T)
+    assert np.array_equal(ss.A, A_b)
+    assert np.array_equal(ss.B[:, 0], np.eye(n)[-1] / t)
+    assert np.array_equal(ss.C[0], (b[:n] - den[:n] * b[n]) * t)
+
+
+nonzero_coeff = st.builds(
+    lambda sign, mant, exp: sign * mant * 10.0 ** exp,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 9.99),
+    st.integers(-300, 300))
+
+
+class TestBalance:
+    def test_lapack_on_every_build_realization(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        seen = []
+
+        def checked(tf, *args, **kwargs):
+            ss = tf_to_ss(tf, *args, **kwargs)
+            assert_balanced_like_lapack(tf, ss)
+            seen.append(tf.den.degree)
+            return ss
+
+        monkeypatch.setattr(system, "tf_to_ss", checked)
+        cfgs = [_load_preset(name) for name in PRESETS]
+        cfgs += itertools.islice(FeederStream(1), 72)
+        for data in cfgs:
+            try:
+                build(config_from_dict(data))
+            except ValueError:
+                pass             # five feeders fail in the symbolic Kron path
+        assert len(seen) > 2000
+        assert max(seen) >= 90
+
+    @given(st.lists(st.one_of(st.just(0.0), nonzero_coeff),
+                    min_size=1, max_size=100))
+    @example([1e-150, 0.0, 1e150])
+    @example([-1e150] + [0.0] * 98 + [1e-150])
+    @example([0.0, 0.0, 0.0])
+    @example([0.0, -3.4e-291])              # at xGEBAL's safe-range guards
+    @example([0.0, 9.6e-296])
+    @example([3e290, 0.0, 1e-300, 1.0])
+    @settings(max_examples=200, deadline=None)
+    def test_lapack_on_wide_coefficient_spans(self, last):
+        sup, row, scale = lti._balance_companion(list(last))
+        n = len(last)
+        A = np.zeros((n, n))
+        A[np.arange(n - 1), np.arange(1, n)] = sup
+        A[-1] = row
+        A_b, T = lapack_balance(last)
+        assert np.array_equal(A, A_b)
+        assert np.array_equal(np.array(scale), np.diag(T))
+
+
 class TestCompose:
     def test_series_equals_product(self):
         g1 = tf_to_ss(RationalTF.from_coeffs([1.0], [1.0, 1.0]))
@@ -218,6 +310,111 @@ class TestResponses:
         ss = integrator(1.0)
         with pytest.raises(ValueError):
             step_response(ss, "u", 1.0, 0.5)
+
+
+def step_reference(ss, input_name, T, dt):
+    """The sequential recurrence y_i = C x_i + d, x_{i+1} = Ad x_i + Bd."""
+    j = ss.input_names.index(input_name)
+    n = ss.n_states
+    steps = int(round(T / dt))
+    y = np.empty((steps + 1, ss.n_outputs))
+    d = ss.D[:, j]
+    if n == 0:
+        y[:] = d
+        return y
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = ss.A
+    M[:n, n:] = ss.B[:, j:j + 1]
+    Md = expm(M * dt)
+    Ad, Bd = Md[:n, :n], Md[:n, n]
+    x = np.zeros(n)
+    for i in range(steps + 1):
+        y[i] = ss.C @ x + d
+        x = Ad @ x + Bd
+    return y
+
+
+def assert_step_matches_reference(ss, input_name, T, dt, rtol=1e-10):
+    """The blocked kernel agrees with the recurrence to rtol * max|y| in
+    every output channel."""
+    ts = step_response(ss, input_name, T, dt)
+    ref = step_reference(ss, input_name, T, dt)
+    assert ts.t.size == ref.shape[0]
+    for k, name in enumerate(ss.output_names):
+        err = np.max(np.abs(ts.channels[name] - ref[:, k]))
+        assert err <= rtol * np.max(np.abs(ref[:, k])), name
+
+
+def small_blocks(monkeypatch, ss, K):
+    """Budget the step kernel's maps so that a block holds K samples."""
+    n, p = ss.n_states, ss.n_outputs
+    monkeypatch.setattr(lti, "_STEP_BLOCK_BYTES", K * (p + 1) * n * 8)
+
+
+class TestStepKernel:
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_presets_80s_match_recurrence(self, name):
+        ss = build(config_from_dict(_load_preset(name))).ss
+        assert_step_matches_reference(ss, "p_load_load1", 80.0, 1e-3)
+
+    def test_shorter_than_one_block(self):
+        ss = tf_to_ss(RationalTF.from_coeffs([1.0, 0.5], [2.0, 3.0, 1.0]))
+        assert_step_matches_reference(ss, "u", 1.0, 0.01)
+
+    def test_last_block_partial(self, monkeypatch):
+        ss = compose({"g": tf_to_ss(RationalTF.from_coeffs(
+                          [1.0, 0.5], [6.0, 11.0, 6.0, 1.0])),
+                      "k": StateSpace.static([[1.0], [-2.0]], ("u",),
+                                             ("a", "b"))},
+                     [("g.u", "u", 1.0), ("k.u", "g.y", 1.0)],
+                     ["u"], ["k.a", "k.b"])
+        small_blocks(monkeypatch, ss, 8)
+        assert (int(round(10.0 / 0.01)) + 1) % 8 != 0
+        assert_step_matches_reference(ss, "u", 10.0, 0.01)
+
+    def test_no_states(self):
+        ss = StateSpace.static([[2.0, -1.0]], ("a", "b"), ("y",))
+        ts = step_response(ss, "b", 1.0, 0.01)
+        assert np.array_equal(ts.channels["y"], np.full(101, -1.0))
+
+    def test_pure_integrator(self, monkeypatch):
+        ss = integrator(2.0)
+        small_blocks(monkeypatch, ss, 16)
+        ts = step_response(ss, "u", 10.0, 0.01)
+        assert np.max(np.abs(ts.channels["y"] - 2.0 * ts.t)) < 1e-11
+        assert_step_matches_reference(ss, "u", 10.0, 0.01)
+
+    def test_unstable_warns_and_matches(self, monkeypatch):
+        ss = tf_to_ss(RationalTF.from_coeffs([1.0], [-1.0, 1.0]))
+        small_blocks(monkeypatch, ss, 4)
+        with pytest.warns(UnstableWarning):
+            assert_step_matches_reference(ss, "u", 5.0, 0.01)
+
+
+class TestEigvals:
+    def test_read_only_and_cached(self):
+        ss = tf_to_ss(RationalTF.from_coeffs([1.0], [2.0, 3.0, 1.0]))
+        ev = ss.eigvals
+        assert ss.eigvals is ev
+        with pytest.raises(ValueError):
+            ev[0] = 0.0
+        assert np.array_equal(ev, np.linalg.eigvals(ss.A))
+
+    def test_one_eigensolve_per_model(self, monkeypatch):
+        ss = build(config_from_dict(_load_preset("islanded_pv"))).ss
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counted(a):
+            calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counted)
+        poles(ss)
+        dc_gain(ss)
+        freq_response(ss, np.logspace(-1, 3, 5))
+        step_response(ss, "p_load_load1", 1.0, 0.01)
+        assert calls == [ss.A.shape]
 
 
 class TestSpectrum:
