@@ -35,11 +35,15 @@ class TestSm:
 
 
 class TestVscDclink:
+    def test_si_coefficient(self):
+        g = vsc_dclink_tf(VSC, 740.0, BASE)
+        coeff = 0.0031 * 740.0 * 650.0 / 50e3
+        assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
+
     def test_per_unit_and_extra_cap(self):
-        for c_extra in (0.0, 0.0031):
-            g = vsc_dclink_tf(replace(VSC, c_extra=c_extra), 740.0, BASE)
-            coeff = (0.0031 + c_extra) * 740.0 * 650.0 / 50e3
-            assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
+        g = vsc_dclink_tf(replace(VSC, c_extra=0.0031), 740.0, BASE)
+        coeff = 2 * 0.0031 * 740.0 * 650.0 / 50e3
+        assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
 
     def test_negative_extra_rejected(self):
         with pytest.raises(ValueError):
