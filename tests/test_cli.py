@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -239,16 +240,27 @@ class TestCsvWriter:
 
 
 class TestImports:
-    @pytest.mark.parametrize("command, options", [
-        ("poles", {}),
-        ("bode", {"input": "p_load_load1", "output": "omega_vsc1",
-                  "points": 20}),
-        ("steady", {"delta_p_l_pu": 1.0}),
-        ("sweep", {"parameter": "k_d_1", "values": [0.001, 0.002],
-                   "input": "p_load_load1", "output": "omega_vsc1"}),
-    ], ids=["poles", "bode", "steady", "sweep"])
-    def test_command_never_imports_scipy(self, tmp_path, command, options):
-        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+    @pytest.mark.parametrize("command, scenario, options", [
+        ("poles", "islanded_pv", {}),
+        ("bode", "islanded_pv", {"input": "p_load_load1",
+                                 "output": "omega_vsc1", "points": 20}),
+        ("steady", "islanded_pv", {"delta_p_l_pu": 1.0}),
+        ("sweep", "islanded_pv", {"parameter": "k_d_1",
+                                  "values": [0.001, 0.002],
+                                  "input": "p_load_load1",
+                                  "output": "omega_vsc1"}),
+        ("step", "parallel_ac_dc", {"input": "p_load_load1",
+                                    "t_end_s": 1.0, "dt_s": 0.001}),
+        ("spectrum", "islanded_pv", {"input": "p_load_load1",
+                                     "channel": "omega_vsc1",
+                                     "t_end_s": 2.0}),
+        ("check", "lvdc_async", {}),
+        ("check", "parallel_ac_dc", {}),
+    ], ids=["poles", "bode", "steady", "sweep", "step", "spectrum",
+            "check-lvdc", "check-parallel"])
+    def test_command_never_imports_scipy(self, tmp_path, command, scenario,
+                                         options):
+        cfg = write_config(tmp_path, {"scenario": scenario,
                                       "options": options})
         probe = ("import sys, acdcdyn.cli\n"
                  "loaded = lambda: sorted(m for m in sys.modules\n"
@@ -263,3 +275,20 @@ class TestImports:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_imports_scipy(self):
+        package = Path(acdcdyn.__file__).resolve().parent
+        modules = sorted(package.rglob("*.py"))
+        assert len(modules) >= 7
+        found = []
+        for path in modules:
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                found += [f"{path.name}:{node.lineno} {name}"
+                          for name in names if name.split(".")[0] == "scipy"]
+        assert not found, found

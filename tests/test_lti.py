@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import expm, matrix_balance
+from scipy.linalg import expm, matrix_balance, schur
 
 import acdcdyn.lti as lti
 import acdcdyn.system as system
@@ -257,6 +257,71 @@ class TestPoles:
         assert not any(p.structural for p in poles(ss))
 
 
+def dc_gain_reference(ss, residue_tol=1e-6):
+    """The Schur-deflation DC gain: an ordered real Schur form puts the
+    eigenvalues within max(1e-7 rho, 1e-12) of the origin into a trailing
+    block T22, and the gain is D - C1 T11^-1 B1 - C1 T11^-2 T12 B2 when T22
+    and the residue (C2 - C1 T11^-1 T12) B2 vanish."""
+    n = ss.n_states
+    if n == 0:
+        return ss.D.copy()
+    rho = float(np.max(np.abs(ss.eigvals)))
+    tol = max(1e-7 * rho, 1e-12)
+    T, Q, k = schur(ss.A, output="real",
+                    sort=lambda re, im: np.hypot(re, im) > tol)
+    Bq = Q.T @ ss.B
+    Cq = ss.C @ Q
+    scale = 1.0 + float(np.linalg.norm(ss.B)) * float(np.linalg.norm(ss.C))
+    if k == n:
+        return ss.D - Cq @ np.linalg.solve(T, Bq)
+    T11, T12, T22 = T[:k, :k], T[:k, k:], T[k:, k:]
+    B1, B2 = Bq[:k], Bq[k:]
+    C1, C2 = Cq[:, :k], Cq[:, k:]
+    if np.linalg.norm(T22) > tol * max(1.0, rho):
+        raise NoDcGain("defective pole cluster at the origin")
+    if k == 0:
+        if np.max(np.abs(C2 @ B2)) > residue_tol * scale:
+            raise NoDcGain("integrating mode with nonzero residue at s=0")
+        return ss.D.copy()
+    X = np.linalg.solve(T11, T12)
+    residue = (C2 - C1 @ X) @ B2
+    if np.max(np.abs(residue)) > residue_tol * scale:
+        raise NoDcGain("integrating mode with nonzero residue at s=0")
+    return (ss.D - C1 @ np.linalg.solve(T11, B1)
+            - C1 @ np.linalg.solve(T11, X @ B2))
+
+
+def zero_modes(ss):
+    """The eigenvalue count that ``dc_gain`` treats as zero modes."""
+    ev = np.abs(ss.eigvals)
+    return int(np.count_nonzero(ev <= max(1e-7 * ev.max(), 1e-12)))
+
+
+#: The ``feeder`` benchmark's oracle tolerance on closed-loop DC gains, in
+#: p.u. per 1 p.u. load step.
+DC_TOL = 1e-4
+
+
+def feeder_outcome(gain, cfg, ss):
+    """The ``feeder`` benchmark's verdict on ``gain(ss)``: "NoDcGain",
+    "mismatch" against the analytic steady state, or "ok"."""
+    try:
+        G = gain(ss)
+    except NoDcGain:
+        return "NoDcGain"
+    j = ss.input_names.index("p_load_" + cfg.graph.load_names[0])
+    st = system.steady_state(cfg, 1.0)
+    resid = max(abs(G[o, j] - (st.domega if name.startswith("omega_")
+                               else st.dp_tg))
+                for o, name in enumerate(ss.output_names)
+                if name.startswith(("omega_", "p_tg_")))
+    return "ok" if resid <= DC_TOL else "mismatch"
+
+
+def siso(A, B, C):
+    return StateSpace(np.array(A, dtype=float), B, C, [[0.0]], ("u",), ("y",))
+
+
 class TestDcGain:
     def test_matches_inverse(self):
         ss = tf_to_ss(RationalTF.from_coeffs([3.0, 1.0], [2.0, 3.0, 1.0]))
@@ -279,6 +344,60 @@ class TestDcGain:
                         ("u",), ("y",))
         with pytest.raises(NoDcGain):
             dc_gain(ss)
+
+    def test_zero_column(self):
+        # x1' = x2, x2' = -2 x2 + u: A is exactly singular, and x1 is a
+        # reference mode as long as no output reads it
+        A = [[0.0, 1.0], [0.0, -2.0]]
+        ss = siso(A, [[0.0], [1.0]], [[0.0, 1.0]])
+        assert dc_gain(ss)[0, 0] == pytest.approx(0.5, rel=1e-14)
+        assert dc_gain_reference(ss)[0, 0] == pytest.approx(0.5, rel=1e-14)
+        with pytest.raises(NoDcGain, match="residue"):
+            dc_gain(siso(A, [[0.0], [1.0]], [[1.0, 0.0]]))
+
+    def test_jordan_block_at_origin_is_defective(self):
+        # a double integrator the input and output never touch
+        A = [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+        ss = siso(A, [[0.0], [0.0], [1.0]], [[0.0, 0.0, 1.0]])
+        assert zero_modes(ss) == 2
+        for gain in (dc_gain, dc_gain_reference):
+            with pytest.raises(NoDcGain, match="defective"):
+                gain(ss)
+
+    @pytest.mark.parametrize("name, modes", [
+        ("islanded_pv", 1), ("lvdc_async", 2), ("parallel_ac_dc", 1)])
+    def test_presets_match_schur_reference(self, name, modes):
+        ss = build(config_from_dict(_load_preset(name))).ss
+        assert zero_modes(ss) == modes
+        G, ref = dc_gain(ss), dc_gain_reference(ss)
+        assert np.all(np.abs(G - ref) <= 1e-6 * (1.0 + np.abs(ref)))
+
+    def test_feeder_verdicts_match_schur_reference(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        verdicts = []
+        for data in itertools.islice(FeederStream(1), 24):
+            cfg = config_from_dict(data)
+            try:
+                ss = build(cfg, check_network=False).ss
+            except ValueError:
+                continue         # configs whose symbolic Kron reduction fails
+            if ss.n_states > 800:
+                continue         # the benchmark's order_blowup
+            new = feeder_outcome(dc_gain, cfg, ss)
+            assert new == feeder_outcome(dc_gain_reference, cfg, ss)
+            verdicts.append(new)
+        assert len(verdicts) >= 18
+        assert {"ok", "mismatch"} <= set(verdicts)
+
+    def test_repeat_calls_bit_equal(self):
+        ss = build(config_from_dict(_load_preset("parallel_ac_dc"))).ss
+        copy = StateSpace(ss.A.copy(), ss.B, ss.C, ss.D, ss.input_names,
+                          ss.output_names)
+        G = dc_gain(ss)
+        assert np.array_equal(G, dc_gain(ss))
+        assert np.array_equal(G, dc_gain(copy))
 
 
 class TestResponses:
@@ -312,6 +431,16 @@ class TestResponses:
             step_response(ss, "u", 1.0, 0.5)
 
 
+def step_matrix(ss, j, dt):
+    """[[A, b_j], [0, 0]] dt, whose exponential is the zero-order-hold
+    discretization of input j."""
+    n = ss.n_states
+    M = np.zeros((n + 1, n + 1))
+    M[:n, :n] = ss.A
+    M[:n, n] = ss.B[:, j]
+    return M * dt
+
+
 def step_reference(ss, input_name, T, dt):
     """The sequential recurrence y_i = C x_i + d, x_{i+1} = Ad x_i + Bd."""
     j = ss.input_names.index(input_name)
@@ -322,10 +451,7 @@ def step_reference(ss, input_name, T, dt):
     if n == 0:
         y[:] = d
         return y
-    M = np.zeros((n + 1, n + 1))
-    M[:n, :n] = ss.A
-    M[:n, n:] = ss.B[:, j:j + 1]
-    Md = expm(M * dt)
+    Md = expm(step_matrix(ss, j, dt))
     Ad, Bd = Md[:n, :n], Md[:n, n]
     x = np.zeros(n)
     for i in range(steps + 1):
@@ -349,6 +475,104 @@ def small_blocks(monkeypatch, ss, K):
     """Budget the step kernel's maps so that a block holds K samples."""
     n, p = ss.n_states, ss.n_outputs
     monkeypatch.setattr(lti, "_STEP_BLOCK_BYTES", K * (p + 1) * n * 8)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def norm1(X):
+    return np.abs(X).sum(axis=0).max()
+
+
+def expm_error(A):
+    """1-norm relative difference of ``lti._expm(A)`` from SciPy's."""
+    ref = expm(A)
+    return norm1(lti._expm(A) - ref) / norm1(ref)
+
+
+@st.composite
+def dense_matrices(draw):
+    """Gaussian n x n matrices, n <= 40, scaled to a 1-norm of 1e-6..1e6
+    and shifted so that the rightmost eigenvalue lies on the imaginary
+    axis: the exponential stays bounded."""
+    n = draw(st.integers(1, 40))
+    norm = 10.0 ** draw(st.floats(-6.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    G = rng.standard_normal((n, n))
+    A = G * (norm / norm1(G))
+    return A - np.max(np.linalg.eigvals(A).real) * np.eye(n)
+
+
+@st.composite
+def non_normal_matrices(draw):
+    """Q T Q^T with Q orthogonal and T upper triangular: a diagonal in
+    [-1, 0] and one superdiagonal entry c of 1..1e6, so the norm is large
+    and the spectrum small."""
+    n = draw(st.integers(2, 40))
+    c = 10.0 ** draw(st.floats(0.0, 6.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    T = np.diag(rng.uniform(-1.0, 0.0, n))
+    T[0, 1] = c
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    return Q @ T @ Q.T
+
+
+class TestExpm:
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3, 1e-2])
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_step_matrices_match_scipy(self, name, dt):
+        ss = build(config_from_dict(_load_preset(name))).ss
+        for j in range(ss.n_inputs):
+            assert expm_error(step_matrix(ss, j, dt)) <= 1e-13
+
+    @given(dense_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_dense_matches_scipy(self, A):
+        # both are backward stable, and the exponential of such a matrix
+        # has a relative condition number of order ||A||.  SciPy's own
+        # error reaches 1.2e2 u ||A|| (3000 samples): on a 2 x 2 one with
+        # ||A|| = 81, 50-digit mpmath puts it at 9.8e3 u and _expm at 68 u.
+        assert expm_error(A) <= 1e3 * UNIT_ROUNDOFF * max(1.0, norm1(A))
+
+    @given(non_normal_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_non_normal_matches_scipy(self, A):
+        # the relative condition number grows like c^2 ~ ||A||^2 here, and
+        # the two differ by up to 5.4e2 u ||A||^2 (3000 samples)
+        assert expm_error(A) <= 1e4 * UNIT_ROUNDOFF * norm1(A) ** 2
+
+    def test_no_states(self):
+        assert lti._expm(np.zeros((0, 0))).shape == (0, 0)
+
+    @pytest.mark.parametrize("a", [-700.0, -3.0, 0.0, 1e-9, 0.5, 40.0])
+    def test_scalar(self, a):
+        # exp has the relative condition number |a| at a
+        assert lti._expm(np.array([[a]]))[0, 0] == pytest.approx(
+            math.exp(a), rel=4 * UNIT_ROUNDOFF * max(1.0, abs(a)))
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_zero_matrix_gives_identity(self, n):
+        assert np.array_equal(lti._expm(np.zeros((n, n))), np.eye(n))
+
+    @pytest.mark.parametrize("t, degree", [
+        (0.01, 3), (0.2, 5), (0.9, 7), (2.0, 9), (3.0, 13), (100.0, 13)])
+    def test_each_pade_degree(self, monkeypatch, t, degree):
+        # t J with J^2 = -I: ||(tJ)^k||^(1/k) = t picks the degree
+        degrees = []
+        pade = lti._pade
+
+        def spy(A, powers, m):
+            degrees.append(m)
+            return pade(A, powers, m)
+
+        monkeypatch.setattr(lti, "_pade", spy)
+        A = np.array([[0.0, t], [-t, 0.0]])
+        exact = np.array([[math.cos(t), math.sin(t)],
+                          [-math.sin(t), math.cos(t)]])
+        X = lti._expm(A)
+        assert degrees == [degree]
+        assert norm1(X - exact) <= 1e-14 * max(1.0, t)
+        assert norm1(X - expm(A)) <= 1e-14 * max(1.0, t)
 
 
 class TestStepKernel:

@@ -36,9 +36,15 @@ class TestSm:
 
 class TestVscDclink:
     def test_si_coefficient(self):
+        # C v* dv/dt = p in SI: 1/(C_dc v* s) volts per watt, which the
+        # per-unit map equals times S_base / V_base_dc
+        def g_si(s):
+            return 1.0 / (VSC.C_dc * 740.0 * s)
+
         g = vsc_dclink_tf(VSC, 740.0, BASE)
-        coeff = 0.0031 * 740.0 * 650.0 / 50e3
-        assert g(1j) == pytest.approx(1.0 / (coeff * 1j))
+        for s in (1j, 0.3 + 2.0j, 50.0j, -4.0 + 0.5j, 1e-3):
+            assert g(s) == pytest.approx(
+                g_si(s) * BASE.S_base / BASE.V_base_dc, rel=1e-14)
 
     def test_per_unit_and_extra_cap(self):
         g = vsc_dclink_tf(replace(VSC, c_extra=0.0031), 740.0, BASE)
