@@ -408,18 +408,17 @@ def integrator(gain: float = 1.0, input_name: str = "u",
 # interconnection
 # --------------------------------------------------------------------------
 
-def compose(blocks: Mapping[str, StateSpace],
-            connections: Sequence[tuple[str, str, float]],
-            external_inputs: Sequence[str],
-            external_outputs: Sequence[str]) -> StateSpace:
-    """General signal-flow interconnection with summing junctions.
+#: Memory budget of one row block of the feedback product in ``compose``.
+_COMPOSE_BLOCK_BYTES = 1 << 21
 
-    ``blocks`` maps a label to a StateSpace; channels are referenced as
-    ``"label.channel"``.  Each connection is ``(dst_input, src, gain)`` where
-    ``src`` is either a block output or one of the external input names.
-    Multiple connections to the same input sum.  The result exposes exactly
-    ``external_inputs`` -> ``external_outputs``.
-    """
+
+def _interconnection(blocks: Mapping[str, StateSpace],
+                     connections: Sequence[tuple[str, str, float]],
+                     external_inputs: Sequence[str],
+                     external_outputs: Sequence[str]):
+    """The open-loop matrices of ``compose``: the block-diagonal (A, B, C,
+    D) of all blocks, the feedback K (block inputs from block outputs), the
+    external input map E and the external output selection F."""
     labels = list(blocks)
     in_index: dict[str, int] = {}
     out_index: dict[str, int] = {}
@@ -473,17 +472,42 @@ def compose(blocks: Mapping[str, StateSpace],
         if name not in out_index:
             raise KeyError(f"unknown output channel {name!r}")
         F[i, out_index[name]] = 1.0
+    return A, B, C, D, K, E, F
 
-    loop = np.eye(m_tot) - K @ D
+
+def compose(blocks: Mapping[str, StateSpace],
+            connections: Sequence[tuple[str, str, float]],
+            external_inputs: Sequence[str],
+            external_outputs: Sequence[str]) -> StateSpace:
+    """General signal-flow interconnection with summing junctions.
+
+    ``blocks`` maps a label to a StateSpace; channels are referenced as
+    ``"label.channel"``.  Each connection is ``(dst_input, src, gain)`` where
+    ``src`` is either a block output or one of the external input names.
+    Multiple connections to the same input sum.  The result exposes exactly
+    ``external_inputs`` -> ``external_outputs``.
+
+    The closed-loop A is A + B M K C with M = (I - K D)^-1.  The product is
+    added to A in blocks of rows within ``_COMPOSE_BLOCK_BYTES``, so that no
+    second n x n array is held next to A; up to n = 512 one block is the
+    whole matrix.
+    """
+    A, B, C, D, K, E, F = _interconnection(blocks, connections,
+                                           external_inputs, external_outputs)
+    n_states = A.shape[0]
+    loop = np.eye(K.shape[0]) - K @ D
     if np.linalg.cond(loop) > 1e12:
         raise AlgebraicLoop("feedthrough loop matrix is near singular")
     M = np.linalg.inv(loop)
     BM = B @ M
-    A_cl = A + BM @ K @ C
+    BMK = BM @ K
+    rows = max(1, _COMPOSE_BLOCK_BYTES // (8 * max(1, n_states)))
+    for r in range(0, n_states, rows):
+        A[r:r + rows] += BMK[r:r + rows] @ C
     B_cl = BM @ E
     C_cl = F @ (C + D @ M @ K @ C)
     D_cl = F @ D @ M @ E
-    return StateSpace(A_cl, B_cl, C_cl, D_cl,
+    return StateSpace(A, B_cl, C_cl, D_cl,
                       tuple(external_inputs), tuple(external_outputs))
 
 
@@ -513,7 +537,13 @@ class Pole:
 def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
     """Mask of structural (reference) modes: semisimple eigenvalues at the
     origin, within 1e-7 of the spectral radius scale.  Defective origin
-    poles (e.g. a double integrator) are genuine and left untagged."""
+    poles (e.g. a double integrator) are genuine and left untagged.
+
+    A cluster of k >= 2 near-zero eigenvalues is tagged up to the nullity
+    of A, the singular values within tol.  A lone near-zero eigenvalue is
+    simple, hence semisimple, and is tagged without the SVD: every
+    eigenvalue bounds the smallest singular value from above,
+    sigma_min(A) <= |lambda| <= tol, so the nullity is at least one."""
     n = A.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
@@ -521,7 +551,7 @@ def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
     tol = max(1e-7 * rho, 1e-12)
     near_zero = np.abs(eigvals) <= tol
     k = int(np.count_nonzero(near_zero))
-    if k == 0:
+    if k <= 1:
         return near_zero
     sv = np.linalg.svd(A, compute_uv=False)
     nullity = int(np.count_nonzero(sv <= tol))

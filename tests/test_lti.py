@@ -1,9 +1,11 @@
 import itertools
 import math
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -238,6 +240,107 @@ class TestCompose:
         with pytest.raises(KeyError):
             compose({"g": g}, [("g.bogus", "r", 1.0)], ["r"], ["g.y"])
 
+    def test_feedback_sum_bit_equal_to_unblocked(self, monkeypatch):
+        # the presets and FeederStream(1) configs 0-10, up to 2481 states:
+        # the row-blocked sum has the bits of A + B M K C in one product
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        sizes = []
+
+        def checked(*args):
+            ss = compose(*args)
+            assert np.array_equal(ss.A, unblocked_closed_loop_A(*args))
+            sizes.append(ss.n_states)
+            return ss
+
+        monkeypatch.setattr(system, "compose", checked)
+        cfgs = [_load_preset(name) for name in PRESETS]
+        cfgs += itertools.islice(FeederStream(1), 11)
+        for data in cfgs:
+            try:
+                build(config_from_dict(data), check_network=False)
+            except ValueError:
+                pass             # configs whose symbolic Kron reduction fails
+        assert len(sizes) >= 12
+        assert max(sizes) == 2481      # 24 row blocks
+
+    def test_no_second_n_by_n_array(self, monkeypatch):
+        # FeederStream(1) config 10, 2481 states.  Besides the result, only
+        # the finiteness check's n x n boolean mask, one row block of the
+        # product and the n x (inputs + outputs) factors are allowed: a
+        # second n x n float array, as in A + B M K C or A += B M K C,
+        # needs 47 MB more.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        traced = []
+
+        def measured(*args):
+            tracemalloc.start()
+            try:
+                ss = compose(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            traced.append((ss, peak))
+            return ss
+
+        monkeypatch.setattr(system, "compose", measured)
+        data = next(itertools.islice(FeederStream(1), 10, None))
+        build(config_from_dict(data), check_network=False)
+        (ss, peak), = traced
+        n = ss.n_states
+        assert n >= 1500
+        result = sum(M.nbytes for M in (ss.A, ss.B, ss.C, ss.D))
+        assert peak <= result + n * n + (4 << 20)
+
+
+def unblocked_closed_loop_A(blocks, connections, external_inputs,
+                            external_outputs):
+    """The closed-loop A of ``compose`` as one sum A + B M K C."""
+    A, B, C, D, K, E, F = lti._interconnection(
+        blocks, connections, external_inputs, external_outputs)
+    M = np.linalg.inv(np.eye(K.shape[0]) - K @ D)
+    return A + B @ M @ K @ C
+
+
+def structural_mask_reference(A, eigvals):
+    """``_eig_structural_mask`` with the SVD for every near-zero cluster:
+    near-zero eigenvalues tagged, smallest first, up to the number of
+    singular values within the tolerance."""
+    rho = float(np.max(np.abs(eigvals)))
+    tol = max(1e-7 * rho, 1e-12)
+    near_zero = np.abs(eigvals) <= tol
+    mask = np.zeros(A.shape[0], dtype=bool)
+    if not near_zero.any():
+        return mask
+    nullity = int(np.count_nonzero(np.linalg.svd(A, compute_uv=False)
+                                   <= tol))
+    for i in np.argsort(np.abs(eigvals))[:nullity]:
+        mask[i] = near_zero[i]
+    return mask
+
+
+@st.composite
+def planted_zero_matrices(draw):
+    """Q T Q^T scaled to a 2-norm of 1e-3..1e12, with Q orthogonal and T
+    upper triangular: one exact zero on the diagonal, the other diagonal
+    entries of either sign and magnitudes 10^lo..1, lo in [-6, -1], and a
+    strictly upper part of up to 0.3 * 10^(lo + 1), so that the zero
+    eigenvalue stays simple and the only one within 1e-7 rho."""
+    n = draw(st.integers(2, 30))
+    lo = draw(st.floats(-6.0, -1.0))
+    c = draw(st.floats(0.0, 0.3)) * 10.0 ** (lo + 1.0)
+    norm = 10.0 ** draw(st.floats(-3.0, 12.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lam = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, 0.0, n)
+    lam[rng.integers(n)] = 0.0
+    T = np.diag(lam) + c * np.triu(rng.standard_normal((n, n)), 1)
+    Q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    A = Q @ T @ Q.T
+    return A * (norm / np.linalg.norm(A, 2))
+
 
 class TestPoles:
     def test_structural_tagging_single_integrator(self):
@@ -255,6 +358,53 @@ class TestPoles:
     def test_stable_poles_untagged(self):
         ss = tf_to_ss(RationalTF.from_coeffs([1.0], [2.0, 3.0, 1.0]))
         assert not any(p.structural for p in poles(ss))
+
+    @pytest.mark.parametrize("name, svds", [
+        ("islanded_pv", 0), ("lvdc_async", 1), ("parallel_ac_dc", 0)])
+    def test_presets_match_svd_reference(self, monkeypatch, name, svds):
+        # one zero mode skips the SVD; the two of lvdc_async need it
+        ss = build(config_from_dict(_load_preset(name))).ss
+        calls = []
+        svd = np.linalg.svd
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].shape)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        mask = lti._eig_structural_mask(ss.A, ss.eigvals)
+        assert len(calls) == svds
+        monkeypatch.undo()
+        assert np.array_equal(mask, structural_mask_reference(ss.A,
+                                                              ss.eigvals))
+        assert np.count_nonzero(mask) == zero_modes(ss)
+
+    def test_feeders_match_svd_reference(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        counts = []
+        for data in itertools.islice(FeederStream(1), 72):
+            try:
+                ss = build(config_from_dict(data), check_network=False).ss
+            except ValueError:
+                continue         # configs whose symbolic Kron reduction fails
+            if ss.n_states > 800:
+                continue         # the benchmark's order_blowup
+            mask = lti._eig_structural_mask(ss.A, ss.eigvals)
+            assert np.array_equal(
+                mask, structural_mask_reference(ss.A, ss.eigvals))
+            counts.append(zero_modes(ss))
+        assert len(counts) >= 55
+        assert 1 in counts
+
+    @given(planted_zero_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_planted_zero_matches_svd_reference(self, A):
+        ev = np.linalg.eigvals(A)
+        mask = lti._eig_structural_mask(A, ev)
+        assert np.count_nonzero(mask) == 1
+        assert np.array_equal(mask, structural_mask_reference(A, ev))
 
 
 def dc_gain_reference(ss, residue_tol=1e-6):
@@ -573,6 +723,31 @@ class TestExpm:
         assert degrees == [degree]
         assert norm1(X - exact) <= 1e-14 * max(1.0, t)
         assert norm1(X - expm(A)) <= 1e-14 * max(1.0, t)
+
+    def test_ell_correction_at_degree_13(self, monkeypatch):
+        # Q (T - 0.1 I) Q^T with T strictly upper triangular, entries ~50:
+        # the scaling from eta alone leaves a backward error above u, and
+        # ell(A 2^-s, 13) adds 4 squarings.  Against a 40-digit exponential
+        # the largest entrywise relative error is 6.9e-12 with them and
+        # 9.6e-11 without.
+        rng = np.random.default_rng(1)
+        Q = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+        T = 50.0 * np.triu(rng.standard_normal((5, 5)), 1)
+        A = Q @ (T - 0.1 * np.eye(5)) @ Q.T
+        extra = []
+        ell = lti._ell
+
+        def spy(M, m):
+            extra.append((m, ell(M, m)))
+            return extra[-1][1]
+
+        monkeypatch.setattr(lti, "_ell", spy)
+        X = lti._expm(A)
+        assert extra == [(13, 4)]
+        with mpmath.workdps(40):
+            exact = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(),
+                             dtype=float)
+        assert np.max(np.abs(X - exact) / np.abs(exact)) <= 2.5e-11
 
 
 class TestStepKernel:
