@@ -22,8 +22,8 @@ from .network import (AcEdge, DcEdge, HybridGraph, LoadBlockVerdict, NodeKind,
                       kron_reduce, kron_reduce_symbolic, line_impedance,
                       load_cable_catalog)
 from .system import (ClosedLoopModel, ImproperController, NoDroop,
-                     SteadyState, SystemConfig, UnpinnedArea, build,
-                     config_from_dict, nominal_dc_dispatch,
-                     scenario_islanded_pv, scenario_lvdc_async,
-                     scenario_parallel_ac_dc, steady_state)
+                     SteadyState, SystemConfig, build, config_from_dict,
+                     nominal_dc_dispatch, scenario_islanded_pv,
+                     scenario_lvdc_async, scenario_parallel_ac_dc,
+                     steady_state)
 from . import analysis

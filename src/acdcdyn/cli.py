@@ -23,8 +23,8 @@ from . import __version__
 from .lti import (AlgebraicLoop, NoDcGain, PoleHit, SingularAtFrequency,
                   TooShort, dc_gain, fft_magnitude, poles, step_response)
 from .network import EdgePole, SingularLL, check_assumption1
-from .system import (ImproperController, NoDroop, UnpinnedArea, _deep_set,
-                     _load_preset, build, config_from_dict, steady_state)
+from .system import (ImproperController, NoDroop, _deep_set, _load_preset,
+                     build, config_from_dict, steady_state)
 from . import analysis
 
 COMMANDS = ("poles", "bode", "step", "steady", "sweep", "spectrum", "check")
@@ -170,8 +170,7 @@ def run(cfg: RunConfig, out_dir: str) -> int:
             "omega_base_rad_s": sysconf.base.omega_base,
         }
         _dispatch(cfg, sysconf, out, manifest)
-    except (CliError, ImproperController, UnpinnedArea, ValueError,
-            KeyError) as exc:
+    except (CliError, ImproperController, ValueError, KeyError) as exc:
         _write_error(out, manifest, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -237,7 +237,9 @@ class StateSpace:
         if A.shape != (n, n):
             raise ValueError("A must be square")
         for M in (A, B, C, D):
-            if not np.all(np.isfinite(M)):
+            # min and max propagate NaN and +-inf without an n x n mask
+            if M.size and not (math.isfinite(M.min())
+                               and math.isfinite(M.max())):
                 raise ValueError("non-finite state-space entries")
         if len(self.input_names) != m or len(self.output_names) != p:
             raise ValueError("channel name lists must match B/C dimensions")
@@ -534,6 +536,15 @@ class Pole:
     structural: bool
 
 
+def _zero_modes(eigvals: np.ndarray):
+    """The zero-mode rule shared by ``poles`` and ``dc_gain``: rho, the
+    spectral radius; tol = max(1e-7 rho, 1e-12); and the mask of the
+    eigenvalues within tol of the origin."""
+    rho = float(np.max(np.abs(eigvals)))
+    tol = max(1e-7 * rho, 1e-12)
+    return rho, tol, np.abs(eigvals) <= tol
+
+
 def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
     """Mask of structural (reference) modes: semisimple eigenvalues at the
     origin, within 1e-7 of the spectral radius scale.  Defective origin
@@ -547,9 +558,7 @@ def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
     n = A.shape[0]
     if n == 0:
         return np.zeros(0, dtype=bool)
-    rho = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    tol = max(1e-7 * rho, 1e-12)
-    near_zero = np.abs(eigvals) <= tol
+    _, tol, near_zero = _zero_modes(eigvals)
     k = int(np.count_nonzero(near_zero))
     if k <= 1:
         return near_zero
@@ -836,9 +845,8 @@ def dc_gain(ss: StateSpace, residue_tol: float = 1e-6) -> np.ndarray:
     if n == 0:
         return ss.D.copy()
     A = ss.A
-    rho = float(np.max(np.abs(ss.eigvals)))
-    tol = max(1e-7 * rho, 1e-12)
-    k = int(np.count_nonzero(np.abs(ss.eigvals) <= tol))
+    rho, tol, near_zero = _zero_modes(ss.eigvals)
+    k = int(np.count_nonzero(near_zero))
     if k == 0:
         return ss.D - ss.C @ np.linalg.solve(A, ss.B)
     V, W = _zero_mode_bases(A, k, 1e-3 * tol)

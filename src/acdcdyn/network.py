@@ -36,7 +36,6 @@ class NodeKind(Enum):
     VSC = "vsc"
     LOAD_AC = "load_ac"
     INFINITE_BUS = "infinite_bus"
-    DC_INTERIOR = "dc_interior"
 
 
 _CONV_KINDS = (NodeKind.SM, NodeKind.VSC, NodeKind.INFINITE_BUS)
@@ -138,7 +137,7 @@ class HybridGraph:
             if k not in _CONV_KINDS:
                 raise ValueError(f"invalid AC node kind for {n}: {k}")
         for n, k in dc:
-            if k not in (NodeKind.VSC, NodeKind.DC_INTERIOR):
+            if k is not NodeKind.VSC:
                 raise ValueError(f"invalid DC node kind for {n}: {k}")
         object.__setattr__(self, "ac_nodes", tuple(conv + load))
         object.__setattr__(self, "dc_nodes", tuple(dc))

@@ -1,5 +1,5 @@
 """Closed-loop model assembly for hybrid AC/DC networks under dual-port GFM
-control, plus scenario presets and analytic steady-state computation.
+control, plus scenario presets and the static steady state.
 
 The interconnection follows the signal flow: controller frequency -> angle
 integrator -> AC network -> conversion energy balance, with generation
@@ -36,13 +36,8 @@ class ImproperController(SystemError_):
 
 
 class NoDroop(SystemError_):
-    """No unit provides steady-state droop; the steady state is marginal."""
-
-
-class UnpinnedArea(SystemError_):
-    """An infinite bus pins only its own AC area; the steady state of an
-    area without one depends on the DC coupling, which the analytic steady
-    state does not model."""
+    """An AC area has no steady-state droop, of its own or over DC links;
+    the steady state is marginal."""
 
 
 @dataclass(frozen=True)
@@ -244,47 +239,83 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
 
 
 # --------------------------------------------------------------------------
-# analytic steady state
+# static steady state
 # --------------------------------------------------------------------------
 
 def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
-    """Analytic steady state after a load step of `dp_load` (p.u. in the
-    system base, consumption-positive), assuming lossless conversion.
+    """Steady state after a load step of `dp_load` (p.u. in the system
+    base, consumption-positive) at the first load node, assuming lossless
+    conversion.
 
-    With infinite buses, every AC area must hold one: the result is then
-    all zeros.  Otherwise `UnpinnedArea` is raised."""
-    kappa_tg_inv = sum(p.k_tg * p.P_max / config.base.S_base
-                       for p in config.sg.values())
-    kappa_pv_inv = sum(p.k_pv / p.control.k_p for p in config.vsc.values()
-                       if p.k_pv is not None)
+    One static linear solve, the same for every topology.  The unknowns are
+    the frequency deviation of each AC area without an infinite bus (an
+    area with one is pinned at zero) and the current deviation of each DC
+    edge, in p.u. of S_base/V_base_dc.  Each VSC's DC voltage follows its
+    area's frequency, dv = domega/k_p.  Each unpinned area balances power:
+    governor and PV droop plus the VSCs' DC export meet the load.  Each DC
+    edge obeys r di = dv_n - dv_k; a lossless edge makes this a constraint,
+    and has no operating point between unequal setpoints (ValueError).  A
+    VSC exports dp = v*_n di + i* dv_n into an edge, the product rule on
+    v i at the nominal current i* = (v*_n - v*_k)/r.  Raises NoDroop when
+    the system is singular, i.e. some area has no steady-state droop."""
+    g, base = config.graph, config.base
+    if not g.load_names:
+        raise ValueError("the steady state needs a load node")
+    k_tg = {n: p.k_tg * p.P_max / base.S_base for n, p in config.sg.items()}
+    k_pv = {n: (0.0 if p.k_pv is None else p.k_pv) / p.control.k_p
+            for n, p in config.vsc.items()}
+    kappa_tg_inv = sum(k_tg.values())
+    kappa_pv_inv = sum(k_pv.values())
     kappa_tg = math.inf if kappa_tg_inv == 0 else 1.0 / kappa_tg_inv
     kappa_pv = math.inf if kappa_pv_inv == 0 else 1.0 / kappa_pv_inv
-    if config.has_infinite_bus:
-        g = config.graph
-        buses = {n for n, k in g.ac_nodes if k is NodeKind.INFINITE_BUS}
-        for comp in g.ac_components():
-            if not comp & buses:
-                raise UnpinnedArea(f"AC area {sorted(comp)} holds no "
-                                   "infinite bus, but another area does")
-        return SteadyState(0.0, {n: 0.0 for n in config.vsc}, 0.0, 0.0,
-                           {n: 0.0 for n in g.conv_names},
-                           kappa_tg, kappa_pv)
-    stiffness = kappa_tg_inv + kappa_pv_inv
-    if stiffness == 0:
-        raise NoDroop("no unit provides steady-state droop")
-    domega = -dp_load / stiffness
-    dv = {n: domega / p.control.k_p for n, p in config.vsc.items()}
-    dp_tg = kappa_tg_inv / stiffness * dp_load
-    dp_pv = kappa_pv_inv / stiffness * dp_load
-    dp_ac = {}
-    for n, k in config.graph.ac_nodes:
-        if k is NodeKind.SM:
-            dp_ac[n] = dp_tg
-        elif k is NodeKind.VSC:
-            p = config.vsc[n]
-            share = (0.0 if p.k_pv is None else p.k_pv) / p.control.k_p
-            dp_ac[n] = (share / stiffness) * dp_load
-    return SteadyState(domega, dv, dp_tg, dp_pv, dp_ac, kappa_tg, kappa_pv)
+
+    kinds = dict(g.ac_nodes)
+    areas = [c for c in g.ac_components()
+             if all(kinds[n] is not NodeKind.INFINITE_BUS for n in c)]
+    area = {n: a for a, comp in enumerate(areas) for n in comp}
+    na = len(areas)
+    size = na + len(g.dc_edges)
+    M = np.zeros((size, size))
+    rhs = np.zeros(size)
+    if g.load_names[0] in area:
+        rhs[area[g.load_names[0]]] = -dp_load
+    for n, k in (*k_tg.items(), *k_pv.items()):
+        if n in area:
+            M[area[n], area[n]] += k
+    v_pu = {n: v / base.V_base_dc for n, v in g.v_dc_star.items()}
+    r_base = base.V_base_dc**2 / base.S_base
+    i_star = []
+    for j, e in enumerate(g.dc_edges, start=na):
+        r = e.r_dc / r_base
+        dv_star = v_pu[e.n] - v_pu[e.k]
+        if r == 0 and dv_star != 0:
+            raise ValueError(f"lossless DC edge {e.n}-{e.k} between unequal "
+                             "setpoints has no operating point")
+        i_star.append(dv_star / r if r else 0.0)
+        M[j, j] = r
+        for end, sign in ((e.n, 1.0), (e.k, -1.0)):
+            if end in area:
+                a = area[end]
+                inv_kp = 1.0 / config.vsc[end].control.k_p
+                M[j, a] -= sign * inv_kp
+                M[a, j] += sign * v_pu[end]
+                M[a, a] += sign * i_star[-1] * inv_kp
+    if size and np.linalg.cond(M) > 1e12:
+        raise NoDroop("an AC area has no steady-state droop")
+    x = np.linalg.solve(M, rhs).tolist()
+
+    # x + 0.0 and 0.0 - x turn -0.0 into 0.0: pinned quantities read "0"
+    domega = {n: x[area[n]] + 0.0 if n in area else 0.0 for n in kinds}
+    dv = {n: domega[n] / p.control.k_p for n, p in config.vsc.items()}
+    p_dc = dict.fromkeys(config.vsc, 0.0)
+    for j, (e, i0) in enumerate(zip(g.dc_edges, i_star), start=na):
+        p_dc[e.n] += v_pu[e.n] * x[j] + i0 * dv[e.n]
+        p_dc[e.k] -= v_pu[e.k] * x[j] + i0 * dv[e.k]
+    p_tg = {n: 0.0 - k * domega[n] for n, k in k_tg.items()}
+    p_pv = {n: 0.0 - k * domega[n] for n, k in k_pv.items()}
+    dp_ac = {**p_tg, **{n: p_pv[n] - p_dc[n] for n in config.vsc}}
+    return SteadyState(domega[g.load_names[0]], dv, sum(p_tg.values(), 0.0),
+                       sum(p_pv.values(), 0.0), dp_ac, kappa_tg, kappa_pv)
 
 
 def nominal_dc_dispatch(config: SystemConfig) -> dict:
@@ -357,8 +388,7 @@ def config_from_dict(data: dict) -> SystemConfig:
 
     kind_map = {"sm": NodeKind.SM, "vsc": NodeKind.VSC,
                 "load_ac": NodeKind.LOAD_AC,
-                "infinite_bus": NodeKind.INFINITE_BUS,
-                "dc_interior": NodeKind.DC_INTERIOR}
+                "infinite_bus": NodeKind.INFINITE_BUS}
     ac_nodes = [(n, kind_map[k]) for n, k in data["ac_nodes"]]
 
     ac_edges = []

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import acdcdyn
 from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
-from acdcdyn.system import scenario_islanded_pv, steady_state
+from acdcdyn.system import (scenario_islanded_pv, scenario_lvdc_async,
+                            steady_state)
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -57,15 +58,6 @@ class TestConfigHandling:
         err = json.loads((out / "error.json").read_text())
         assert err["error"] == "ImproperController"
 
-    def test_steady_unpinned_area_exit_1(self, tmp_path):
-        cfg = write_config(tmp_path, {"scenario": "lvdc_async",
-                                      "options": {"delta_p_l_pu": 0.05}})
-        out = tmp_path / "o"
-        assert main(["steady", "--config", cfg, "--out", str(out)]) == 1
-        err = json.loads((out / "error.json").read_text())
-        assert err["error"] == "UnpinnedArea"
-        assert not (out / "steady.csv").exists()
-
 
 class TestArtifacts:
     def test_poles_schema_and_manifest(self, tmp_path):
@@ -101,6 +93,21 @@ class TestArtifacts:
         assert float(rows["dp_pv"]) == pytest.approx(st.dp_pv, rel=1e-8)
         assert float(rows["dv_dc_vsc1"]) == pytest.approx(st.dv_dc["vsc1"],
                                                           rel=1e-8)
+
+    def test_steady_dc_only_area_matches_library(self, tmp_path):
+        # the SG area of lvdc_async reaches the grid only over DC
+        cfg = write_config(tmp_path, {"scenario": "lvdc_async",
+                                      "options": {"delta_p_l_pu": 0.05}})
+        out = tmp_path / "run"
+        assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
+        st = steady_state(scenario_lvdc_async(), 0.05)
+        rows = [("delta_p_l", 0.05), ("domega", st.domega),
+                ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
+        rows += [(f"dv_dc_{n}", v) for n, v in sorted(st.dv_dc.items())]
+        rows += [(f"dp_ac_{n}", v) for n, v in sorted(st.dp_ac.items())]
+        assert read_csv(out / "steady.csv")[1:] == [
+            [name, "%.9g" % v] for name, v in rows]
+        assert st.domega < 0 < st.dp_tg
 
     def test_step_csv_columns(self, tmp_path):
         cfg = write_config(tmp_path, {

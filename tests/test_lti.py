@@ -105,6 +105,17 @@ class TestStateSpace:
         assert ss.n_states == 0
         assert ss.D.shape == (1, 2)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        mats = {"A": np.diag([-1.0, -2.0]), "B": np.ones((2, 1)),
+                "C": np.ones((1, 2)), "D": np.zeros((1, 1))}
+        StateSpace(*mats.values(), ("u",), ("y",))
+        for name, M in mats.items():
+            spoiled = dict(mats, **{name: M.copy()})
+            spoiled[name][-1, -1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                StateSpace(*spoiled.values(), ("u",), ("y",))
+
     def test_tf_to_ss_improper(self):
         with pytest.raises(ImproperTF):
             tf_to_ss(RationalTF.from_coeffs([0.0, 0.0, 1.0], [1.0, 1.0]))
@@ -267,10 +278,10 @@ class TestCompose:
 
     def test_no_second_n_by_n_array(self, monkeypatch):
         # FeederStream(1) config 10, 2481 states.  Besides the result, only
-        # the finiteness check's n x n boolean mask, one row block of the
-        # product and the n x (inputs + outputs) factors are allowed: a
-        # second n x n float array, as in A + B M K C or A += B M K C,
-        # needs 47 MB more.
+        # one row block of the product and the n x (inputs + outputs)
+        # factors are allowed: a second n x n float array, as in
+        # A + B M K C or A += B M K C, needs 47 MB more, and the n x n
+        # boolean mask of an isfinite check 6.2 MB.
         monkeypatch.syspath_prepend(str(PERFBENCH))
         from feeder import FeederStream
 
@@ -293,7 +304,7 @@ class TestCompose:
         n = ss.n_states
         assert n >= 1500
         result = sum(M.nbytes for M in (ss.A, ss.B, ss.C, ss.D))
-        assert peak <= result + n * n + (4 << 20)
+        assert peak <= result + (4 << 20)
 
 
 def unblocked_closed_loop_A(blocks, connections, external_inputs,
@@ -454,7 +465,7 @@ DC_TOL = 1e-4
 
 def feeder_outcome(gain, cfg, ss):
     """The ``feeder`` benchmark's verdict on ``gain(ss)``: "NoDcGain",
-    "mismatch" against the analytic steady state, or "ok"."""
+    "mismatch" against the static steady state, or "ok"."""
     try:
         G = gain(ss)
     except NoDcGain:
@@ -522,12 +533,15 @@ class TestDcGain:
         G, ref = dc_gain(ss), dc_gain_reference(ss)
         assert np.all(np.abs(G - ref) <= 1e-6 * (1.0 + np.abs(ref)))
 
-    def test_feeder_verdicts_match_schur_reference(self, monkeypatch):
+    def test_feeder_gains_ok_and_cover_schur_reference(self, monkeypatch):
+        # every model the benchmark analyses agrees with the static steady
+        # state; the Schur deflation does so only on some of them
         monkeypatch.syspath_prepend(str(PERFBENCH))
         from feeder import FeederStream
 
-        verdicts = []
-        for data in itertools.islice(FeederStream(1), 24):
+        ok, ref_ok = set(), set()
+        models = 0
+        for i, data in enumerate(itertools.islice(FeederStream(1), 24)):
             cfg = config_from_dict(data)
             try:
                 ss = build(cfg, check_network=False).ss
@@ -535,11 +549,14 @@ class TestDcGain:
                 continue         # configs whose symbolic Kron reduction fails
             if ss.n_states > 800:
                 continue         # the benchmark's order_blowup
-            new = feeder_outcome(dc_gain, cfg, ss)
-            assert new == feeder_outcome(dc_gain_reference, cfg, ss)
-            verdicts.append(new)
-        assert len(verdicts) >= 18
-        assert {"ok", "mismatch"} <= set(verdicts)
+            models += 1
+            if feeder_outcome(dc_gain, cfg, ss) == "ok":
+                ok.add(i)
+            if feeder_outcome(dc_gain_reference, cfg, ss) == "ok":
+                ref_ok.add(i)
+        assert models >= 18
+        assert len(ok) == models
+        assert ref_ok <= ok
 
     def test_repeat_calls_bit_equal(self):
         ss = build(config_from_dict(_load_preset("parallel_ac_dc"))).ss

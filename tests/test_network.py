@@ -77,6 +77,21 @@ class TestGraph:
                 dc_nodes=(), ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),),
                 dc_edges=(), V_ac_star=400.0, omega_star=W0)
 
+    def test_dc_nodes_must_be_vsc(self):
+        # a DC node without a converter has no capacitor in the model, so
+        # splitting a DC link through one would hold it at its setpoint
+        for kind in NodeKind:
+            if kind is NodeKind.VSC:
+                continue
+            with pytest.raises(ValueError, match="invalid DC node kind"):
+                HybridGraph(
+                    ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC)),
+                    dc_nodes=(("vsc", NodeKind.VSC), ("mid", kind)),
+                    ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),),
+                    dc_edges=(DcEdge("vsc", "mid", 1e-5, 0.1),),
+                    V_ac_star=400.0, omega_star=W0,
+                    v_dc_star={"vsc": 740.0, "mid": 740.0})
+
     def test_virtual_terms_only_at_vsc(self):
         with pytest.raises(ValueError):
             HybridGraph(

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from acdcdyn.lti import dc_gain
-from acdcdyn.system import (ImproperController, NoDroop, UnpinnedArea,
+from acdcdyn.network import AcEdge, HybridGraph, NodeKind
+from acdcdyn.system import (ImproperController, NoDroop,
                             _apply_simple_override, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
                             scenario_islanded_pv, scenario_lvdc_async,
@@ -153,6 +154,26 @@ class TestBuildErrors:
             build(cfg)
 
 
+def steady_state_gap(cfg):
+    """Largest gap between `steady_state` and the closed-loop `dc_gain`
+    over every quantity the steady state reports, for a 1 p.u. step on the
+    first load."""
+    m = build(cfg)
+    load = cfg.graph.load_names[0]
+    G = dc_gain(m.ss)[:, m.ss.input_names.index(f"p_load_{load}")]
+    gain = dict(zip(m.ss.output_names, G))
+    st = steady_state(cfg, 1.0)
+    area, = (c for c in cfg.graph.ac_components() if load in c)
+    assert set(st.dp_ac) == {n[5:] for n in gain if n.startswith("p_ac_")}
+    pairs = [(gain[f"omega_{n}"], st.domega) for n in area
+             if f"omega_{n}" in gain]
+    pairs += [(gain[f"v_dc_{n}"], v) for n, v in st.dv_dc.items()]
+    pairs += [(gain[f"p_ac_{n}"], p) for n, p in st.dp_ac.items()]
+    pairs += [(sum(gain[f"p_tg_{n}"] for n in cfg.sg), st.dp_tg),
+              (sum(gain.get(f"p_pv_{n}", 0.0) for n in cfg.vsc), st.dp_pv)]
+    return max(abs(a - b) for a, b in pairs)
+
+
 class TestSteadyState:
     def test_matches_dc_gain(self):
         cfg = scenario_islanded_pv()
@@ -167,6 +188,7 @@ class TestSteadyState:
                                                      abs=1e-9)
         assert G[o["p_tg_sg"], j] == pytest.approx(st.dp_tg, abs=1e-9)
         assert G[o["p_pv_vsc1"], j] == pytest.approx(st.dp_pv, abs=1e-9)
+        assert steady_state_gap(cfg) <= 1e-9
 
     def test_shares_sum_to_load(self):
         st = steady_state(scenario_islanded_pv(), 0.05)
@@ -179,11 +201,33 @@ class TestSteadyState:
         assert all(v == 0.0 for v in st.dv_dc.values())
         assert all(v == 0.0 for v in st.dp_ac.values())
 
-    def test_area_without_infinite_bus_raises(self):
+    @pytest.mark.parametrize("scenario, kwargs", [
+        (scenario_lvdc_async, {}),
+        (scenario_lvdc_async, {"r_dc": 0.0}),
+        (scenario_lvdc_async, {"v_dc_star_pu": (0.9975, 1.0)}),
+        (scenario_parallel_ac_dc, {}),
+        (scenario_parallel_ac_dc, {"v_dc_star_pu": (0.9975, 1.0)}),
+    ], ids=["lvdc", "lvdc-lossless", "lvdc-unequal", "parallel",
+            "parallel-unequal"])
+    def test_dc_coupled_matches_dc_gain(self, scenario, kwargs):
         # the SG area of lvdc_async reaches the grid only through the DC
-        # link, so its frequency is not pinned
-        with pytest.raises(UnpinnedArea):
-            steady_state(scenario_lvdc_async(), 0.05)
+        # link; a lossless link pins its frequency as well
+        assert steady_state_gap(scenario(**kwargs)) <= 1e-7
+
+    def test_lossless_link_between_unequal_setpoints_raises(self):
+        cfg = scenario_lvdc_async(r_dc=0.0, v_dc_star_pu=(0.9975, 1.0))
+        with pytest.raises(ValueError, match="lossless"):
+            steady_state(cfg, 0.05)
+
+    def test_needs_a_load_node(self):
+        cfg = scenario_islanded_pv()
+        g = cfg.graph
+        graph = HybridGraph(
+            (("sg", NodeKind.SM), ("vsc1", NodeKind.VSC)), g.dc_nodes,
+            (AcEdge("sg", "vsc1", 1e-5, 1e-3),), (), g.V_ac_star,
+            g.omega_star, g.v_dc_star)
+        with pytest.raises(ValueError, match="load node"):
+            steady_state(replace(cfg, graph=graph), 0.05)
 
     def test_no_droop_raises(self):
         cfg = scenario_islanded_pv(overrides={"vscs.0.pv": None,
