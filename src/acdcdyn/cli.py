@@ -107,6 +107,8 @@ def load_config(path: str, command: str) -> RunConfig:
             f"{exc.msg}") from exc
     if command not in COMMANDS:
         raise ValidationError(f"unknown command {command!r}")
+    if not isinstance(data, dict):
+        raise ValidationError("config must be a JSON object")
     if "scenario" not in data:
         raise ValidationError("config is missing the 'scenario' field")
     return RunConfig(command, data["scenario"], data.get("overrides", {}),
@@ -133,6 +135,9 @@ def _resolve_scenario(cfg: RunConfig) -> dict:
 
 
 def _apply_sets(cfg: RunConfig, sets: list[str]) -> RunConfig:
+    for key in ("overrides", "options"):
+        if not isinstance(getattr(cfg, key), dict):
+            raise ValidationError(f"'{key}' must be an object")
     overrides = dict(cfg.overrides)
     options = dict(cfg.options)
     for item in sets:

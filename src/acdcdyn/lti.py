@@ -414,32 +414,62 @@ def integrator(gain: float = 1.0, input_name: str = "u",
 _COMPOSE_BLOCK_BYTES = 1 << 21
 
 
-def _interconnection(blocks: Mapping[str, StateSpace],
+@dataclass(frozen=True)
+class EntrywiseBlock:
+    """A MIMO block realized entry by entry: output ``i`` reads input ``j``
+    through the SISO realization of each part ``(i, j, ss)``; entries
+    without a part are zero.  ``compose`` writes the parts straight into
+    its open-loop matrices, so the block's mostly-zero A is never formed.
+    """
+
+    parts: tuple[tuple[int, int, StateSpace], ...]
+    input_names: tuple[str, ...]
+    output_names: tuple[str, ...]
+
+    def __post_init__(self):
+        p, m = len(self.output_names), len(self.input_names)
+        for i, j, ss in self.parts:
+            if ss.D.shape != (1, 1) or not (0 <= i < p and 0 <= j < m):
+                raise ValueError(f"part ({i}, {j}) is not a SISO entry of "
+                                 f"a {p} x {m} block")
+
+    @property
+    def n_states(self) -> int:
+        return sum(ss.n_states for _, _, ss in self.parts)
+
+
+def _interconnection(blocks: Mapping[str, StateSpace | EntrywiseBlock],
                      connections: Sequence[tuple[str, str, float]],
                      external_inputs: Sequence[str],
                      external_outputs: Sequence[str]):
     """The open-loop matrices of ``compose``: the block-diagonal (A, B, C,
     D) of all blocks, the feedback K (block inputs from block outputs), the
-    external input map E and the external output selection F."""
+    external input map E and the external output selection F.
+
+    The parts of an ``EntrywiseBlock`` follow each other on the diagonal of
+    A in their given order.  Parts that read the same input share its
+    column of B, and parts that write the same output share its row of C;
+    each part's D is added to a zero, so a -0.0 enters D as 0.0.  A
+    StateSpace block is copied in as it is."""
     labels = list(blocks)
     in_index: dict[str, int] = {}
     out_index: dict[str, int] = {}
     n_states = m_tot = p_tot = 0
     for lbl in labels:
-        ss = blocks[lbl]
-        for ch in ss.input_names:
+        blk = blocks[lbl]
+        for ch in blk.input_names:
             key = f"{lbl}.{ch}"
             if key in in_index:
                 raise ValueError(f"duplicate input channel {key}")
             in_index[key] = m_tot
             m_tot += 1
-        for ch in ss.output_names:
+        for ch in blk.output_names:
             key = f"{lbl}.{ch}"
             if key in out_index:
                 raise ValueError(f"duplicate output channel {key}")
             out_index[key] = p_tot
             p_tot += 1
-        n_states += ss.n_states
+        n_states += blk.n_states
 
     A = np.zeros((n_states, n_states))
     B = np.zeros((n_states, m_tot))
@@ -447,13 +477,24 @@ def _interconnection(blocks: Mapping[str, StateSpace],
     D = np.zeros((p_tot, m_tot))
     ix = iu = iy = 0
     for lbl in labels:
-        ss = blocks[lbl]
-        n, m, p = ss.n_states, ss.n_inputs, ss.n_outputs
-        A[ix:ix + n, ix:ix + n] = ss.A
-        B[ix:ix + n, iu:iu + m] = ss.B
-        C[iy:iy + p, ix:ix + n] = ss.C
-        D[iy:iy + p, iu:iu + m] = ss.D
-        ix, iu, iy = ix + n, iu + m, iy + p
+        blk = blocks[lbl]
+        m, p = len(blk.input_names), len(blk.output_names)
+        if isinstance(blk, EntrywiseBlock):
+            for i, j, ss in blk.parts:
+                n = ss.n_states
+                A[ix:ix + n, ix:ix + n] = ss.A
+                B[ix:ix + n, iu + j] = ss.B[:, 0]
+                C[iy + i, ix:ix + n] = ss.C[0]
+                D[iy + i, iu + j] += ss.D[0, 0]
+                ix += n
+        else:
+            n = blk.n_states
+            A[ix:ix + n, ix:ix + n] = blk.A
+            B[ix:ix + n, iu:iu + m] = blk.B
+            C[iy:iy + p, ix:ix + n] = blk.C
+            D[iy:iy + p, iu:iu + m] = blk.D
+            ix += n
+        iu, iy = iu + m, iy + p
 
     ext_in = {name: j for j, name in enumerate(external_inputs)}
     K = np.zeros((m_tot, p_tot))
@@ -477,17 +518,20 @@ def _interconnection(blocks: Mapping[str, StateSpace],
     return A, B, C, D, K, E, F
 
 
-def compose(blocks: Mapping[str, StateSpace],
+def compose(blocks: Mapping[str, StateSpace | EntrywiseBlock],
             connections: Sequence[tuple[str, str, float]],
             external_inputs: Sequence[str],
             external_outputs: Sequence[str]) -> StateSpace:
     """General signal-flow interconnection with summing junctions.
 
-    ``blocks`` maps a label to a StateSpace; channels are referenced as
-    ``"label.channel"``.  Each connection is ``(dst_input, src, gain)`` where
-    ``src`` is either a block output or one of the external input names.
-    Multiple connections to the same input sum.  The result exposes exactly
-    ``external_inputs`` -> ``external_outputs``.
+    ``blocks`` maps a label to a StateSpace or an ``EntrywiseBlock``;
+    channels are referenced as ``"label.channel"``.  Each connection is
+    ``(dst_input, src, gain)`` where ``src`` is either a block output or one
+    of the external input names.  Multiple connections to the same input
+    sum.  The result exposes exactly ``external_inputs`` ->
+    ``external_outputs``.  The parts of an ``EntrywiseBlock`` are written
+    one by one into the open-loop matrices, so the only n x n array is the
+    result's A.
 
     The closed-loop A is A + B M K C with M = (I - K D)^-1.  The product is
     added to A in blocks of rows within ``_COMPOSE_BLOCK_BYTES``, so that no
@@ -818,7 +862,9 @@ def _zero_mode_bases(A: np.ndarray, k: int, shift: float):
     is a backward-stable solve, whose error lies along the wanted subspace;
     products with a computed inverse are not, and left the gain of the
     lossless ``lvdc_async`` (five zero modes) 1e-7 off in relative terms."""
-    M = A - shift * np.eye(A.shape[0])
+    # A - shift I without an n x n identity: off the diagonal a - 0.0 == a
+    M = A.copy()
+    M[np.diag_indices_from(M)] -= shift
     V = W = np.random.default_rng(0).standard_normal((A.shape[0], k))
     for _ in range(_INVERSE_STEPS):
         V = np.linalg.qr(np.linalg.solve(M, V))[0]

@@ -18,7 +18,7 @@ from importlib import resources
 
 import numpy as np
 
-from .lti import StateSpace, compose, integrator, tf_to_ss
+from .lti import EntrywiseBlock, StateSpace, compose, integrator, tf_to_ss
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
                       kron_reduce_symbolic, line_impedance, load_cable_catalog)
@@ -85,30 +85,12 @@ class SteadyState:
 # realization helpers
 # --------------------------------------------------------------------------
 
-def _mimo_from_tf_matrix(tfm, input_names, output_names) -> StateSpace:
-    """Realize a matrix of rational transfer functions entrywise."""
-    p, m = len(tfm), len(tfm[0])
-    parts = []
-    for i in range(p):
-        for j in range(m):
-            tf = tfm[i][j]
-            if tf.num.is_zero():
-                continue
-            parts.append((i, j, tf_to_ss(tf)))
-    n = sum(ss.n_states for _, _, ss in parts)
-    A = np.zeros((n, n))
-    B = np.zeros((n, m))
-    C = np.zeros((p, n))
-    D = np.zeros((p, m))
-    ix = 0
-    for i, j, ss in parts:
-        k = ss.n_states
-        A[ix:ix + k, ix:ix + k] = ss.A
-        B[ix:ix + k, j] = ss.B[:, 0]
-        C[i, ix:ix + k] = ss.C[0]
-        D[i, j] += ss.D[0, 0]
-        ix += k
-    return StateSpace(A, B, C, D, tuple(input_names), tuple(output_names))
+def _mimo_from_tf_matrix(tfm, input_names, output_names) -> EntrywiseBlock:
+    """Realize a matrix of rational transfer functions entrywise: one SISO
+    part per nonzero entry, in row-major order, for ``compose`` to place."""
+    parts = tuple((i, j, tf_to_ss(tf)) for i, row in enumerate(tfm)
+                  for j, tf in enumerate(row) if not tf.num.is_zero())
+    return EntrywiseBlock(parts, tuple(input_names), tuple(output_names))
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +120,7 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
 
     conv = g.conv_names
     loads = g.load_names
-    blocks: dict[str, StateSpace] = {}
+    blocks: dict[str, StateSpace | EntrywiseBlock] = {}
     conns: list[tuple[str, str, float]] = []
     ext_in: list[str] = []
     ext_out: list[tuple[str, str]] = []   # (public name, internal channel)

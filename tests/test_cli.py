@@ -43,6 +43,19 @@ class TestConfigHandling:
         assert main(["poles", "--config", cfg, "--out",
                      str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize("data", [
+        5,
+        {"scenario": "islanded_pv", "overrides": 5},
+        {"scenario": "islanded_pv", "options": [1, 2]},
+    ], ids=["config", "overrides", "options"])
+    def test_non_object_exit_1(self, tmp_path, capsys, data):
+        cfg = write_config(tmp_path, data)
+        assert main(["poles", "--config", cfg, "--out",
+                     str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be" in err
+        assert "Traceback" not in err
+
     def test_unknown_preset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "bogus"})
         assert main(["poles", "--config", cfg, "--out",

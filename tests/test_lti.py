@@ -307,6 +307,115 @@ class TestCompose:
         assert peak <= result + (4 << 20)
 
 
+def dense_block(parts, input_names, output_names):
+    """An entrywise block as one dense StateSpace: the parts on the diagonal
+    of A in their order, each D entry added to a +0.0."""
+    n = sum(ss.n_states for _, _, ss in parts)
+    p, m = len(output_names), len(input_names)
+    A = np.zeros((n, n))
+    B = np.zeros((n, m))
+    C = np.zeros((p, n))
+    D = np.zeros((p, m))
+    ix = 0
+    for i, j, ss in parts:
+        k = ss.n_states
+        A[ix:ix + k, ix:ix + k] = ss.A
+        B[ix:ix + k, j] = ss.B[:, 0]
+        C[i, ix:ix + k] = ss.C[0]
+        D[i, j] += ss.D[0, 0]
+        ix += k
+    return StateSpace(A, B, C, D, tuple(input_names), tuple(output_names))
+
+
+def dense_mimo_reference(tfm, input_names, output_names):
+    """The network realization as ``build`` made it before its parts went
+    to ``compose``: one dense StateSpace."""
+    parts = [(i, j, tf_to_ss(tf)) for i, row in enumerate(tfm)
+             for j, tf in enumerate(row) if not tf.num.is_zero()]
+    return dense_block(parts, input_names, output_names)
+
+
+def build_matrices(data):
+    ss = build(config_from_dict(data), check_network=False).ss
+    return ss, [M.tobytes() for M in (ss.A, ss.B, ss.C, ss.D)]
+
+
+class TestEntrywiseNetwork:
+    def test_build_bit_equal_to_dense_network_blocks(self, monkeypatch):
+        # the presets and FeederStream(1) configs 0-10, up to 2481 states:
+        # placing the parts in compose gives the bits, signed zeros
+        # included, of a model whose network blocks are dense StateSpaces
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        sizes = []
+        cfgs = [_load_preset(name) for name in PRESETS]
+        cfgs += itertools.islice(FeederStream(1), 11)
+        for data in cfgs:
+            try:
+                ss, got = build_matrices(data)
+            except ValueError:
+                continue         # configs whose symbolic Kron reduction fails
+            with monkeypatch.context() as m:
+                m.setattr(system, "_mimo_from_tf_matrix", dense_mimo_reference)
+                ref, dense = build_matrices(data)
+            assert got == dense
+            assert (ss.input_names, ss.output_names) == \
+                (ref.input_names, ref.output_names)
+            sizes.append(ss.n_states)
+        assert len(sizes) >= 12
+        assert max(sizes) == 2481
+
+    def test_build_holds_no_second_n_by_n_array(self, monkeypatch):
+        # FeederStream(1) config 10, 2481 states: the whole of build peaks
+        # at the result plus the realizations, one row block of the
+        # feedback product and the n x (inputs + outputs) factors.  A dense
+        # network block is another 46 MB.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        cfg = config_from_dict(next(itertools.islice(FeederStream(1), 10,
+                                                     None)))
+        tracemalloc.start()
+        try:
+            ss = build(cfg, check_network=False).ss
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ss.n_states == 2481
+        result = sum(M.nbytes for M in (ss.A, ss.B, ss.C, ss.D))
+        assert peak <= result + (8 << 20)
+
+    def test_open_loop_bit_equal_to_dense_block(self):
+        # parts sharing inputs and outputs, a static part and a -0.0 in D:
+        # an entrywise part's D enters as 0.0 + d, a StateSpace's as it is
+        lag = tf_to_ss(RationalTF.from_coeffs([2.0], [1.0, 3.0]))
+        lead = tf_to_ss(RationalTF.from_coeffs([1.0, 4.0], [2.0, 1.0]))
+        parts = ((0, 0, lag), (0, 2, lead),
+                 (1, 0, StateSpace.static([[-0.0]])),
+                 (1, 1, integrator(5.0)), (2, 2, lag))
+        names = (("a", "b", "c"), ("x", "y", "z"))
+        pv = StateSpace.static([[-0.0]], ("v",), ("p",))
+        conns = [("net.a", "pv.p", 1.0), ("pv.v", "net.y", 1.0),
+                 ("net.b", "u", 1.0), ("net.c", "net.x", -1.0)]
+        args = (conns, ["u"], ["net.z", "pv.p"])
+        got = lti._interconnection(
+            {"net": lti.EntrywiseBlock(parts, *names), "pv": pv}, *args)
+        ref = lti._interconnection(
+            {"net": dense_block(parts, *names), "pv": pv}, *args)
+        assert [M.tobytes() for M in got] == [M.tobytes() for M in ref]
+        assert math.copysign(1.0, got[3][1, 0]) == 1.0
+        assert math.copysign(1.0, got[3][3, 3]) == -1.0
+
+    def test_parts_must_be_siso_entries(self):
+        g = integrator(1.0, "u", "y")
+        two_inputs = StateSpace.static([[1.0, 2.0]], ("a", "b"))
+        with pytest.raises(ValueError):
+            lti.EntrywiseBlock(((0, 1, g),), ("u",), ("y",))
+        with pytest.raises(ValueError):
+            lti.EntrywiseBlock(((0, 0, two_inputs),), ("u",), ("y",))
+
+
 def unblocked_closed_loop_A(blocks, connections, external_inputs,
                             external_outputs):
     """The closed-loop A of ``compose`` as one sum A + B M K C."""
@@ -479,6 +588,16 @@ def feeder_outcome(gain, cfg, ss):
     return "ok" if resid <= DC_TOL else "mismatch"
 
 
+def zero_mode_bases_reference(A, k, shift):
+    """``_zero_mode_bases`` with A - shift I formed from an identity."""
+    M = A - shift * np.eye(A.shape[0])
+    V = W = np.random.default_rng(0).standard_normal((A.shape[0], k))
+    for _ in range(lti._INVERSE_STEPS):
+        V = np.linalg.qr(np.linalg.solve(M, V))[0]
+        W = np.linalg.qr(np.linalg.solve(M.T, W))[0]
+    return V, W
+
+
 def siso(A, B, C):
     return StateSpace(np.array(A, dtype=float), B, C, [[0.0]], ("u",), ("y",))
 
@@ -557,6 +676,45 @@ class TestDcGain:
         assert models >= 18
         assert len(ok) == models
         assert ref_ok <= ok
+
+    def test_shifted_matrix_bit_equal_to_identity_form(self, monkeypatch):
+        # the presets and the feeders the benchmark analyses among
+        # FeederStream(1) configs 0-23: the solves see the bits of
+        # A - shift I, and dc_gain returns the bits it returned with them
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from feeder import FeederStream
+
+        solve = np.linalg.solve
+        seen = []
+
+        def spy(a, b):
+            seen.append(a.tobytes())
+            return solve(a, b)
+
+        cfgs = [_load_preset(name) for name in PRESETS]
+        cfgs += itertools.islice(FeederStream(1), 24)
+        checked = 0
+        for data in cfgs:
+            try:
+                ss = build(config_from_dict(data), check_network=False).ss
+            except ValueError:
+                continue         # configs whose symbolic Kron reduction fails
+            k = zero_modes(ss)
+            if ss.n_states > 800 or k == 0:
+                continue         # the benchmark's order_blowup, or no shift
+            shift = 1e-3 * lti._zero_modes(ss.eigvals)[1]
+            M = ss.A - shift * np.eye(ss.n_states)
+            seen.clear()
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "solve", spy)
+                lti._zero_mode_bases(ss.A, k, shift)
+            assert set(seen) == {M.tobytes(), M.T.tobytes()}
+            G = dc_gain(ss)
+            with monkeypatch.context() as m:
+                m.setattr(lti, "_zero_mode_bases", zero_mode_bases_reference)
+                assert G.tobytes() == dc_gain(ss).tobytes()
+            checked += 1
+        assert checked >= 20
 
     def test_repeat_calls_bit_equal(self):
         ss = build(config_from_dict(_load_preset("parallel_ac_dc"))).ss
