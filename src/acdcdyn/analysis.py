@@ -26,10 +26,6 @@ class NoInteriorPeak(AnalysisError):
 #: derivative-gain bound; recorded as the exact product form, not re-derived.
 C_DC_PU_IMPLIED = 9.9040 * 3.4581 / 4.0
 
-#: Published per-VSC derivative/proportional ratio bounds for the
-#: asynchronous two-area configuration (conservative by construction).
-ASYNC_RATIO_BOUNDS = (0.2571, 0.5142)
-
 
 @dataclass(frozen=True)
 class BodeTable:
@@ -117,18 +113,13 @@ def bound_islanded_kd(k_p: float, C_dc_pu: float = C_DC_PU_IMPLIED,
     return 4.0 * C_dc_pu * k_p / k_pv
 
 
-def check_ratio_bounds_async(k_p_1: float, k_d_1: float, k_p_2: float,
-                             k_d_2: float,
-                             bounds: tuple[float, float] = ASYNC_RATIO_BOUNDS
-                             ) -> dict:
-    """Strict per-VSC derivative/proportional ratio check.  The underlying
-    condition is conservative: failing it does not imply instability, and in
-    practice larger derivative gains can be selected."""
-    if min(k_p_1, k_p_2) <= 0 or min(k_d_1, k_d_2) < 0:
-        raise ValueError("gains must be positive (k_d nonnegative)")
-    return {"vsc1": k_d_1 / k_p_1 < bounds[0],
-            "vsc2": k_d_2 / k_p_2 < bounds[1],
-            "note": "conservative bound; larger gains may still be stable"}
+def check_ratio_bounds(config: SystemConfig) -> dict:
+    """Strict check k_d/k_p < bound for each VSC that ``config.ratio_bounds``
+    bounds, by VSC name.  The published bounds are conservative: failing
+    one does not imply instability, and in practice larger derivative
+    gains can be selected."""
+    return {n: config.vsc[n].control.k_d / config.vsc[n].control.k_p < b
+            for n, b in config.ratio_bounds.items()}
 
 
 def _local_maxima(y: np.ndarray) -> list[int]:
@@ -139,40 +130,36 @@ def _local_maxima(y: np.ndarray) -> list[int]:
             and (y[i] > y[i - 1] or y[i] > y[i + 1])]
 
 
-def _refine_peak(x: np.ndarray, y: np.ndarray, i: int,
-                 refine_loglog: bool) -> tuple[float, float]:
-    """Vertex of the 3-point quadratic fit around sample i (in log-x
-    coordinates when requested), or the sample itself when the fit is not
-    concave or its vertex leaves the three points."""
-    xs = np.log10(x[i - 1:i + 2]) if refine_loglog else x[i - 1:i + 2]
+def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
+    """Vertex of the 3-point quadratic fit in log-x coordinates around
+    sample i, or the sample itself when the fit is not concave or its
+    vertex leaves the three points."""
+    xs = np.log10(x[i - 1:i + 2])
     a, b, c = np.polyfit(xs, y[i - 1:i + 2], 2)
     if a < 0:
         xv = -b / (2.0 * a)
         if xs[0] <= xv <= xs[2]:
-            xp = 10.0 ** xv if refine_loglog else xv
-            return float(xp), float(np.polyval([a, b, c], xv))
+            return float(10.0 ** xv), float(np.polyval([a, b, c], xv))
     return float(x[i]), float(y[i])
 
 
-def interior_peak(x: np.ndarray, y: np.ndarray,
-                  refine_loglog: bool = True) -> tuple[float, float]:
+def interior_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Largest interior local maximum of y over x, refined by a 3-point
-    quadratic fit (in log-x coordinates when requested)."""
+    quadratic fit in log-x coordinates."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cand = _local_maxima(y)
     if not cand:
         raise NoInteriorPeak("no interior local maximum")
-    return _refine_peak(x, y, max(cand, key=lambda j: y[j]), refine_loglog)
+    return _refine_peak(x, y, max(cand, key=lambda j: y[j]))
 
 
-def interior_peaks(x: np.ndarray, y: np.ndarray,
-                   refine_loglog: bool = True) -> list[tuple[float, float]]:
+def interior_peaks(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
     """All interior local maxima of y over x, each refined like
     interior_peak, in ascending x order."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return [_refine_peak(x, y, i, refine_loglog) for i in _local_maxima(y)]
+    return [_refine_peak(x, y, i) for i in _local_maxima(y)]
 
 
 def resonance_peak(table: BodeTable) -> tuple[float, float]:

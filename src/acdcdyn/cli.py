@@ -23,8 +23,8 @@ from . import __version__
 from .lti import (AlgebraicLoop, NoDcGain, PoleHit, SingularAtFrequency,
                   TooShort, dc_gain, fft_magnitude, poles, step_response)
 from .network import EdgePole, SingularLL, check_assumption1
-from .system import (ImproperController, NoDroop, _deep_set, _load_preset,
-                     build, config_from_dict, steady_state)
+from .system import (ImproperController, NoDroop, build, config_from_dict,
+                     resolve_scenario, steady_state)
 from . import analysis
 
 COMMANDS = ("poles", "bode", "step", "steady", "sweep", "spectrum", "check")
@@ -116,22 +116,10 @@ def load_config(path: str, command: str) -> RunConfig:
 
 
 def _resolve_scenario(cfg: RunConfig) -> dict:
-    if isinstance(cfg.scenario, str):
-        try:
-            data = _load_preset(cfg.scenario)
-        except FileNotFoundError as exc:
-            raise ValidationError(
-                f"unknown preset {cfg.scenario!r}") from exc
-    elif isinstance(cfg.scenario, dict):
-        data = json.loads(json.dumps(cfg.scenario))
-    else:
-        raise ValidationError("'scenario' must be a preset name or an object")
-    for dotted, value in cfg.overrides.items():
-        try:
-            _deep_set(data, dotted, value)
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ValidationError(f"bad override {dotted!r}") from exc
-    return data
+    try:
+        return resolve_scenario(cfg.scenario, cfg.overrides)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ValidationError(f"bad scenario or override: {exc}") from exc
 
 
 def _apply_sets(cfg: RunConfig, sets: list[str]) -> RunConfig:
@@ -175,7 +163,8 @@ def run(cfg: RunConfig, out_dir: str) -> int:
             "omega_base_rad_s": sysconf.base.omega_base,
         }
         _dispatch(cfg, sysconf, out, manifest)
-    except (CliError, ImproperController, ValueError, KeyError) as exc:
+    except (CliError, ImproperController, ValueError, KeyError,
+            TypeError) as exc:
         _write_error(out, manifest, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -246,14 +235,10 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         param = opt["parameter"]
         values = opt["values"]
         channel = (opt["input"], opt["output"])
-        from .system import _apply_simple_override
-
-        def builder(**kw):
-            d = json.loads(json.dumps(manifest["resolved_parameters"]))
-            _apply_simple_override(d, param, kw[param])
-            return config_from_dict(d)
-
-        res = analysis.sweep(builder, {param: values}, [channel])
+        res = analysis.sweep(
+            lambda **kw: config_from_dict(
+                resolve_scenario(manifest["resolved_parameters"], kw)),
+            {param: values}, [channel])
         rows = []
         for pt in res.points:
             if pt.error:
@@ -282,18 +267,9 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         stab = analysis.stability(model)
         rows = [("assumption1", verdict.verdict),
                 ("stable", "true" if stab.stable else "false")]
-        bounds = sysconf.metadata.get("ratio_bounds")
-        if bounds:
-            names = sorted(sysconf.vsc)
-            if len(names) == 2:
-                c1, c2 = (sysconf.vsc[n].control for n in names)
-                res = analysis.check_ratio_bounds_async(
-                    c1.k_p, c1.k_d, c2.k_p, c2.k_d,
-                    bounds=(bounds[names[0]], bounds[names[1]]))
-                rows += [(f"ratio_bound_{names[0]}",
-                          "pass" if res["vsc1"] else "fail"),
-                         (f"ratio_bound_{names[1]}",
-                          "pass" if res["vsc2"] else "fail")]
+        rows += [(f"ratio_bound_{n}", "pass" if ok else "fail")
+                 for n, ok in sorted(analysis.check_ratio_bounds(sysconf)
+                                     .items())]
         _write_csv(out / "check.csv", ["check", "result"], zip(*rows))
         manifest["outputs"].append("check.csv")
         manifest["assumption1"] = verdict.verdict
@@ -316,8 +292,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE",
-                        help="override a config entry (dotted path; prefix "
-                             "'options.' to target command options)")
+                        help="override a config entry (dotted path or named "
+                             "gain; prefix 'options.' to target command "
+                             "options)")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config, args.command)

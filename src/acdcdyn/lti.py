@@ -782,6 +782,8 @@ def _expm(A: np.ndarray) -> np.ndarray:
 
 #: Memory budget of the maps precomputed for one block of ``step_response``.
 _STEP_BLOCK_BYTES = 1 << 21
+#: Largest output array (samples x outputs x 8 bytes) of ``step_response``.
+_STEP_OUTPUT_BYTES = 1 << 30
 
 
 def step_response(ss: StateSpace, input_name: str, T: float,
@@ -793,9 +795,13 @@ def step_response(ss: StateSpace, input_name: str, T: float,
     K samples.  With x_j = S_j Bd, S_j = sum_{l<j} Ad^l, the zero-state
     solution, a block starting in state x reads y_{i+j} = C Ad^j x +
     (C x_j + d), and the next block starts in Ad^K x + x_K.  K is the
-    largest power of two whose maps fit in ``_STEP_BLOCK_BYTES``."""
+    largest power of two whose maps fit in ``_STEP_BLOCK_BYTES``.  Raises
+    ValueError when the output would exceed ``_STEP_OUTPUT_BYTES``."""
     if dt <= 0 or dt > T / 100.0:
         raise ValueError("require 0 < dt <= T/100")
+    if (T / dt + 1.0) * ss.n_outputs * 8 > _STEP_OUTPUT_BYTES:
+        raise ValueError(f"{T / dt + 1.0:.3g} samples of {ss.n_outputs} "
+                         f"outputs exceed {_STEP_OUTPUT_BYTES} bytes")
     j = ss.input_names.index(input_name)
     for p in poles(ss):
         if not p.structural and p.value.real > 0:
@@ -847,6 +853,9 @@ _INVERSE_STEPS = 6
 #: W^T V exceeds it: |w^T v| reads 1e-29 on feeders whose gains the Schur
 #: deflation returned as well.
 _MAX_COND_WV = 1e12
+#: Largest residue of the zero modes in ``dc_gain``, relative to
+#: 1 + |B| |C|, that still counts as an angle-reference mode.
+_RESIDUE_TOL = 1e-6
 
 
 def _zero_mode_bases(A: np.ndarray, k: int, shift: float):
@@ -872,7 +881,7 @@ def _zero_mode_bases(A: np.ndarray, k: int, shift: float):
     return V, W
 
 
-def dc_gain(ss: StateSpace, residue_tol: float = 1e-6) -> np.ndarray:
+def dc_gain(ss: StateSpace) -> np.ndarray:
     """Steady-state gain D - C A^# B, with A^# the group inverse of A.
 
     Eigenvalues within max(1e-7 rho, 1e-12) of the origin (rho the spectral
@@ -903,7 +912,7 @@ def dc_gain(ss: StateSpace, residue_tol: float = 1e-6) -> np.ndarray:
         raise NoDcGain("defective pole cluster at the origin")
     scale = 1.0 + float(np.linalg.norm(ss.B)) * float(np.linalg.norm(ss.C))
     residue = ss.C @ V @ np.linalg.solve(WV, W.T @ ss.B)
-    if np.max(np.abs(residue)) > residue_tol * scale:
+    if np.max(np.abs(residue)) > _RESIDUE_TOL * scale:
         raise NoDcGain("integrating mode with nonzero residue at s=0")
     K = np.block([[A, V], [W.T, np.zeros((k, k))]])
     rhs = np.vstack([ss.B, np.zeros((k, ss.n_inputs))])

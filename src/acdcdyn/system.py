@@ -10,6 +10,7 @@ power); DC network losses are retained where setpoints differ.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import warnings
@@ -48,7 +49,7 @@ class SystemConfig:
     base: PerUnitBase
     sg: dict                   # SM node name -> SgParams
     vsc: dict                  # VSC node name -> VscParams
-    metadata: dict = field(default_factory=dict)
+    ratio_bounds: dict = field(default_factory=dict)  # VSC -> k_d/k_p bound
 
     def __post_init__(self):
         for params, kind in ((self.sg, NodeKind.SM), (self.vsc, NodeKind.VSC)):
@@ -57,6 +58,10 @@ class SystemConfig:
                 raise ValueError(
                     f"{kind.name} parameters given for {sorted(params)}, "
                     f"but the graph's {kind.name} nodes are {sorted(nodes)}")
+        stray = sorted(set(self.ratio_bounds) - set(self.vsc))
+        if stray:
+            raise ValueError(f"ratio bounds given for {stray}, which are "
+                             "not VSC nodes")
 
     @property
     def has_infinite_bus(self) -> bool:
@@ -339,10 +344,19 @@ def _deep_set(data: dict, dotted: str, value):
     d[keys[-1]] = value
 
 
+def _no_unknown_keys(block: dict, known: tuple, where: str) -> None:
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {where}")
+
+
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON-facing dictionary schema used by
-    preset files and the command line."""
+    preset files and the command line.  Raises ValueError on a key it does
+    not read in ``base`` or in a VSC's ``control``."""
     b = data["base"]
+    _no_unknown_keys(b, ("s_base_va", "v_base_ac_v", "v_base_dc_v",
+                         "f_base_hz"), "base")
     base = PerUnitBase(b["s_base_va"], b["v_base_ac_v"], b["v_base_dc_v"],
                        2.0 * math.pi * b["f_base_hz"])
     catalog = load_cable_catalog(data.get("cable_catalog"))
@@ -362,6 +376,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                                   pv["v_base_dc_v"], base.omega_base)
             k_pv = convert_k_pv(pv["k_pv_pu"], pv_base, base)
         c = v["control"]
+        _no_unknown_keys(c, ("k_p", "k_d", "tau_kd_s"), f"control of {node}")
         vsc_params[node] = VscParams(
             v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
             k_pv, v.get("c_extra_f", 0.0))
@@ -407,21 +422,37 @@ def config_from_dict(data: dict) -> SystemConfig:
     graph = HybridGraph(tuple(ac_nodes), tuple(dc_nodes), tuple(ac_edges),
                         tuple(dc_edges), b["v_base_ac_v"], base.omega_base,
                         v_dc_star)
-    meta = {k: data[k] for k in ("scenario", "ratio_bounds", "nominal")
-            if k in data}
-    return SystemConfig(graph, base, sg_params, vsc_params, meta)
+    return SystemConfig(graph, base, sg_params, vsc_params,
+                        dict(data.get("ratio_bounds") or {}))
+
+
+def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
+    """The dict that ``config_from_dict`` reads: a preset by name or a copy
+    of an inline scenario, with ``overrides`` applied in order.  A key with
+    a dot, a key the scenario has, or ``cable_catalog`` is a dotted path
+    (``_deep_set``); any other key is a named gain (KeyError if unknown)."""
+    if isinstance(scenario, str):
+        try:
+            data = _load_preset(scenario)
+        except FileNotFoundError as exc:
+            raise ValueError(f"unknown preset {scenario!r}") from exc
+    elif isinstance(scenario, dict):
+        data = copy.deepcopy(scenario)
+    else:
+        raise TypeError("a scenario is a preset name or an object")
+    for key, value in (overrides or {}).items():
+        if "." in key or key in data or key == "cable_catalog":
+            _deep_set(data, key, value)
+        else:
+            _apply_simple_override(data, key, value)
+    return data
 
 
 def _scenario(name: str, overrides: dict | None = None,
-              **simple) -> SystemConfig:
-    data = _load_preset(name)
-    for key, value in simple.items():
-        if value is None:
-            continue
-        _apply_simple_override(data, key, value)
-    for dotted, value in (overrides or {}).items():
-        _deep_set(data, dotted, value)
-    return config_from_dict(data)
+              **named) -> SystemConfig:
+    data = resolve_scenario(
+        name, {k: v for k, v in named.items() if v is not None})
+    return config_from_dict(resolve_scenario(data, overrides))
 
 
 def _apply_simple_override(data: dict, key: str, value):

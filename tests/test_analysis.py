@@ -5,7 +5,8 @@ import pytest
 
 from acdcdyn import analysis
 from acdcdyn.lti import RationalTF, tf_to_ss
-from acdcdyn.system import build, scenario_islanded_pv
+from acdcdyn.system import (build, scenario_islanded_pv,
+                            scenario_lvdc_async)
 
 
 @pytest.fixture(scope="module")
@@ -55,16 +56,17 @@ class TestBounds:
             analysis.bound_islanded_kd(-0.025)
 
     def test_ratio_bounds_strict(self):
-        r = analysis.check_ratio_bounds_async(0.025, 0.001, 0.025, 0.012)
-        assert r["vsc1"] and r["vsc2"]
+        r = analysis.check_ratio_bounds(scenario_lvdc_async(k_d_2=0.012))
+        assert r == {"vsc1": True, "vsc2": True}
         # boundary is excluded (strict inequality)
-        b1, _ = analysis.ASYNC_RATIO_BOUNDS
-        r2 = analysis.check_ratio_bounds_async(0.025, b1 * 0.025, 0.025, 0.001)
-        assert not r2["vsc1"]
+        b1 = scenario_lvdc_async().ratio_bounds["vsc1"]
+        r2 = analysis.check_ratio_bounds(scenario_lvdc_async(k_d_1=b1 * 0.025))
+        assert r2 == {"vsc1": False, "vsc2": True}
+        assert analysis.check_ratio_bounds(scenario_islanded_pv()) == {}
 
     def test_ratio_bounds_validation(self):
-        with pytest.raises(ValueError):
-            analysis.check_ratio_bounds_async(0.0, 0.001, 0.025, 0.001)
+        with pytest.raises(ValueError, match="not VSC nodes"):
+            scenario_lvdc_async(overrides={"ratio_bounds": {"load1": 0.2}})
 
 
 class TestPeaks:

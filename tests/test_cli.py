@@ -72,6 +72,34 @@ class TestConfigHandling:
         assert err["error"] == "ImproperController"
 
 
+    @pytest.mark.parametrize("command,options", [
+        ("step", {"input": "p_load_load1", "t_end_s": [1]}),
+        ("sweep", {"parameter": "k_d", "values": 5,
+                   "input": "p_load_load1", "output": "omega_vsc1"}),
+    ], ids=["step-t_end", "sweep-values"])
+    def test_option_of_wrong_type_exit_1(self, tmp_path, capsys, command,
+                                         options):
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+                                      "options": options})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "TypeError"
+
+    def test_step_output_cap_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"input": "p_load_load1", "t_end_s": 1e9,
+                        "dt_s": 1e-9}})
+        out = tmp_path / "o"
+        assert main(["step", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceed" in err
+        assert "Traceback" not in err
+        assert (out / "error.json").exists()
+
+
 class TestArtifacts:
     def test_poles_schema_and_manifest(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
@@ -142,6 +170,16 @@ class TestArtifacts:
         assert rows["stable"] == "true"
         assert rows["ratio_bound_vsc1"] == "pass"
 
+    def test_check_one_row_per_bounded_vsc(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "lvdc_async",
+            "overrides": {"ratio_bounds": {"vsc1": 0.2571}}})
+        out = tmp_path / "run"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        names = [r[0] for r in read_csv(out / "check.csv")[1:]]
+        assert [n for n in names if n.startswith("ratio_bound_")] == \
+            ["ratio_bound_vsc1"]
+
     def test_sweep_csv(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "islanded_pv",
@@ -153,6 +191,18 @@ class TestArtifacts:
         assert rows[0][:4] == ["k_d", "stable", "f_peak_hz", "mag_peak_db"]
         assert len(rows) == 3
         assert all(r[1] == "1" for r in rows[1:])
+
+    def test_sweep_over_a_path(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "lvdc_async",
+            "options": {"parameter": "vscs.0.c_dc_f",
+                        "values": [0.003, 0.006],
+                        "input": "p_load_load1", "output": "omega_vsc1"}})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = read_csv(out / "sweep.csv")[1:]
+        assert len(rows) == 2
+        assert all(r[1] == "1" and r[4] == "" for r in rows)
 
     def test_sweep_records_error_type(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -194,6 +244,26 @@ class TestSetFlag:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["resolved_parameters"]["vscs"][0]["control"]["k_d"] \
             == 0.005
+
+    def test_named_gain_equals_its_path(self, tmp_path):
+        # the preset has k_p = 0.025, so only a change shows in the poles
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        poles = {}
+        for item in ("k_p=0.025", "k_p=0.05", "vscs.0.control.k_p=0.05"):
+            out = tmp_path / item
+            assert main(["poles", "--config", cfg, "--out", str(out),
+                         "--set", item]) == 0
+            poles[item] = (out / "poles.csv").read_bytes()
+        assert poles["k_p=0.05"] == poles["vscs.0.control.k_p=0.05"]
+        assert poles["k_p=0.05"] != poles["k_p=0.025"]
+
+    def test_unknown_named_gain_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out),
+                     "--set", "bogus=1"]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert (out / "error.json").exists()
 
     def test_malformed_set(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})

@@ -755,6 +755,22 @@ class TestResponses:
         with pytest.raises(ValueError):
             step_response(ss, "u", 1.0, 0.5)
 
+    def test_step_output_cap(self, monkeypatch):
+        # 1e18 samples are refused before any work: an unstable model
+        # would warn first if the poles were computed
+        ss = tf_to_ss(RationalTF.from_coeffs([1.0], [-1.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="exceed"):
+                step_response(ss, "u", 1e9, 1e-9)
+        # the cap counts (T/dt + 1) samples x outputs x 8 bytes
+        ss = integrator(1.0)
+        monkeypatch.setattr(lti, "_STEP_OUTPUT_BYTES", 101 * 8)
+        assert len(step_response(ss, "u", 1.0, 0.01).t) == 101
+        monkeypatch.setattr(lti, "_STEP_OUTPUT_BYTES", 101 * 8 - 1)
+        with pytest.raises(ValueError, match="exceed"):
+            step_response(ss, "u", 1.0, 0.01)
+
 
 def step_matrix(ss, j, dt):
     """[[A, b_j], [0, 0]] dt, whose exponential is the zero-order-hold

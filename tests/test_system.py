@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import fields, replace
 
@@ -9,7 +10,7 @@ from acdcdyn.network import AcEdge, HybridGraph, NodeKind
 from acdcdyn.system import (ImproperController, NoDroop,
                             _apply_simple_override, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
-                            scenario_islanded_pv, scenario_lvdc_async,
+                            resolve_scenario, scenario_islanded_pv, scenario_lvdc_async,
                             scenario_parallel_ac_dc, steady_state)
 from acdcdyn.units import GfmCtrlParams, SgParams, VscParams
 
@@ -75,6 +76,42 @@ class TestOverrides:
     def test_dotted_override(self):
         cfg = scenario_lvdc_async(overrides={"vscs.0.c_dc_f": 0.0062})
         assert cfg.vsc["vsc1"].C_dc == 0.0062
+
+    def test_named_gain_in_overrides(self):
+        assert scenario_lvdc_async(overrides={"k_p": 0.05}) == \
+            scenario_lvdc_async(k_p=0.05)
+
+    def test_named_kwargs_before_overrides(self):
+        cfg = scenario_lvdc_async(k_p=0.03, overrides={"k_p_1": 0.04})
+        assert cfg.vsc["vsc1"].control.k_p == 0.04
+        assert cfg.vsc["vsc2"].control.k_p == 0.03
+        cfg = scenario_lvdc_async(k_p_1=0.04, overrides={"k_p": 0.03})
+        assert cfg.vsc["vsc1"].control.k_p == 0.03
+
+    def test_resolve_unknown_named_gain(self):
+        with pytest.raises(KeyError):
+            resolve_scenario("lvdc_async", {"bogus": 1})
+
+    def test_resolve_copies_inline_scenario(self):
+        inline = _load_preset("lvdc_async")
+        before = json.dumps(inline, sort_keys=True)
+        data = resolve_scenario(inline, {"k_d": 0.005,
+                                         "vscs.1.c_dc_f": 0.0062})
+        assert json.dumps(inline, sort_keys=True) == before
+        assert [v["control"]["k_d"] for v in data["vscs"]] == [0.005, 0.005]
+        assert data["vscs"][1]["c_dc_f"] == 0.0062
+
+    def test_resolve_rejects_unknown_preset_and_type(self):
+        with pytest.raises(ValueError):
+            resolve_scenario("bogus")
+        with pytest.raises(TypeError):
+            resolve_scenario(["islanded_pv"])
+
+    @pytest.mark.parametrize("path", ["base.s_base_vaa",
+                                      "vscs.0.control.kp"])
+    def test_unknown_base_or_control_key(self, path):
+        with pytest.raises(ValueError, match="unknown keys"):
+            scenario_lvdc_async(overrides={path: 1.0})
 
 
 class TestConfigSurface:
