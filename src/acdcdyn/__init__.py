@@ -10,10 +10,11 @@ presets), ``analysis`` (Bode, stability, bounds, sweeps), ``cli``.
 __version__ = "0.1.0"
 
 from .lti import (AlgebraicLoop, FrequencyResponse, ImproperTF, NoDcGain,
-                  Pole, PoleHit, Polynomial, RationalTF, SingularAtFrequency,
-                  Spectrum, StateSpace, TimeSeries, TooShort, UnstableWarning,
-                  compose, dc_gain, fft_magnitude, freq_response, integrator,
-                  poles, series, step_response, tf_to_ss)
+                  NumericFailure, Pole, PoleHit, Polynomial, RationalTF,
+                  SingularAtFrequency, Spectrum, StateSpace, TimeSeries,
+                  TooShort, UnstableWarning, compose, dc_gain, fft_magnitude,
+                  freq_response, integrator, poles, series, step_response,
+                  tf_to_ss)
 from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                     convert_k_pv, gfm_ctrl_tf, governor_droop_tf, sm_tf,
                     vsc_dclink_tf)

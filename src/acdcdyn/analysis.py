@@ -10,15 +10,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lti import Pole, StateSpace, freq_response, poles
+from .lti import NumericFailure, Pole, StateSpace, freq_response, poles
 from .system import ClosedLoopModel, SystemConfig, build
 
 
-class AnalysisError(Exception):
-    pass
-
-
-class NoInteriorPeak(AnalysisError):
+class NoInteriorPeak(NumericFailure):
     """Magnitude table is monotone; no interior resonance maximum exists."""
 
 
@@ -176,8 +172,9 @@ def sweep(builder, grids: dict, channels,
     Cartesian product of parameter grids.
 
     `builder` maps keyword parameters to a SystemConfig or ClosedLoopModel.
-    Points are independent; failures are recorded per point and the sweep
-    continues.
+    Points are independent: a NumericFailure or ValueError of one point is
+    recorded in its `error` and the sweep continues; any other exception,
+    such as a KeyError for an unknown parameter or channel, propagates.
     """
     if not grids or any(len(v) == 0 for v in grids.values()):
         raise ValueError("grids must be non-empty")
@@ -199,7 +196,7 @@ def sweep(builder, grids: dict, channels,
                     peaks[(cin, cout)] = (math.nan, math.nan)
             out.append(SweepPoint(params, verdict.stable,
                                   dominant_damping(verdict), peaks))
-        except Exception as exc:  # per-point isolation by contract
+        except (NumericFailure, ValueError) as exc:
             out.append(SweepPoint(params, None, None, {},
                                   f"{type(exc).__name__}: {exc}"))
     return SweepResult(tuple(out))

@@ -20,29 +20,31 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lti import (AlgebraicLoop, NoDcGain, PoleHit, SingularAtFrequency,
-                  TooShort, dc_gain, fft_magnitude, poles, step_response)
-from .network import EdgePole, SingularLL, check_assumption1
-from .system import (ImproperController, NoDroop, build, config_from_dict,
+from .lti import (NoDcGain, NumericFailure, dc_gain, fft_magnitude, poles,
+                  step_response)
+from .network import check_assumption1
+from .system import (_no_unknown_keys, build, config_from_dict,
                      resolve_scenario, steady_state)
 from . import analysis
 
-COMMANDS = ("poles", "bode", "step", "steady", "sweep", "spectrum", "check")
+#: The ``options`` keys that each command reads; any other is a ValueError.
+OPTIONS = {
+    "poles": (),
+    "bode": ("input", "output", "f_min_hz", "f_max_hz", "points"),
+    "step": ("input", "t_end_s", "dt_s", "amplitude"),
+    "steady": ("delta_p_l_pu", "delta_p_l_w"),
+    "sweep": ("parameter", "values", "input", "output"),
+    "spectrum": ("input", "channel", "t_end_s", "dt_s"),
+    "check": (),
+}
+COMMANDS = tuple(OPTIONS)
 
-_NUMERIC_ERRORS = (AlgebraicLoop, SingularAtFrequency, NoDcGain, PoleHit,
-                   TooShort, SingularLL, EdgePole, NoDroop,
-                   analysis.NoInteriorPeak, np.linalg.LinAlgError)
 
-
-class CliError(Exception):
-    pass
-
-
-class ParseError(CliError):
+class ParseError(ValueError):
     """Config file is unreadable or not valid JSON."""
 
 
-class ValidationError(CliError):
+class ValidationError(ValueError):
     """Config parsed but violates an invariant."""
 
 
@@ -115,13 +117,6 @@ def load_config(path: str, command: str) -> RunConfig:
                      data.get("options", {}))
 
 
-def _resolve_scenario(cfg: RunConfig) -> dict:
-    try:
-        return resolve_scenario(cfg.scenario, cfg.overrides)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad scenario or override: {exc}") from exc
-
-
 def _apply_sets(cfg: RunConfig, sets: list[str]) -> RunConfig:
     for key in ("overrides", "options"):
         if not isinstance(getattr(cfg, key), dict):
@@ -149,13 +144,10 @@ def run(cfg: RunConfig, out_dir: str) -> int:
     manifest = {"tool": "acdcdyn", "version": __version__,
                 "command": cfg.command, "outputs": []}
     try:
-        data = _resolve_scenario(cfg)
+        data = resolve_scenario(cfg.scenario, cfg.overrides)
         manifest["scenario"] = data.get("scenario", "inline")
         manifest["resolved_parameters"] = data
-        try:
-            sysconf = config_from_dict(data)
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ValidationError(f"invalid scenario description: {exc}")
+        sysconf = config_from_dict(data)
         manifest["per_unit_base"] = {
             "s_base_va": sysconf.base.S_base,
             "v_base_ac_v": sysconf.base.V_base_ac,
@@ -163,15 +155,14 @@ def run(cfg: RunConfig, out_dir: str) -> int:
             "omega_base_rad_s": sysconf.base.omega_base,
         }
         _dispatch(cfg, sysconf, out, manifest)
-    except (CliError, ImproperController, ValueError, KeyError,
-            TypeError) as exc:
-        _write_error(out, manifest, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _NUMERIC_ERRORS as exc:
+    except (NumericFailure, np.linalg.LinAlgError) as exc:
         _write_error(out, manifest, exc)
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, LookupError, TypeError) as exc:
+        _write_error(out, manifest, exc)
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return 0
@@ -186,6 +177,7 @@ def _write_error(out: Path, manifest: dict, exc: Exception) -> None:
 
 def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
     opt = cfg.options
+    _no_unknown_keys(opt, OPTIONS[cfg.command], "options")
     if cfg.command == "poles":
         model = build(sysconf)
         rows = sorted(((p.value.real, p.value.imag, p.structural)
@@ -299,7 +291,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, args.command)
         cfg = _apply_sets(cfg, args.set)
-    except CliError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return run(cfg, args.out)

@@ -17,31 +17,31 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 
-class LtiError(Exception):
-    pass
+class NumericFailure(Exception):
+    """A computation failed on valid input (exit 2); bad input is ValueError."""
 
 
-class PoleHit(LtiError):
+class PoleHit(NumericFailure):
     """Rational evaluation requested at (or numerically on top of) a pole."""
 
 
-class ImproperTF(LtiError):
+class ImproperTF(ValueError):
     """Realization requested for a transfer function with deg num > deg den."""
 
 
-class AlgebraicLoop(LtiError):
+class AlgebraicLoop(NumericFailure):
     """The feedthrough loop matrix (I - K D) is singular or near-singular."""
 
 
-class SingularAtFrequency(LtiError):
+class SingularAtFrequency(NumericFailure):
     """j*omega coincides with an eigenvalue of A at a requested grid point."""
 
 
-class NoDcGain(LtiError):
+class NoDcGain(NumericFailure):
     """A requested channel has genuine integrating behavior at s = 0."""
 
 
-class TooShort(LtiError):
+class TooShort(NumericFailure):
     """Time series too short for spectral analysis."""
 
 

@@ -16,18 +16,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .lti import Polynomial, RationalTF
+from .lti import NumericFailure, Polynomial, RationalTF
 
 
-class NetworkError(Exception):
-    pass
-
-
-class EdgePole(NetworkError):
+class EdgePole(NumericFailure):
     """Evaluation frequency coincides with an edge transfer-function pole."""
 
 
-class SingularLL(NetworkError):
+class SingularLL(NumericFailure):
     """Load-block L_L is numerically singular at the requested point."""
 
 

@@ -19,7 +19,8 @@ from importlib import resources
 
 import numpy as np
 
-from .lti import EntrywiseBlock, StateSpace, compose, integrator, tf_to_ss
+from .lti import (EntrywiseBlock, NumericFailure, StateSpace, compose,
+                  integrator, tf_to_ss)
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
                       kron_reduce_symbolic, line_impedance, load_cable_catalog)
@@ -28,15 +29,11 @@ from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                     sg_damping_tf, sm_tf, vsc_dclink_tf)
 
 
-class SystemError_(Exception):
-    pass
-
-
-class ImproperController(SystemError_):
+class ImproperController(ValueError):
     """Realization requested with an ideal (tau_kd = 0) differentiator."""
 
 
-class NoDroop(SystemError_):
+class NoDroop(NumericFailure):
     """An AC area has no steady-state droop, of its own or over DC links;
     the steady state is marginal."""
 
@@ -350,6 +347,11 @@ def _no_unknown_keys(block: dict, known: tuple, where: str) -> None:
         raise ValueError(f"unknown keys {unknown} in {where}")
 
 
+#: The top-level keys that ``config_from_dict`` reads.
+SCENARIO_KEYS = ("base", "cable_catalog", "sg", "vscs", "ac_nodes",
+                 "ac_edges", "dc_edges", "ratio_bounds")
+
+
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON-facing dictionary schema used by
     preset files and the command line.  Raises ValueError on a key it does
@@ -429,8 +431,9 @@ def config_from_dict(data: dict) -> SystemConfig:
 def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
     """The dict that ``config_from_dict`` reads: a preset by name or a copy
     of an inline scenario, with ``overrides`` applied in order.  A key with
-    a dot, a key the scenario has, or ``cable_catalog`` is a dotted path
-    (``_deep_set``); any other key is a named gain (KeyError if unknown)."""
+    a dot, a key the scenario has, or one of ``SCENARIO_KEYS`` is a dotted
+    path (``_deep_set``); any other key is a named gain (KeyError if
+    unknown)."""
     if isinstance(scenario, str):
         try:
             data = _load_preset(scenario)
@@ -441,7 +444,7 @@ def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
     else:
         raise TypeError("a scenario is a preset name or an object")
     for key, value in (overrides or {}).items():
-        if "." in key or key in data or key == "cable_catalog":
+        if "." in key or key in data or key in SCENARIO_KEYS:
             _deep_set(data, key, value)
         else:
             _apply_simple_override(data, key, value)

@@ -1,8 +1,10 @@
 import ast
 import csv
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import acdcdyn
+import acdcdyn.cli
+from acdcdyn import NumericFailure
 from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
 from acdcdyn.system import (scenario_islanded_pv, scenario_lvdc_async,
                             steady_state)
@@ -37,6 +41,15 @@ class TestConfigHandling:
         assert main(["poles", "--config", str(p), "--out",
                      str(tmp_path / "o")]) == 1
         assert "line" in capsys.readouterr().err
+
+    def test_undecodable_config_exit_1(self, tmp_path, capsys):
+        # fails before the run starts: no output directory, no error.json
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"scenario": "\xff"}')
+        out = tmp_path / "o"
+        assert main(["poles", "--config", str(p), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_missing_scenario_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"options": {}})
@@ -86,6 +99,29 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: ")
         assert json.loads((out / "error.json").read_text())["error"] \
             == "TypeError"
+
+    def test_linalg_error_exit_2(self, tmp_path, capsys, monkeypatch):
+        # LinAlgError subclasses ValueError, yet it is a numeric failure
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(acdcdyn.cli, "build", singular)
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("numeric failure: ")
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "LinAlgError"
+
+    def test_unknown_option_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"input": "p_load_load1", "output": "omega_vsc1"}})
+        out = tmp_path / "o"
+        assert main(["bode", "--config", cfg, "--out", str(out),
+                     "--set", "options.pionts=5"]) == 1
+        assert "pionts" in capsys.readouterr().err
+        assert not (out / "bode.csv").exists()
 
     def test_step_output_cap_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
@@ -218,6 +254,23 @@ class TestArtifacts:
         assert rows[2][1] == "1" and rows[2][4] == ""
         assert float(rows[2][2]) > 0
 
+    @pytest.mark.parametrize("options", [
+        {"parameter": "bogus", "values": [1.0, 2.0],
+         "input": "p_load_load1", "output": "omega_vsc1"},
+        {"parameter": "k_d", "values": [0.005, 0.01],
+         "input": "p_load_load1", "output": "bogus"},
+    ], ids=["parameter", "output"])
+    def test_sweep_unknown_name_exit_1(self, tmp_path, capsys, options):
+        # a name that no point can have is the run's error, not a row's
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+                                      "options": options})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        assert "bogus" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "KeyError"
+
     def test_spectrum_csv(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "islanded_pv",
@@ -257,6 +310,15 @@ class TestSetFlag:
         assert poles["k_p=0.05"] == poles["vscs.0.control.k_p=0.05"]
         assert poles["k_p=0.05"] != poles["k_p=0.025"]
 
+    def test_ratio_bounds_on_a_preset_without_them(self, tmp_path):
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        out = tmp_path / "run"
+        assert main(["check", "--config", cfg, "--out", str(out),
+                     "--set", 'ratio_bounds={"vsc1": 0.3}']) == 0
+        names = [r[0] for r in read_csv(out / "check.csv")[1:]]
+        assert [n for n in names if n.startswith("ratio_bound_")] == \
+            ["ratio_bound_vsc1"]
+
     def test_unknown_named_gain_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
         out = tmp_path / "o"
@@ -269,6 +331,24 @@ class TestSetFlag:
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
         assert main(["poles", "--config", cfg, "--out", str(tmp_path / "o"),
                      "--set", "nonsense"]) == 1
+
+
+class TestErrorTaxonomy:
+    def test_every_error_has_one_exit_code(self):
+        # exit 2 for NumericFailure, exit 1 for ValueError: a class under
+        # neither (or both) would end in a traceback (or be misreported)
+        classes = set()
+        for info in pkgutil.walk_packages(acdcdyn.__path__, "acdcdyn."):
+            module = importlib.import_module(info.name)
+            classes |= {c for c in vars(module).values()
+                        if isinstance(c, type) and issubclass(c, Exception)
+                        and not issubclass(c, Warning)
+                        and c.__module__ == info.name}
+        assert {c.__name__ for c in classes} >= {
+            "NumericFailure", "PoleHit", "NoDroop", "NoInteriorPeak",
+            "ImproperController", "ParseError"}
+        for c in classes:
+            assert issubclass(c, NumericFailure) != issubclass(c, ValueError), c
 
 
 def _fmt_reference(x) -> str:

@@ -92,6 +92,12 @@ class TestOverrides:
         with pytest.raises(KeyError):
             resolve_scenario("lvdc_async", {"bogus": 1})
 
+    def test_top_level_key_the_preset_lacks(self):
+        # islanded_pv publishes no ratio bound; an override can add one
+        data = resolve_scenario("islanded_pv",
+                                {"ratio_bounds": {"vsc1": 0.3}})
+        assert config_from_dict(data).ratio_bounds == {"vsc1": 0.3}
+
     def test_resolve_copies_inline_scenario(self):
         inline = _load_preset("lvdc_async")
         before = json.dumps(inline, sort_keys=True)
