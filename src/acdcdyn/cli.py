@@ -23,8 +23,8 @@ from . import __version__
 from .lti import (NoDcGain, NumericFailure, dc_gain, fft_magnitude, poles,
                   step_response)
 from .network import check_assumption1
-from .system import (_no_unknown_keys, build, config_from_dict,
-                     resolve_scenario, steady_state)
+from .system import (_no_unknown_keys, build, check_scenario_keys,
+                     config_from_dict, resolve_scenario, steady_state)
 from . import analysis
 
 #: The ``options`` keys that each command reads; any other is a ValueError.
@@ -227,9 +227,13 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         param = opt["parameter"]
         values = opt["values"]
         channel = (opt["input"], opt["output"])
+        scenario = manifest["resolved_parameters"]
+        # a key that no point can use is the run's error, not every row's
+        if len(values):
+            check_scenario_keys(resolve_scenario(scenario,
+                                                 {param: values[0]}))
         res = analysis.sweep(
-            lambda **kw: config_from_dict(
-                resolve_scenario(manifest["resolved_parameters"], kw)),
+            lambda **kw: config_from_dict(resolve_scenario(scenario, kw)),
             {param: values}, [channel])
         rows = []
         for pt in res.points:

@@ -74,7 +74,7 @@ class Polynomial:
             raise ValueError("empty coefficient list")
         if not np.all(np.isfinite(c)):
             raise ValueError("non-finite polynomial coefficients")
-        object.__setattr__(self, "coeffs", tuple(float(x) for x in c))
+        object.__setattr__(self, "coeffs", tuple(c.tolist()))
 
     @property
     def degree(self) -> int:
@@ -176,24 +176,20 @@ class RationalTF:
         and normalize the denominator to be monic."""
         if self.num.is_zero():
             return RationalTF(Polynomial([0.0]), Polynomial([1.0]))
-        nr = list(self.num.roots())
-        dr = list(self.den.roots())
-        n_lead = self.num.coeffs[-1]
-        d_lead = self.den.coeffs[-1]
-        kept_n = []
-        for r in nr:
-            hit = None
-            for i, q in enumerate(dr):
-                if abs(r - q) <= tol * (1.0 + abs(r)):
-                    hit = i
-                    break
-            if hit is None:
-                kept_n.append(r)
-            else:
-                dr.pop(hit)
-        gain = n_lead / d_lead
-        return RationalTF(poly_from_roots(kept_n, leading=gain),
-                          poly_from_roots(dr, leading=1.0))
+        nr = self.num.roots()
+        dr = self.den.roots()
+        gain = self.num.coeffs[-1] / self.den.coeffs[-1]
+        # each numerator root, in order, cancels the first denominator root
+        # within tol that an earlier one has not taken
+        bound = tol * (1.0 + np.abs(nr))
+        match = np.abs(nr[:, None] - dr) <= bound[:, None]
+        keep_n = np.ones(nr.size, dtype=bool)
+        keep_d = np.ones(dr.size, dtype=bool)
+        for i, j in zip(*(ix.tolist() for ix in np.nonzero(match))):
+            if keep_n[i] and keep_d[j]:
+                keep_n[i] = keep_d[j] = False
+        return RationalTF(poly_from_roots(nr[keep_n], leading=gain),
+                          poly_from_roots(dr[keep_d], leading=1.0))
 
 
 def _as_tf(x) -> RationalTF:
@@ -846,8 +842,6 @@ def step_response(ss: StateSpace, input_name: str, T: float,
     return TimeSeries(t, dict(zip(ss.output_names, y.T)))
 
 
-#: Steps of the inverse subspace iteration in ``_zero_mode_bases``.
-_INVERSE_STEPS = 6
 #: Largest condition number of W^T V in ``dc_gain``, the bound ``compose``
 #: puts on its loop matrix.  With one zero mode only an exactly singular
 #: W^T V exceeds it: |w^T v| reads 1e-29 on feeders whose gains the Schur
@@ -858,26 +852,37 @@ _MAX_COND_WV = 1e12
 _RESIDUE_TOL = 1e-6
 
 
-def _zero_mode_bases(A: np.ndarray, k: int, shift: float):
-    """Orthonormal bases V and W (n x k) of the right and left invariant
-    subspaces of the k eigenvalues of A nearest ``shift``, by inverse
-    subspace iteration with A - shift I from a fixed start block.
+def _bordered(A: np.ndarray, P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The bordered matrix [[A, P], [Q^T, 0]] for n x k borders P and Q."""
+    n, k = P.shape
+    K = np.zeros((n + k, n + k))
+    K[:n, :n] = A
+    K[:n, n:] = P
+    K[n:, :n] = Q.T
+    return K
 
-    ``dc_gain`` puts the shift at 1e-3 of the radius beyond which the other
-    eigenvalues lie, so that A - shift I is nonsingular when A is exactly
-    singular, and every step shrinks the other eigenvalues' share of the
-    bases by 1e3 or more when the zero modes sit at the origin to working
-    precision: ``_INVERSE_STEPS`` steps reach the unit roundoff.  Each step
-    is a backward-stable solve, whose error lies along the wanted subspace;
-    products with a computed inverse are not, and left the gain of the
-    lossless ``lvdc_async`` (five zero modes) 1e-7 off in relative terms."""
-    # A - shift I without an n x n identity: off the diagonal a - 0.0 == a
-    M = A.copy()
-    M[np.diag_indices_from(M)] -= shift
-    V = W = np.random.default_rng(0).standard_normal((A.shape[0], k))
-    for _ in range(_INVERSE_STEPS):
-        V = np.linalg.qr(np.linalg.solve(M, V))[0]
-        W = np.linalg.qr(np.linalg.solve(M.T, W))[0]
+
+def _zero_mode_bases(A: np.ndarray, k: int):
+    """Orthonormal bases V and W (n x k) of the right and left null spaces
+    of A, whose nullity is k, from one bordered matrix.
+
+    With fixed random n x k borders P and Q, K = [[A, P], [Q^T, 0]] is
+    nonsingular exactly when P's columns complete the range of A and Q's
+    the range of A^T (Keller, SIAM J. Sci. Stat. Comput. 4(4), 1983).
+    Then K [X; Y] = [0; I] forces A X = -P Y into range(A) and range(P),
+    so Y = 0, A X = 0 and Q^T X = I: X spans the right null space, and the
+    same right-hand side in K^T gives the left one.  When the zero modes
+    lie only near the origin, A X = -P Y is small, and ``dc_gain``'s
+    defect check bounds it.  The two solves run one after the other, so
+    that besides A at most two (n + k)^2 arrays are alive: K and the
+    solver's copy of it."""
+    n = A.shape[0]
+    P, Q = np.random.default_rng(0).standard_normal((2, n, k))
+    K = _bordered(A, P, Q)
+    rhs = np.zeros((n + k, k))
+    rhs[n:] = np.eye(k)
+    V = np.linalg.qr(np.linalg.solve(K, rhs)[:n])[0]
+    W = np.linalg.qr(np.linalg.solve(K.T, rhs)[:n])[0]
     return V, W
 
 
@@ -885,16 +890,17 @@ def dc_gain(ss: StateSpace) -> np.ndarray:
     """Steady-state gain D - C A^# B, with A^# the group inverse of A.
 
     Eigenvalues within max(1e-7 rho, 1e-12) of the origin (rho the spectral
-    radius) are zero modes; without them A^# = A^-1.  Otherwise, with V and
-    W orthonormal bases of the right and left null spaces of A, the zero
-    modes must be semisimple (AV = 0, W^T A = 0, W^T V nonsingular), so
-    that G(s) = R/s + D - C A^# B + O(s) with residue R = C V (W^T V)^-1
-    W^T B (Campbell & Meyer, Generalized Inverses of Linear
-    Transformations, ch. 7).  The zero modes count as angle-reference modes
-    when R vanishes; then x = A^# B solves the bordered system
-    [[A, V], [W^T, 0]] [x; y] = [B; 0].  Raises NoDcGain when a genuinely
-    integrating mode (nonzero residue at the origin, or a defective origin
-    cluster) is present.
+    radius) are zero modes; without them A^# = A^-1, one solve.  Otherwise,
+    with V and W orthonormal bases of the right and left null spaces of A
+    from a bordered matrix (``_zero_mode_bases``), the zero modes must be
+    semisimple (AV = 0, W^T A = 0, W^T V nonsingular), so that
+    G(s) = R/s + D - C A^# B + O(s) with residue R = C V (W^T V)^-1 W^T B
+    (Campbell & Meyer, Generalized Inverses of Linear Transformations,
+    ch. 7).  The zero modes count as angle-reference modes when R vanishes;
+    then x = A^# B solves the bordered system [[A, V], [W^T, 0]] [x; y] =
+    [B; 0].  So a gain takes at most three factorizations of order n + k.
+    Raises NoDcGain when a genuinely integrating mode (nonzero residue at
+    the origin, or a defective origin cluster) is present.
     """
     n = ss.n_states
     if n == 0:
@@ -904,7 +910,7 @@ def dc_gain(ss: StateSpace) -> np.ndarray:
     k = int(np.count_nonzero(near_zero))
     if k == 0:
         return ss.D - ss.C @ np.linalg.solve(A, ss.B)
-    V, W = _zero_mode_bases(A, k, 1e-3 * tol)
+    V, W = _zero_mode_bases(A, k)
     bound = tol * max(1.0, rho)
     WV = W.T @ V
     if (np.linalg.norm(A @ V) > bound or np.linalg.norm(W.T @ A) > bound
@@ -914,9 +920,9 @@ def dc_gain(ss: StateSpace) -> np.ndarray:
     residue = ss.C @ V @ np.linalg.solve(WV, W.T @ ss.B)
     if np.max(np.abs(residue)) > _RESIDUE_TOL * scale:
         raise NoDcGain("integrating mode with nonzero residue at s=0")
-    K = np.block([[A, V], [W.T, np.zeros((k, k))]])
-    rhs = np.vstack([ss.B, np.zeros((k, ss.n_inputs))])
-    return ss.D - ss.C @ np.linalg.solve(K, rhs)[:n]
+    rhs = np.zeros((n + k, ss.n_inputs))
+    rhs[:n] = ss.B
+    return ss.D - ss.C @ np.linalg.solve(_bordered(A, V, W), rhs)[:n]
 
 
 @dataclass(frozen=True)

@@ -351,14 +351,58 @@ def _no_unknown_keys(block: dict, known: tuple, where: str) -> None:
 SCENARIO_KEYS = ("base", "cable_catalog", "sg", "vscs", "ac_nodes",
                  "ac_edges", "dc_edges", "ratio_bounds")
 
+#: The keys of each scenario block that ``config_from_dict`` reads, plus
+#: those that describe the scenario or a device without entering the
+#: model: the ``scenario`` name, the ``nominal`` record, ratings
+#: (``v_n_v``, ``n_r_hz``, ``s_rated_va``, ``v_rated_v``) and the PV curve
+#: points.
+_BLOCK_KEYS = {
+    "scenario": SCENARIO_KEYS + ("scenario", "nominal"),
+    "base": ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_base_hz"),
+    "sg": ("node", "s_n_va", "p_max_w", "h_s", "k_tg", "k_omega", "t1_s",
+           "t2_s", "v_n_v", "n_r_hz"),
+    "vsc": ("node", "c_dc_f", "c_extra_f", "v_dc_star_v", "l_virtual_h",
+            "r_virtual_ohm", "control", "pv", "s_rated_va", "v_rated_v"),
+    "control": ("k_p", "k_d", "tau_kd_s"),
+    "pv": ("s_base_va", "v_base_dc_v", "k_pv_pu", "v_oc_v", "i_sc_a",
+           "v_mpp_v", "i_mpp_a", "v_op_v"),
+    "ac_edge": ("n", "k", "segments", "l_extra_h", "virtual_at"),
+    "segment": ("cable", "length_m"),
+    "dc_edge": ("n", "k", "cable", "length_m", "loop", "r_ohm", "l_h"),
+}
+
+
+def check_scenario_keys(data: dict) -> None:
+    """Raise ValueError on a key that ``config_from_dict`` would silently
+    ignore: one outside ``_BLOCK_KEYS`` at the top level, in ``base``,
+    ``sg``, a VSC, its ``control`` or ``pv``, an AC edge or one of its
+    segments, or a DC edge.  The error names the block by its dotted
+    path."""
+    _no_unknown_keys(data, _BLOCK_KEYS["scenario"], "the scenario")
+    _no_unknown_keys(data["base"], _BLOCK_KEYS["base"], "base")
+    if data.get("sg"):
+        _no_unknown_keys(data["sg"], _BLOCK_KEYS["sg"], "sg")
+    for i, v in enumerate(data.get("vscs", [])):
+        _no_unknown_keys(v, _BLOCK_KEYS["vsc"], f"vscs.{i}")
+        _no_unknown_keys(v["control"], _BLOCK_KEYS["control"],
+                         f"vscs.{i}.control")
+        if v.get("pv"):
+            _no_unknown_keys(v["pv"], _BLOCK_KEYS["pv"], f"vscs.{i}.pv")
+    for i, e in enumerate(data["ac_edges"]):
+        _no_unknown_keys(e, _BLOCK_KEYS["ac_edge"], f"ac_edges.{i}")
+        for j, seg in enumerate(e["segments"]):
+            _no_unknown_keys(seg, _BLOCK_KEYS["segment"],
+                             f"ac_edges.{i}.segments.{j}")
+    for i, e in enumerate(data.get("dc_edges", [])):
+        _no_unknown_keys(e, _BLOCK_KEYS["dc_edge"], f"dc_edges.{i}")
+
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON-facing dictionary schema used by
     preset files and the command line.  Raises ValueError on a key it does
-    not read in ``base`` or in a VSC's ``control``."""
+    not read (``check_scenario_keys``)."""
+    check_scenario_keys(data)
     b = data["base"]
-    _no_unknown_keys(b, ("s_base_va", "v_base_ac_v", "v_base_dc_v",
-                         "f_base_hz"), "base")
     base = PerUnitBase(b["s_base_va"], b["v_base_ac_v"], b["v_base_dc_v"],
                        2.0 * math.pi * b["f_base_hz"])
     catalog = load_cable_catalog(data.get("cable_catalog"))
@@ -378,7 +422,6 @@ def config_from_dict(data: dict) -> SystemConfig:
                                   pv["v_base_dc_v"], base.omega_base)
             k_pv = convert_k_pv(pv["k_pv_pu"], pv_base, base)
         c = v["control"]
-        _no_unknown_keys(c, ("k_p", "k_d", "tau_kd_s"), f"control of {node}")
         vsc_params[node] = VscParams(
             v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
             k_pv, v.get("c_extra_f", 0.0))

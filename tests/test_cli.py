@@ -271,6 +271,22 @@ class TestArtifacts:
         assert json.loads((out / "error.json").read_text())["error"] \
             == "KeyError"
 
+    @pytest.mark.parametrize("parameter", ["base.bogus", "vscs.0.c_dcf"])
+    def test_sweep_unknown_scenario_key_exit_1(self, tmp_path, capsys,
+                                               parameter):
+        # a key no point can use fails the run before the first point
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"parameter": parameter, "values": [1.0, 2.0],
+                        "input": "p_load_load1", "output": "omega_vsc1"}})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and parameter.split(".")[-1] in err
+        assert not (out / "sweep.csv").exists()
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "ValueError"
+
     def test_spectrum_csv(self, tmp_path):
         cfg = write_config(tmp_path, {
             "scenario": "islanded_pv",
@@ -326,6 +342,14 @@ class TestSetFlag:
                      "--set", "bogus=1"]) == 1
         assert "bogus" in capsys.readouterr().err
         assert (out / "error.json").exists()
+
+    def test_misspelt_scenario_key_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out),
+                     "--set", "vscs.0.c_dcf=0.1"]) == 1
+        assert "c_dcf" in capsys.readouterr().err
+        assert not (out / "poles.csv").exists()
 
     def test_malformed_set(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})

@@ -26,6 +26,16 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 
 
+def benchmark_configs(monkeypatch):
+    """The presets and FeederStream(1) configs 0-23, the feeders that the
+    ``feeder`` benchmark draws for seed 1."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from feeder import FeederStream
+
+    return [_load_preset(name) for name in PRESETS] + \
+        list(itertools.islice(FeederStream(1), 24))
+
+
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False)
 
@@ -97,6 +107,97 @@ class TestRationalTF:
     def test_zero_den_rejected(self):
         with pytest.raises(ValueError):
             RationalTF(Polynomial([1.0]), Polynomial([0.0]))
+
+
+def simplify_reference(tf, tol=1e-7):
+    """``RationalTF.simplify`` as a Python match loop: each numerator root,
+    in order, cancels the first denominator root within tol still in the
+    list."""
+    if tf.num.is_zero():
+        return RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+    nr = list(tf.num.roots())
+    dr = list(tf.den.roots())
+    kept_n = []
+    for r in nr:
+        hit = None
+        for i, q in enumerate(dr):
+            if abs(r - q) <= tol * (1.0 + abs(r)):
+                hit = i
+                break
+        if hit is None:
+            kept_n.append(r)
+        else:
+            dr.pop(hit)
+    gain = tf.num.coeffs[-1] / tf.den.coeffs[-1]
+    return RationalTF(poly_from_roots(kept_n, leading=gain),
+                      poly_from_roots(dr, leading=1.0))
+
+
+def coeff_bytes(tf):
+    return (np.array(tf.num.coeffs).tobytes(),
+            np.array(tf.den.coeffs).tobytes())
+
+
+root_value = st.floats(min_value=-30, max_value=30, allow_nan=False,
+                       allow_infinity=False)
+#: A real root or a conjugate pair; the sampled values repeat across draws.
+root_group = st.one_of(
+    st.sampled_from([0.0, -1.0, -2.5]).map(lambda r: [r]),
+    root_value.map(lambda r: [r]),
+    st.tuples(root_value, st.floats(min_value=0.1, max_value=30)).map(
+        lambda p: [complex(*p), complex(p[0], -p[1])]))
+#: Relative offsets of a copied root: equal, clustered well inside
+#: simplify's 1e-7, at it, and beyond it.
+root_offset = st.sampled_from([0.0, 1e-12, 1e-9, 3e-8, 1e-7, 3e-7, 1e-5])
+
+
+@st.composite
+def tfs_with_common_roots(draw):
+    """num/den sharing perturbed copies of some roots, each side with
+    roots of its own; either side may have no roots at all."""
+    shared = draw(st.lists(root_group, max_size=4))
+    roots = []
+    for _ in range(2):
+        side = [r * (1.0 + d) + d for group in shared
+                for d in [draw(root_offset)] for r in group]
+        side += [r for group in draw(st.lists(root_group, max_size=3))
+                 for r in group]
+        roots.append(side)
+    leads = st.floats(min_value=0.1, max_value=10) | \
+        st.floats(min_value=-10, max_value=-0.1)
+    return RationalTF(poly_from_roots(roots[0], leading=draw(leads)),
+                      poly_from_roots(roots[1], leading=draw(leads)))
+
+
+class TestSimplify:
+    @given(tfs_with_common_roots())
+    @example(RationalTF.from_coeffs([2.0], [3.0]))
+    @example(RationalTF.from_coeffs([0.0], [1.0, 1.0]))
+    @example(RationalTF(poly_from_roots([-1.0] * 3), poly_from_roots(
+        [-1.0, -1.0, -2.0])))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_equal_to_match_loop(self, tf):
+        assert coeff_bytes(tf.simplify()) == \
+            coeff_bytes(simplify_reference(tf))
+
+    def test_build_bit_equal_to_match_loop(self, monkeypatch):
+        # the presets and the FeederStream(1) configs 0-23, order blow-ups
+        # included: the same model bits, or the same exception class
+        def outcome(data):
+            try:
+                ss = build(config_from_dict(data), check_network=False).ss
+            except ValueError as exc:
+                return type(exc)
+            return [M.tobytes() for M in (ss.A, ss.B, ss.C, ss.D)]
+
+        models = 0
+        for data in benchmark_configs(monkeypatch):
+            got = outcome(data)
+            with monkeypatch.context() as m:
+                m.setattr(RationalTF, "simplify", simplify_reference)
+                assert outcome(data) == got
+            models += isinstance(got, list)
+        assert models >= 20
 
 
 class TestStateSpace:
@@ -588,16 +689,6 @@ def feeder_outcome(gain, cfg, ss):
     return "ok" if resid <= DC_TOL else "mismatch"
 
 
-def zero_mode_bases_reference(A, k, shift):
-    """``_zero_mode_bases`` with A - shift I formed from an identity."""
-    M = A - shift * np.eye(A.shape[0])
-    V = W = np.random.default_rng(0).standard_normal((A.shape[0], k))
-    for _ in range(lti._INVERSE_STEPS):
-        V = np.linalg.qr(np.linalg.solve(M, V))[0]
-        W = np.linalg.qr(np.linalg.solve(M.T, W))[0]
-    return V, W
-
-
 def siso(A, B, C):
     return StateSpace(np.array(A, dtype=float), B, C, [[0.0]], ("u",), ("y",))
 
@@ -677,44 +768,53 @@ class TestDcGain:
         assert len(ok) == models
         assert ref_ok <= ok
 
-    def test_shifted_matrix_bit_equal_to_identity_form(self, monkeypatch):
-        # the presets and the feeders the benchmark analyses among
-        # FeederStream(1) configs 0-23: the solves see the bits of
-        # A - shift I, and dc_gain returns the bits it returned with them
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        from feeder import FeederStream
-
+    def test_bordered_null_bases_and_three_solves(self, monkeypatch):
+        # every model the benchmark analyses among the presets and the
+        # FeederStream(1) configs 0-23: orthonormal null bases within the
+        # zero-mode tolerance, at most three solves of order n or more
+        # (one without zero modes), and no more than two (n + k)^2 arrays
+        # alive besides A
         solve = np.linalg.solve
-        seen = []
+        orders = []
 
         def spy(a, b):
-            seen.append(a.tobytes())
+            orders.append(a.shape[0])
             return solve(a, b)
 
-        cfgs = [_load_preset(name) for name in PRESETS]
-        cfgs += itertools.islice(FeederStream(1), 24)
-        checked = 0
-        for data in cfgs:
+        checked = with_modes = 0
+        for data in benchmark_configs(monkeypatch):
             try:
                 ss = build(config_from_dict(data), check_network=False).ss
             except ValueError:
                 continue         # configs whose symbolic Kron reduction fails
-            k = zero_modes(ss)
-            if ss.n_states > 800 or k == 0:
-                continue         # the benchmark's order_blowup, or no shift
-            shift = 1e-3 * lti._zero_modes(ss.eigvals)[1]
-            M = ss.A - shift * np.eye(ss.n_states)
-            seen.clear()
-            with monkeypatch.context() as m:
-                m.setattr(np.linalg, "solve", spy)
-                lti._zero_mode_bases(ss.A, k, shift)
-            assert set(seen) == {M.tobytes(), M.T.tobytes()}
-            G = dc_gain(ss)
-            with monkeypatch.context() as m:
-                m.setattr(lti, "_zero_mode_bases", zero_mode_bases_reference)
-                assert G.tobytes() == dc_gain(ss).tobytes()
+            n = ss.n_states
+            if n > 800:
+                continue         # the benchmark's order_blowup
+            rho, tol, near_zero = lti._zero_modes(ss.eigvals)
+            k = int(np.count_nonzero(near_zero))
+            orders.clear()
+            tracemalloc.start()
+            try:
+                with monkeypatch.context() as m:
+                    m.setattr(np.linalg, "solve", spy)
+                    dc_gain(ss)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len([o for o in orders if o >= n]) <= (3 if k else 1)
+            assert peak <= 2 * (n + k) ** 2 * 8 + (1 << 20)
             checked += 1
-        assert checked >= 20
+            if k == 0:
+                continue
+            V, W = lti._zero_mode_bases(ss.A, k)
+            for X in (V, W):
+                assert X.shape == (n, k)
+                assert np.allclose(X.T @ X, np.eye(k), rtol=0, atol=1e-12)
+            bound = tol * max(1.0, rho)
+            assert np.linalg.norm(ss.A @ V) <= bound
+            assert np.linalg.norm(W.T @ ss.A) <= bound
+            with_modes += 1
+        assert checked >= 20 and with_modes >= 18
 
     def test_repeat_calls_bit_equal(self):
         ss = build(config_from_dict(_load_preset("parallel_ac_dc"))).ss

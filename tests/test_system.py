@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import acdcdyn.system as system
 from acdcdyn.lti import dc_gain
 from acdcdyn.network import AcEdge, HybridGraph, NodeKind
 from acdcdyn.system import (ImproperController, NoDroop,
@@ -118,6 +121,41 @@ class TestOverrides:
     def test_unknown_base_or_control_key(self, path):
         with pytest.raises(ValueError, match="unknown keys"):
             scenario_lvdc_async(overrides={path: 1.0})
+
+    @pytest.mark.parametrize("scenario, path, block", [
+        ("lvdc_async", "ratio_bound", "the scenario"),
+        ("lvdc_async", "sg.k_tgg", "sg"),
+        ("lvdc_async", "vscs.0.c_dcf", "vscs.0"),
+        ("islanded_pv", "vscs.0.pv.k_pv", "vscs.0.pv"),
+        ("lvdc_async", "ac_edges.2.l_extra", "ac_edges.2"),
+        ("lvdc_async", "ac_edges.2.segments.1.length",
+         "ac_edges.2.segments.1"),
+        ("lvdc_async", "dc_edges.0.r_dc", "dc_edges.0"),
+    ])
+    def test_unknown_key_in_any_block(self, scenario, path, block):
+        data = resolve_scenario(scenario)
+        system._deep_set(data, path, 1.0)
+        key = path.rsplit(".", 1)[-1]
+        with pytest.raises(ValueError,
+                           match=rf"unknown keys \['{key}'\] in {block}$"):
+            config_from_dict(data)
+
+    def test_presets_and_feeders_load_unchanged(self, monkeypatch):
+        # the descriptive keys of the presets and of the generated feeders
+        # pass, and the check changes no config
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from feeder import FeederStream
+
+        cfgs = [_load_preset(name) for name in
+                ("islanded_pv", "lvdc_async", "parallel_ac_dc")]
+        for seed in (0, 1):
+            cfgs += itertools.islice(FeederStream(seed), 72)
+        for data in cfgs:
+            cfg = config_from_dict(data)
+            with monkeypatch.context() as m:
+                m.setattr(system, "check_scenario_keys", lambda data: None)
+                assert config_from_dict(data) == cfg
 
 
 class TestConfigSurface:
