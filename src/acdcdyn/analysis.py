@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,9 +111,8 @@ def bound_islanded_kd(k_p: float, C_dc_pu: float = C_DC_PU_IMPLIED,
 
 def check_ratio_bounds(config: SystemConfig) -> dict:
     """Strict check k_d/k_p < bound for each VSC that ``config.ratio_bounds``
-    bounds, by VSC name.  The published bounds are conservative: failing
-    one does not imply instability, and in practice larger derivative
-    gains can be selected."""
+    bounds, by VSC name.  The bounds are published; not verified against
+    the model: a pass does not imply stability, nor a fail instability."""
     return {n: config.vsc[n].control.k_d / config.vsc[n].control.k_p < b
             for n, b in config.ratio_bounds.items()}
 

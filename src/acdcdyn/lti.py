@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -143,7 +143,10 @@ class RationalTF:
         return self.num.degree <= self.den.degree or self.num.is_zero()
 
     def __call__(self, s: complex) -> complex:
-        return tf_eval(self, s)
+        d = self.den(s)
+        if abs(d) < 1e-300:
+            raise PoleHit(f"denominator vanishes at s = {s}")
+        return self.num(s) / d
 
     def __add__(self, other: "RationalTF") -> "RationalTF":
         other = _as_tf(other)
@@ -167,9 +170,6 @@ class RationalTF:
         if other.num.is_zero():
             raise ZeroDivisionError("division by the zero transfer function")
         return RationalTF(self.num * other.den, self.den * other.num)
-
-    def __neg__(self) -> "RationalTF":
-        return (-1.0) * self
 
     def simplify(self, tol: float = 1e-7) -> "RationalTF":
         """Cancel numerator/denominator root pairs matching within relative tol
@@ -196,14 +196,6 @@ def _as_tf(x) -> RationalTF:
     if isinstance(x, RationalTF):
         return x
     return RationalTF.constant(float(x))
-
-
-def tf_eval(tf: RationalTF, s: complex) -> complex:
-    """Pointwise rational evaluation num(s)/den(s)."""
-    d = tf.den(s)
-    if abs(d) < 1e-300:
-        raise PoleHit(f"denominator vanishes at s = {s}")
-    return tf.num(s) / d
 
 
 # --------------------------------------------------------------------------
@@ -677,19 +669,14 @@ class TimeSeries:
         return float(self.t[1] - self.t[0])
 
 
-def _pade_coeffs(m: int) -> tuple[float, ...]:
-    """Coefficients b_0..b_m of the [m/m] Padé numerator of exp, scaled
-    so that b_m = 1: b_j = (2m - j)! / (j! (m - j)!)."""
-    f = math.factorial
-    return tuple(float(f(2 * m - j) // (f(j) * f(m - j)))
-                 for j in range(m + 1))
-
-
-#: The Padé degrees m of ``_expm`` and theta_m, the bound on 2^-s ||A||
-#: up to which the [m/m] approximant's backward error stays below the unit
-#: roundoff (Al-Mohy & Higham 2009, Table 3.1).
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0, 13: 4.25}
+#: The [13/13] Padé numerator of exp, b_j = (26 - j)! / (j! (13 - j)!), and
+#: theta_13, the largest 2^-s ||A|| at which its backward error stays below
+#: the unit roundoff (Al-Mohy & Higham 2009, Table 3.1).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 4.25
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -717,60 +704,37 @@ def _ell(A: np.ndarray, m: int) -> int:
     return max(math.ceil(math.log2(alpha / _UNIT_ROUNDOFF) / (2 * m)), 0)
 
 
-def _pade(A: np.ndarray, powers: dict[int, np.ndarray], m: int) -> np.ndarray:
-    """r_m(A) = (V - U)^-1 (V + U), with U the odd and V the even part of
-    the Padé numerator; ``powers`` maps 0, 2, 4, ... to I, A^2, A^4, ...
-
-    Evaluated as I + 2 (V - U)^-1 U, which keeps the relative accuracy of
-    r_m(A) - I: the squarings that follow amplify its error, which in the
-    form (V - U)^-1 (V + U) is relative to I.  On the step matrix of
-    ``parallel_ac_dc`` at dt = 10 ms (8 squarings) the two forms are off
-    from a 40-digit exponential by 5e-15 and 2.8e-13."""
-    b = _pade_coeffs(m)
-    if m == 13:        # Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005
-        A2, A4, A6 = powers[2], powers[4], powers[6]
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
-                 + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * powers[0])
-        V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
-             + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * powers[0])
-    else:
-        U = A @ sum(b[k + 1] * powers[k] for k in range(0, m, 2))
-        V = sum(b[k] * powers[k] for k in range(0, m, 2))
-    X = 2.0 * np.linalg.solve(V - U, U)
-    X[np.diag_indices_from(X)] += 1.0
-    return X
-
-
 def _expm(A: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with the Padé degree and
-    the scaling chosen from backward-error bounds: Al-Mohy & Higham, "A new
-    scaling and squaring algorithm for the matrix exponential", SIAM J.
-    Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1, with exact 1-norms of
-    the powers of A in place of norm estimates."""
+    """Matrix exponential by scaling and squaring: Al-Mohy & Higham, SIAM
+    J. Matrix Anal. Appl. 31(3), 2009, Algorithm 5.1 with exact 1-norms, at
+    Padé degree 13 only.  Every preset step matrix at dt = 1e-4 ... 1e-1
+    needs degree 13; on smaller ones the unscaled [13/13] approximant is as
+    accurate as a lower degree (within 6e-16 of SciPy at dt = 1e-7)."""
     n = A.shape[0]
-    I = np.eye(n)
     if n == 0:
-        return I
+        return np.eye(n)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A2 @ A4
-    powers = {0: I, 2: A2, 4: A4, 6: A6}
     d6 = _norm1(A6) ** (1.0 / 6.0)
-    eta = max(_norm1(A4) ** 0.25, d6)
-    for m in (3, 5):
-        if eta <= _THETA[m] and _ell(A, m) == 0:
-            return _pade(A, powers, m)
-    powers[8] = A8 = A4 @ A4
-    d8 = _norm1(A8) ** 0.125
-    eta = max(d6, d8)
-    for m in (7, 9):
-        if eta <= _THETA[m] and _ell(A, m) == 0:
-            return _pade(A, powers, m)
-    eta = min(eta, max(d8, _norm1(A4 @ A6) ** 0.1))
-    s = max(math.ceil(math.log2(eta / _THETA[13])), 0) if eta else 0
+    d8 = _norm1(A4 @ A4) ** 0.125
+    eta = min(max(d6, d8), max(d8, _norm1(A4 @ A6) ** 0.1))
+    s = max(math.ceil(math.log2(eta / _THETA13)), 0) if eta else 0
     s += _ell(A * 2.0 ** -s, 13)
-    scaled = {k: P * 2.0 ** (-k * s) for k, P in powers.items() if k <= 6}
-    X = _pade(A * 2.0 ** -s, scaled, 13)
+    A, A2, A4, A6 = (P * 2.0 ** (-k * s)
+                     for k, P in ((1, A), (2, A2), (4, A4), (6, A6)))
+    # r_13(A) = (V - U)^-1 (V + U), U and V the odd and even parts of the
+    # Padé numerator (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005), as
+    # I + 2 (V - U)^-1 U: that keeps the relative accuracy of r_13(A) - I,
+    # whose error the squarings amplify (on ``parallel_ac_dc`` at dt = 10 ms:
+    # 5e-15 against 2.8e-13 off a 40-digit exponential).
+    b, I = _PADE13, np.eye(n)
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
+    X = 2.0 * np.linalg.solve(V - U, U)
+    X[np.diag_indices_from(X)] += 1.0
     for _ in range(s):
         X = X @ X
     return X

@@ -244,9 +244,10 @@ def ac_laplacian_tfs(g: HybridGraph) -> list[list[RationalTF]]:
     return L
 
 
-def assemble_ac_laplacian(g: HybridGraph, s: complex):
-    """Evaluate the weighted AC Laplacian at s and return it together with the
-    conversion/load block partition {L_conv, L_conv_load, L_load_conv, L_load}."""
+def assemble_ac_laplacian(g: HybridGraph, s: complex) -> np.ndarray:
+    """The weighted AC Laplacian at s, over ``g.ac_names``: conversion
+    nodes first, so that with nc of them ``L[nc:, nc:]`` is the load block
+    that ``kron_reduce`` eliminates."""
     names = g.ac_names
     idx = {n: i for i, n in enumerate(names)}
     L = np.zeros((len(names), len(names)), dtype=complex)
@@ -260,10 +261,7 @@ def assemble_ac_laplacian(g: HybridGraph, s: complex):
         L[j, j] += w
         L[i, j] -= w
         L[j, i] -= w
-    nc = len(g.conv_names)
-    blocks = {"L_conv": L[:nc, :nc], "L_conv_load": L[:nc, nc:],
-              "L_load_conv": L[nc:, :nc], "L_load": L[nc:, nc:]}
-    return L, blocks
+    return L
 
 
 def assemble_dc_laplacian(g: HybridGraph, s: complex):
@@ -360,8 +358,7 @@ def kron_reduce_sequential(L: np.ndarray, n_conv: int):
     return M, -W
 
 
-def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int,
-                         tol: float = 1e-7):
+def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int):
     """Sequential scalar-pivot elimination with rational arithmetic; common
     factors are cancelled by root matching after each update.
 
@@ -381,16 +378,16 @@ def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int,
         for i in range(e):
             if M[i][e].num.is_zero():
                 continue
-            f = (M[i][e] / piv).simplify(tol)
+            f = (M[i][e] / piv).simplify()
             for j in range(e):
                 if not M[e][j].num.is_zero():
-                    M[i][j] = (M[i][j] - f * M[e][j]).simplify(tol)
+                    M[i][j] = (M[i][j] - f * M[e][j]).simplify()
             for c in range(n - n_conv):
                 if not W[e][c].num.is_zero():
-                    W[i][c] = (W[i][c] - f * W[e][c]).simplify(tol)
+                    W[i][c] = (W[i][c] - f * W[e][c]).simplify()
         M = [row[:e] for row in M[:e]]
         W = W[:e]
-    G_load = [[(-1.0 * w).simplify(tol) for w in row] for row in W]
+    G_load = [[(-1.0 * w).simplify() for w in row] for row in W]
     return M, G_load
 
 

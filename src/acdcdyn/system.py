@@ -68,7 +68,6 @@ class SystemConfig:
 @dataclass(frozen=True)
 class ClosedLoopModel:
     ss: StateSpace
-    config: SystemConfig
     network_verdict: str = ""
 
 
@@ -196,7 +195,7 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                 conns += [(f"pv_{n}.v", f"cap_{n}.v", 1.0),
                           (f"cap_{n}.p", f"pv_{n}.p", 1.0)]
                 ext_out.append((f"p_pv_{n}", f"pv_{n}.p"))
-            if has_dc and n in g.dc_names:
+            if has_dc:
                 conns += [(f"dcnet.v_{n}", f"cap_{n}.v", 1.0),
                           (f"cap_{n}.p", f"dcnet.p_{n}", -1.0)]
                 ext_out.append((f"p_dc_{n}", f"dcnet.p_{n}"))
@@ -219,7 +218,7 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
     ss = compose(blocks, conns, ext_inputs, [ch for _, ch in ext_out])
     ss = StateSpace(ss.A, ss.B, ss.C, ss.D, ss.input_names,
                     tuple(name for name, _ in ext_out))
-    return ClosedLoopModel(ss, config, verdict)
+    return ClosedLoopModel(ss, verdict)
 
 
 # --------------------------------------------------------------------------
@@ -315,10 +314,8 @@ def nominal_dc_dispatch(config: SystemConfig) -> dict:
         vk = config.graph.v_dc_star[e.k]
         p_nk = vn * (vn - vk) / e.r_dc / config.base.S_base
         flows[(e.n, e.k)] = p_nk
-        if e.n in p_ac:
-            p_ac[e.n] -= p_nk
-        if e.k in p_ac:
-            p_ac[e.k] -= vk * (vk - vn) / e.r_dc / config.base.S_base
+        p_ac[e.n] -= p_nk
+        p_ac[e.k] -= vk * (vk - vn) / e.r_dc / config.base.S_base
     return {"edge_flows": flows, "p_ac": p_ac}
 
 
@@ -501,27 +498,40 @@ def _scenario(name: str, overrides: dict | None = None,
     return config_from_dict(resolve_scenario(data, overrides))
 
 
+def _targets(items: list, key: str, what: str) -> list:
+    if not items:
+        raise KeyError(f"override {key!r}: the scenario has no {what}")
+    return items
+
+
 def _apply_simple_override(data: dict, key: str, value):
     """Ergonomic overrides: k_p/k_d/tau_kd (all VSCs), k_p_1/k_d_1/tau_kd_1
-    (i-th VSC), v_dc_star_pu (tuple over VSCs), r_dc/l_dc (all DC edges)."""
+    (i-th VSC from 1), v_dc_star_pu (one value per VSC), r_dc/l_dc (all DC
+    edges); KeyError for an unknown name or one that reaches no element."""
     vscs = data.get("vscs", [])
     gains = {"k_p": "k_p", "k_d": "k_d", "tau_kd": "tau_kd_s"}
     if key in gains:
-        for v in vscs:
+        for v in _targets(vscs, key, "VSC"):
             v["control"][gains[key]] = value
         return
     for g, js in gains.items():
         if key.startswith(g + "_"):
-            i = int(key[len(g) + 1:]) - 1
-            vscs[i]["control"][js] = value
+            i = key[len(g) + 1:]
+            if not (i.isdecimal() and 1 <= int(i) <= len(vscs)):
+                raise KeyError(f"override {key!r}: the scenario has "
+                               f"{len(vscs)} VSCs, numbered from 1")
+            vscs[int(i) - 1]["control"][js] = value
             return
     if key == "v_dc_star_pu":
         vb = data["base"]["v_base_dc_v"]
+        if len(value) != len(_targets(vscs, key, "VSC")):
+            raise ValueError(f"v_dc_star_pu gives {len(value)} values for "
+                             f"{len(vscs)} VSCs")
         for v, pu in zip(vscs, value):
             v["v_dc_star_v"] = pu * vb
         return
     if key in ("r_dc", "l_dc"):
-        for e in data.get("dc_edges", []):
+        for e in _targets(data.get("dc_edges", []), key, "DC edge"):
             e["r_ohm" if key == "r_dc" else "l_h"] = value
         return
     raise KeyError(f"unknown override {key!r}")

@@ -343,6 +343,26 @@ class TestSetFlag:
         assert "bogus" in capsys.readouterr().err
         assert (out / "error.json").exists()
 
+    @pytest.mark.parametrize("scenario, item, message", [
+        ("lvdc_async", "k_d_0=0.5", "has 2 VSCs"),
+        ("lvdc_async", "k_d_3=0.5", "has 2 VSCs"),
+        ("lvdc_async", "tau_kd_-1=0.01", "has 2 VSCs"),
+        ("lvdc_async", "k_p_x=0.05", "has 2 VSCs"),
+        ("lvdc_async", "v_dc_star_pu=[1.01]", "1 values for 2 VSCs"),
+        ("lvdc_async", "v_dc_star_pu=[1.01,1.0,0.99]", "3 values for 2"),
+        ("islanded_pv", "r_dc=0.5", "no DC edge"),
+        ("islanded_pv", "l_dc=0.001", "no DC edge")])
+    def test_named_override_that_misses_exit_1(self, tmp_path, capsys,
+                                               scenario, item, message):
+        # an index that is not one of 1..n, a list of another length, or a
+        # scenario without the element: no VSC or edge is silently left out
+        cfg = write_config(tmp_path, {"scenario": scenario})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out),
+                     "--set", item]) == 1
+        assert message in capsys.readouterr().err
+        assert not (out / "poles.csv").exists()
+
     def test_misspelt_scenario_key_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
         out = tmp_path / "o"

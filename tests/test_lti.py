@@ -19,21 +19,17 @@ from acdcdyn.lti import (AlgebraicLoop, ImproperTF, NoDcGain, PoleHit,
                          StateSpace, TimeSeries, TooShort, UnstableWarning,
                          compose, dc_gain, fft_magnitude, freq_response,
                          integrator, poles, poly_from_roots, series,
-                         step_response, tf_eval, tf_to_ss)
+                         step_response, tf_to_ss)
 from acdcdyn.system import build, config_from_dict, _load_preset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 
 
-def benchmark_configs(monkeypatch):
-    """The presets and FeederStream(1) configs 0-23, the feeders that the
-    ``feeder`` benchmark draws for seed 1."""
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    from feeder import FeederStream
-
-    return [_load_preset(name) for name in PRESETS] + \
-        list(itertools.islice(FeederStream(1), 24))
+def benchmark_builds(unpatched_builds):
+    """The cached builds of the presets and the FeederStream(1) configs 0-23,
+    the feeders that the ``feeder`` benchmark draws for seed 1."""
+    return unpatched_builds["presets"] + unpatched_builds["feeders"][:24]
 
 
 coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
@@ -79,9 +75,9 @@ class TestPolynomial:
 class TestRationalTF:
     def test_eval_and_pole_hit(self):
         g = RationalTF.from_coeffs([1.0], [1.0, 1.0])  # 1/(s+1)
-        assert tf_eval(g, 0.0) == pytest.approx(1.0)
+        assert g(0.0) == pytest.approx(1.0)
         with pytest.raises(PoleHit):
-            tf_eval(g, -1.0)
+            g(-1.0)
 
     def test_arithmetic_pointwise(self):
         a = RationalTF.from_coeffs([1.0], [1.0, 1.0])
@@ -180,19 +176,28 @@ class TestSimplify:
         assert coeff_bytes(tf.simplify()) == \
             coeff_bytes(simplify_reference(tf))
 
-    def test_build_bit_equal_to_match_loop(self, monkeypatch):
+    def test_build_bit_equal_to_match_loop(self, monkeypatch,
+                                           unpatched_builds):
         # the presets and the FeederStream(1) configs 0-23, order blow-ups
         # included: the same model bits, or the same exception class
+        def model_bytes(ss):
+            return [M.tobytes() for M in (ss.A, ss.B, ss.C, ss.D)]
+
         def outcome(data):
             try:
                 ss = build(config_from_dict(data), check_network=False).ss
             except ValueError as exc:
                 return type(exc)
-            return [M.tobytes() for M in (ss.A, ss.B, ss.C, ss.D)]
+            return model_bytes(ss)
 
         models = 0
-        for data in benchmark_configs(monkeypatch):
-            got = outcome(data)
+        for data, cached in benchmark_builds(unpatched_builds):
+            if isinstance(cached, StateSpace):
+                got = model_bytes(cached)
+            elif cached is None:     # a blow-up, which the cache does not keep
+                got = outcome(data)
+            else:
+                got = cached
             with monkeypatch.context() as m:
                 m.setattr(RationalTF, "simplify", simplify_reference)
                 assert outcome(data) == got
@@ -600,18 +605,11 @@ class TestPoles:
                                                               ss.eigvals))
         assert np.count_nonzero(mask) == zero_modes(ss)
 
-    def test_feeders_match_svd_reference(self, monkeypatch):
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        from feeder import FeederStream
-
+    def test_feeders_match_svd_reference(self, unpatched_builds):
         counts = []
-        for data in itertools.islice(FeederStream(1), 72):
-            try:
-                ss = build(config_from_dict(data), check_network=False).ss
-            except ValueError:
-                continue         # configs whose symbolic Kron reduction fails
-            if ss.n_states > 800:
-                continue         # the benchmark's order_blowup
+        for _, ss in unpatched_builds["feeders"]:
+            if not isinstance(ss, StateSpace):
+                continue         # failed symbolic Kron reductions, blow-ups
             mask = lti._eig_structural_mask(ss.A, ss.eigvals)
             assert np.array_equal(
                 mask, structural_mask_reference(ss.A, ss.eigvals))
@@ -743,22 +741,16 @@ class TestDcGain:
         G, ref = dc_gain(ss), dc_gain_reference(ss)
         assert np.all(np.abs(G - ref) <= 1e-6 * (1.0 + np.abs(ref)))
 
-    def test_feeder_gains_ok_and_cover_schur_reference(self, monkeypatch):
+    def test_feeder_gains_ok_and_cover_schur_reference(self,
+                                                       unpatched_builds):
         # every model the benchmark analyses agrees with the static steady
         # state; the Schur deflation does so only on some of them
-        monkeypatch.syspath_prepend(str(PERFBENCH))
-        from feeder import FeederStream
-
         ok, ref_ok = set(), set()
         models = 0
-        for i, data in enumerate(itertools.islice(FeederStream(1), 24)):
+        for i, (data, ss) in enumerate(unpatched_builds["feeders"][:24]):
+            if not isinstance(ss, StateSpace):
+                continue         # failed symbolic Kron reductions, blow-ups
             cfg = config_from_dict(data)
-            try:
-                ss = build(cfg, check_network=False).ss
-            except ValueError:
-                continue         # configs whose symbolic Kron reduction fails
-            if ss.n_states > 800:
-                continue         # the benchmark's order_blowup
             models += 1
             if feeder_outcome(dc_gain, cfg, ss) == "ok":
                 ok.add(i)
@@ -768,7 +760,8 @@ class TestDcGain:
         assert len(ok) == models
         assert ref_ok <= ok
 
-    def test_bordered_null_bases_and_three_solves(self, monkeypatch):
+    def test_bordered_null_bases_and_three_solves(self, monkeypatch,
+                                                  unpatched_builds):
         # every model the benchmark analyses among the presets and the
         # FeederStream(1) configs 0-23: orthonormal null bases within the
         # zero-mode tolerance, at most three solves of order n or more
@@ -782,14 +775,10 @@ class TestDcGain:
             return solve(a, b)
 
         checked = with_modes = 0
-        for data in benchmark_configs(monkeypatch):
-            try:
-                ss = build(config_from_dict(data), check_network=False).ss
-            except ValueError:
-                continue         # configs whose symbolic Kron reduction fails
+        for _, ss in benchmark_builds(unpatched_builds):
+            if not isinstance(ss, StateSpace):
+                continue         # failed symbolic Kron reductions, blow-ups
             n = ss.n_states
-            if n > 800:
-                continue         # the benchmark's order_blowup
             rho, tol, near_zero = lti._zero_modes(ss.eigvals)
             k = int(np.count_nonzero(near_zero))
             orders.clear()
@@ -995,23 +984,13 @@ class TestExpm:
     def test_zero_matrix_gives_identity(self, n):
         assert np.array_equal(lti._expm(np.zeros((n, n))), np.eye(n))
 
-    @pytest.mark.parametrize("t, degree", [
-        (0.01, 3), (0.2, 5), (0.9, 7), (2.0, 9), (3.0, 13), (100.0, 13)])
-    def test_each_pade_degree(self, monkeypatch, t, degree):
-        # t J with J^2 = -I: ||(tJ)^k||^(1/k) = t picks the degree
-        degrees = []
-        pade = lti._pade
-
-        def spy(A, powers, m):
-            degrees.append(m)
-            return pade(A, powers, m)
-
-        monkeypatch.setattr(lti, "_pade", spy)
+    @pytest.mark.parametrize("t", [0.01, 0.2, 0.9, 2.0, 3.0, 100.0])
+    def test_rotation_generator(self, t):
+        # t J with J^2 = -I: exp(t J) is the rotation by t
         A = np.array([[0.0, t], [-t, 0.0]])
         exact = np.array([[math.cos(t), math.sin(t)],
                           [-math.sin(t), math.cos(t)]])
         X = lti._expm(A)
-        assert degrees == [degree]
         assert norm1(X - exact) <= 1e-14 * max(1.0, t)
         assert norm1(X - expm(A)) <= 1e-14 * max(1.0, t)
 

@@ -91,6 +91,19 @@ class TestOverrides:
         cfg = scenario_lvdc_async(k_p_1=0.04, overrides={"k_p": 0.03})
         assert cfg.vsc["vsc1"].control.k_p == 0.03
 
+    @pytest.mark.parametrize("key", ["k_p", "k_d", "tau_kd", "k_d_1",
+                                     "v_dc_star_pu"])
+    def test_named_override_without_a_vsc(self, key):
+        no_vsc = {**_load_preset("islanded_pv"), "vscs": []}
+        with pytest.raises(KeyError, match="VSC"):
+            resolve_scenario(no_vsc, {key: [] if key == "v_dc_star_pu"
+                                      else 0.01})
+
+    @pytest.mark.parametrize("value", [(1.01,), (1.01, 1.0, 0.99)])
+    def test_setpoint_pu_length_mismatch(self, value):
+        with pytest.raises(ValueError, match="2 VSCs"):
+            scenario_lvdc_async(v_dc_star_pu=value)
+
     def test_resolve_unknown_named_gain(self):
         with pytest.raises(KeyError):
             resolve_scenario("lvdc_async", {"bogus": 1})
