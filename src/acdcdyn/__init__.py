@@ -13,8 +13,7 @@ from .lti import (AlgebraicLoop, FrequencyResponse, ImproperTF, NoDcGain,
                   NumericFailure, Pole, PoleHit, Polynomial, RationalTF,
                   SingularAtFrequency, Spectrum, StateSpace, TimeSeries,
                   TooShort, UnstableWarning, compose, dc_gain, fft_magnitude,
-                  freq_response, integrator, poles, series, step_response,
-                  tf_to_ss)
+                  freq_response, integrator, poles, step_response, tf_to_ss)
 from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                     convert_k_pv, gfm_ctrl_tf, governor_droop_tf, sm_tf,
                     vsc_dclink_tf)

@@ -25,8 +25,6 @@ C_DC_PU_IMPLIED = 9.9040 * 3.4581 / 4.0
 
 @dataclass(frozen=True)
 class BodeTable:
-    input: str
-    output: str
     f_hz: np.ndarray
     mag_db: np.ndarray
     phase_deg: np.ndarray
@@ -42,14 +40,8 @@ class StabilityResult:
 class SweepPoint:
     params: dict
     stable: bool | None
-    damping: float | None                 # dominant non-structural pole
     peaks: dict                           # (input, output) -> (f_hz, mag_db)
     error: str = ""
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    points: tuple[SweepPoint, ...]
 
 
 def _model_ss(model) -> StateSpace:
@@ -75,7 +67,7 @@ def bode(model, input: str, output: str,
     h = fr.channel(input, output)
     mag_db = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(np.unwrap(np.angle(h)))
-    return BodeTable(input, output, f, mag_db, phase)
+    return BodeTable(f, mag_db, phase)
 
 
 def stability(model) -> StabilityResult:
@@ -163,12 +155,9 @@ def resonance_peak(table: BodeTable) -> tuple[float, float]:
     return interior_peak(table.f_hz, table.mag_db)
 
 
-def sweep(builder, grids: dict, channels,
-          f_min: float = 1e-2 / (2.0 * math.pi),
-          f_max: float = 1e4 / (2.0 * math.pi),
-          points: int = 400) -> SweepResult:
-    """Evaluate stability and per-channel resonance metrics over the
-    Cartesian product of parameter grids.
+def sweep(builder, grids: dict, channels) -> tuple[SweepPoint, ...]:
+    """Evaluate stability and per-channel resonance metrics, over the band
+    of ``bode``, at each point of the Cartesian product of parameter grids.
 
     `builder` maps keyword parameters to a SystemConfig or ClosedLoopModel.
     Points are independent: a NumericFailure or ValueError of one point is
@@ -188,14 +177,13 @@ def sweep(builder, grids: dict, channels,
             verdict = stability(model)
             peaks = {}
             for cin, cout in channels:
-                table = bode(model, cin, cout, f_min, f_max, points)
+                table = bode(model, cin, cout)
                 try:
                     peaks[(cin, cout)] = resonance_peak(table)
                 except NoInteriorPeak:
                     peaks[(cin, cout)] = (math.nan, math.nan)
-            out.append(SweepPoint(params, verdict.stable,
-                                  dominant_damping(verdict), peaks))
+            out.append(SweepPoint(params, verdict.stable, peaks))
         except (NumericFailure, ValueError) as exc:
-            out.append(SweepPoint(params, None, None, {},
+            out.append(SweepPoint(params, None, {},
                                   f"{type(exc).__name__}: {exc}"))
-    return SweepResult(tuple(out))
+    return tuple(out)

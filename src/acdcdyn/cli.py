@@ -232,11 +232,11 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         if len(values):
             check_scenario_keys(resolve_scenario(scenario,
                                                  {param: values[0]}))
-        res = analysis.sweep(
+        points = analysis.sweep(
             lambda **kw: config_from_dict(resolve_scenario(scenario, kw)),
             {param: values}, [channel])
         rows = []
-        for pt in res.points:
+        for pt in points:
             if pt.error:
                 rows.append((pt.params[param], "", "", "", pt.error))
             else:

@@ -119,6 +119,10 @@ def poly_from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomia
     return Polynomial(np.real(c)[::-1] * leading)
 
 
+#: ``RationalTF.simplify`` cancels roots z, p with |z - p| <= tol (1 + |z|).
+SIMPLIFY_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class RationalTF:
     """Scalar transfer function num(s)/den(s) with real coefficients."""
@@ -171,17 +175,17 @@ class RationalTF:
             raise ZeroDivisionError("division by the zero transfer function")
         return RationalTF(self.num * other.den, self.den * other.num)
 
-    def simplify(self, tol: float = 1e-7) -> "RationalTF":
-        """Cancel numerator/denominator root pairs matching within relative tol
-        and normalize the denominator to be monic."""
+    def simplify(self) -> "RationalTF":
+        """Cancel numerator/denominator root pairs that match within
+        ``SIMPLIFY_TOL`` and normalize the denominator to be monic."""
         if self.num.is_zero():
             return RationalTF(Polynomial([0.0]), Polynomial([1.0]))
         nr = self.num.roots()
         dr = self.den.roots()
         gain = self.num.coeffs[-1] / self.den.coeffs[-1]
         # each numerator root, in order, cancels the first denominator root
-        # within tol that an earlier one has not taken
-        bound = tol * (1.0 + np.abs(nr))
+        # within tolerance that an earlier one has not taken
+        bound = SIMPLIFY_TOL * (1.0 + np.abs(nr))
         match = np.abs(nr[:, None] - dr) <= bound[:, None]
         keep_n = np.ones(nr.size, dtype=bool)
         keep_d = np.ones(dr.size, dtype=bool)
@@ -545,19 +549,6 @@ def compose(blocks: Mapping[str, StateSpace | EntrywiseBlock],
                       tuple(external_inputs), tuple(external_outputs))
 
 
-def series(first: StateSpace, second: StateSpace) -> StateSpace:
-    """SISO-channel chain: every output of ``first`` feeds the matching input
-    position of ``second``."""
-    if first.n_outputs != second.n_inputs:
-        raise ValueError("dimension mismatch in series connection")
-    conns = [(f"b.{ci}", f"a.{co}", 1.0)
-             for co, ci in zip(first.output_names, second.input_names)]
-    conns += [(f"a.{c}", c, 1.0) for c in first.input_names]
-    return compose({"a": first, "b": second}, conns,
-                   list(first.input_names),
-                   [f"b.{c}" for c in second.output_names])
-
-
 # --------------------------------------------------------------------------
 # analysis primitives
 # --------------------------------------------------------------------------
@@ -893,10 +884,6 @@ def dc_gain(ss: StateSpace) -> np.ndarray:
 class Spectrum:
     freq_hz: np.ndarray
     magnitude: np.ndarray
-
-    def peak(self) -> tuple[float, float]:
-        i = int(np.argmax(self.magnitude))
-        return float(self.freq_hz[i]), float(self.magnitude[i])
 
 
 def fft_magnitude(ts: TimeSeries, channel: str) -> Spectrum:

@@ -112,12 +112,12 @@ def dc_loss_tf(e: DcEdge, dv_star: float) -> RationalTF:
 class HybridGraph:
     """Typed hybrid AC/DC network with its linearization operating point.
 
-    AC node order is normalized so load nodes come last; VSC nodes appear in
-    both node sets under the same name.
+    AC node order is normalized so load nodes come last.  The DC nodes are
+    the VSC nodes, in AC order: every VSC has a DC terminal, and only VSCs
+    do.
     """
 
     ac_nodes: tuple[tuple[str, NodeKind], ...]
-    dc_nodes: tuple[tuple[str, NodeKind], ...]
     ac_edges: tuple[AcEdge, ...]
     dc_edges: tuple[DcEdge, ...]
     V_ac_star: float
@@ -126,17 +126,12 @@ class HybridGraph:
 
     def __post_init__(self):
         ac = [(str(n), k) for n, k in self.ac_nodes]
-        dc = [(str(n), k) for n, k in self.dc_nodes]
         conv = [(n, k) for n, k in ac if k is not NodeKind.LOAD_AC]
         load = [(n, k) for n, k in ac if k is NodeKind.LOAD_AC]
         for n, k in conv:
             if k not in _CONV_KINDS:
                 raise ValueError(f"invalid AC node kind for {n}: {k}")
-        for n, k in dc:
-            if k is not NodeKind.VSC:
-                raise ValueError(f"invalid DC node kind for {n}: {k}")
         object.__setattr__(self, "ac_nodes", tuple(conv + load))
-        object.__setattr__(self, "dc_nodes", tuple(dc))
         object.__setattr__(self, "ac_edges", tuple(self.ac_edges))
         object.__setattr__(self, "dc_edges", tuple(self.dc_edges))
         if self.V_ac_star <= 0 or self.omega_star <= 0:
@@ -144,14 +139,9 @@ class HybridGraph:
         if load and not conv:
             raise ValueError("load nodes need at least one conversion node")
         kinds = dict(self.ac_nodes)
-        names = set(kinds)
-        dc_names = {n for n, _ in self.dc_nodes}
-        vsc_ac = {n for n, k in self.ac_nodes if k is NodeKind.VSC}
-        vsc_dc = {n for n, k in self.dc_nodes if k is NodeKind.VSC}
-        if vsc_ac != vsc_dc:
-            raise ValueError("VSC nodes must appear in both node sets")
+        dc_names = self.dc_names
         for e in self.ac_edges:
-            if e.n not in names or e.k not in names:
+            if e.n not in kinds or e.k not in kinds:
                 raise ValueError(f"AC edge references unknown node {e.n}/{e.k}")
             for end, lv, rv in ((e.n, e.l_virt_n, e.r_virt_n),
                                 (e.k, e.l_virt_k, e.r_virt_k)):
@@ -166,8 +156,7 @@ class HybridGraph:
                 raise ValueError(f"missing DC setpoint for node {n}")
             if self.v_dc_star[n] <= 0:
                 raise ValueError(f"DC setpoint of node {n} must be positive")
-        nodes = dict.fromkeys(self.ac_names + self.dc_names)
-        if len(_components(nodes, self.ac_edges + self.dc_edges)) != 1:
+        if len(_components(kinds, self.ac_edges + self.dc_edges)) != 1:
             raise ValueError("hybrid graph must be connected")
 
     # -- node bookkeeping ---------------------------------------------------
@@ -185,8 +174,12 @@ class HybridGraph:
         return [n for n, k in self.ac_nodes if k is NodeKind.LOAD_AC]
 
     @property
+    def dc_nodes(self) -> tuple[tuple[str, NodeKind], ...]:
+        return tuple((n, k) for n, k in self.ac_nodes if k is NodeKind.VSC)
+
+    @property
     def dc_names(self) -> list[str]:
-        return [n for n, _ in self.dc_nodes]
+        return [n for n, k in self.ac_nodes if k is NodeKind.VSC]
 
     def incidence_ac(self) -> np.ndarray:
         idx = {n: i for i, n in enumerate(self.ac_names)}
@@ -414,9 +407,9 @@ def check_assumption1(g: HybridGraph) -> LoadBlockVerdict:
 
     Two structural sufficient conditions are tested first: a uniform
     inductive-resistive ratio per AC area, and no adjacent load nodes.  They
-    stay because they settle the common networks without computing a root,
-    and because their verdict ``holds_trivially`` and its reason are part of
-    the ``check`` command's output.
+    stay because they settle the common networks without computing a root.
+    Their verdict is ``holds_trivially``, and ``reason`` names the shortcut;
+    the ``check`` command writes only the verdict.
 
     Otherwise the zeros are the eigenvalues of one matrix, the zero dynamics
     of a minimal realization of L_L(s):

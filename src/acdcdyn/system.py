@@ -329,13 +329,26 @@ def _load_preset(name: str) -> dict:
     return json.loads(text)
 
 
-def _deep_set(data: dict, dotted: str, value):
-    keys = [int(k) if k.lstrip("-").isdigit() else k
-            for k in dotted.split(".")]
-    d = data
-    for k in keys[:-1]:
-        d = d[k]
-    d[keys[-1]] = value
+def _deep_set(data: dict, path: str, value, override: str = "",
+              item: str = "item"):
+    """Set the value at a dotted path.  Every segment but the last must
+    exist and a list index must be a decimal below the list's length, or
+    KeyError names the override, the segment and a list's length."""
+    name = f"{override!r} ({path})" if override else repr(path)
+    segs = path.split(".")
+    d, where = data, "the scenario"
+    for depth, seg in enumerate(segs, start=1):
+        if isinstance(d, list):
+            if not (seg.isdecimal() and int(seg) < len(d)):
+                raise KeyError(f"override {name}: {where} has {len(d)} "
+                               f"{item}s, no index {seg!r}")
+            seg = int(seg)
+        elif not isinstance(d, dict) or (depth < len(segs) and seg not in d):
+            raise KeyError(f"override {name}: {where} has no {seg!r}")
+        if depth == len(segs):
+            d[seg] = value
+        else:
+            d, where = d[seg], ".".join(segs[:depth])
 
 
 def _no_unknown_keys(block: dict, known: tuple, where: str) -> None:
@@ -460,20 +473,57 @@ def config_from_dict(data: dict) -> SystemConfig:
             l = e["l_h"]
         dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
-    dc_nodes = [(n, NodeKind.VSC) for n in vsc_params]
-    graph = HybridGraph(tuple(ac_nodes), tuple(dc_nodes), tuple(ac_edges),
-                        tuple(dc_edges), b["v_base_ac_v"], base.omega_base,
-                        v_dc_star)
+    graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges), tuple(dc_edges),
+                        b["v_base_ac_v"], base.omega_base, v_dc_star)
     return SystemConfig(graph, base, sg_params, vsc_params,
                         dict(data.get("ratio_bounds") or {}))
+
+
+#: Named gains: name -> (the list it reaches, what one item of that list
+#: is called, the path it sets in every item).  ``k_p_<i>``, ``k_d_<i>``
+#: and ``tau_kd_<i>`` set the i-th VSC only, counted from 1, and
+#: ``v_dc_star_pu`` gives one p.u. value per VSC.
+NAMED_GAINS = {
+    "k_p": ("vscs", "VSC", "control.k_p"),
+    "k_d": ("vscs", "VSC", "control.k_d"),
+    "tau_kd": ("vscs", "VSC", "control.tau_kd_s"),
+    "v_dc_star_pu": ("vscs", "VSC", "v_dc_star_v"),
+    "r_dc": ("dc_edges", "DC edge", "r_ohm"),
+    "l_dc": ("dc_edges", "DC edge", "l_h"),
+}
+
+
+def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
+    """The item name of a named gain's list and the (dotted path, value)
+    pairs it sets.  KeyError for an unknown name or an empty list,
+    ValueError for a ``v_dc_star_pu`` of another length than the VSCs."""
+    name, index = key, None
+    if key not in NAMED_GAINS:
+        name, _, index = key.rpartition("_")
+        if name not in ("k_p", "k_d", "tau_kd"):
+            raise KeyError(f"unknown override {key!r}")
+    items, item, path = NAMED_GAINS[name]
+    n = len(data.get(items) or [])
+    if n == 0:
+        raise KeyError(f"override {key!r}: the scenario has no {item}")
+    if index is not None:
+        i = int(index) - 1 if index.isdecimal() else index
+        return item, [(f"{items}.{i}.{path}", value)]
+    values = [value] * n
+    if name == "v_dc_star_pu":
+        if len(value) != n:
+            raise ValueError(f"v_dc_star_pu gives {len(value)} values for "
+                             f"{n} VSCs")
+        values = [pu * data["base"]["v_base_dc_v"] for pu in value]
+    return item, [(f"{items}.{i}.{path}", v) for i, v in enumerate(values)]
 
 
 def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
     """The dict that ``config_from_dict`` reads: a preset by name or a copy
     of an inline scenario, with ``overrides`` applied in order.  A key with
     a dot, a key the scenario has, or one of ``SCENARIO_KEYS`` is a dotted
-    path (``_deep_set``); any other key is a named gain (KeyError if
-    unknown)."""
+    path; any other key is a named gain (``NAMED_GAINS``), which expands to
+    dotted paths.  ``_deep_set`` writes every path."""
     if isinstance(scenario, str):
         try:
             data = _load_preset(scenario)
@@ -487,7 +537,9 @@ def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
         if "." in key or key in data or key in SCENARIO_KEYS:
             _deep_set(data, key, value)
         else:
-            _apply_simple_override(data, key, value)
+            item, paths = _named_gain_paths(data, key, value)
+            for path, v in paths:
+                _deep_set(data, path, v, key, item)
     return data
 
 
@@ -496,45 +548,6 @@ def _scenario(name: str, overrides: dict | None = None,
     data = resolve_scenario(
         name, {k: v for k, v in named.items() if v is not None})
     return config_from_dict(resolve_scenario(data, overrides))
-
-
-def _targets(items: list, key: str, what: str) -> list:
-    if not items:
-        raise KeyError(f"override {key!r}: the scenario has no {what}")
-    return items
-
-
-def _apply_simple_override(data: dict, key: str, value):
-    """Ergonomic overrides: k_p/k_d/tau_kd (all VSCs), k_p_1/k_d_1/tau_kd_1
-    (i-th VSC from 1), v_dc_star_pu (one value per VSC), r_dc/l_dc (all DC
-    edges); KeyError for an unknown name or one that reaches no element."""
-    vscs = data.get("vscs", [])
-    gains = {"k_p": "k_p", "k_d": "k_d", "tau_kd": "tau_kd_s"}
-    if key in gains:
-        for v in _targets(vscs, key, "VSC"):
-            v["control"][gains[key]] = value
-        return
-    for g, js in gains.items():
-        if key.startswith(g + "_"):
-            i = key[len(g) + 1:]
-            if not (i.isdecimal() and 1 <= int(i) <= len(vscs)):
-                raise KeyError(f"override {key!r}: the scenario has "
-                               f"{len(vscs)} VSCs, numbered from 1")
-            vscs[int(i) - 1]["control"][js] = value
-            return
-    if key == "v_dc_star_pu":
-        vb = data["base"]["v_base_dc_v"]
-        if len(value) != len(_targets(vscs, key, "VSC")):
-            raise ValueError(f"v_dc_star_pu gives {len(value)} values for "
-                             f"{len(vscs)} VSCs")
-        for v, pu in zip(vscs, value):
-            v["v_dc_star_v"] = pu * vb
-        return
-    if key in ("r_dc", "l_dc"):
-        for e in _targets(data.get("dc_edges", []), key, "DC edge"):
-            e["r_ohm" if key == "r_dc" else "l_h"] = value
-        return
-    raise KeyError(f"unknown override {key!r}")
 
 
 def scenario_islanded_pv(**kwargs) -> SystemConfig:

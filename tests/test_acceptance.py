@@ -82,7 +82,6 @@ def test_criterion_3_kron_oracle_equivalence():
         g = HybridGraph(
             ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
                       ("load", NodeKind.LOAD_AC)),
-            dc_nodes=(("vsc", NodeKind.VSC),),
             ac_edges=(AcEdge("sm", "load", l_sm, r_sm),
                       AcEdge("load", "vsc", l_vsc, r_vsc, l_virt_k=lv)),
             dc_edges=(), V_ac_star=V, omega_star=W0,
@@ -231,10 +230,10 @@ def test_criterion_9_structural_numerics_suite():
                 l = float(rng.uniform(1e-6, 1e-4))
                 r = float(rng.uniform(1e-4, 1e-1))
                 edges.append(AcEdge(names[a], names[b], l, r))
-            g = HybridGraph(tuple(zip(names, kinds)), (), tuple(edges), (),
+            g = HybridGraph(tuple(zip(names, kinds)), tuple(edges), (),
                             400.0, W0)
             g_flip = HybridGraph(
-                g.ac_nodes, (),
+                g.ac_nodes,
                 tuple(AcEdge(e.k, e.n, e.l, e.r) for e in g.ac_edges), (),
                 400.0, W0)
             for w in rng.uniform(0.1, 1e3, size=3):

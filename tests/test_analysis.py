@@ -106,10 +106,10 @@ class TestSweep:
             return scenario_islanded_pv(k_d=k_d)
 
         res = analysis.sweep(builder, {"k_d": [-1.0, 0.005, 0.01]},
-                             [("p_load_load1", "omega_vsc1")], points=120)
-        assert len(res.points) == 3
-        assert res.points[0].error and res.points[0].stable is None
-        for pt in res.points[1:]:
+                             [("p_load_load1", "omega_vsc1")])
+        assert len(res) == 3
+        assert res[0].error and res[0].stable is None
+        for pt in res[1:]:
             assert pt.stable is True
             f, m = pt.peaks[("p_load_load1", "omega_vsc1")]
             assert np.isfinite(f) and np.isfinite(m)

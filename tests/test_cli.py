@@ -19,8 +19,8 @@ import acdcdyn
 import acdcdyn.cli
 from acdcdyn import NumericFailure
 from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
-from acdcdyn.system import (scenario_islanded_pv, scenario_lvdc_async,
-                            steady_state)
+from acdcdyn.system import (_load_preset, scenario_islanded_pv,
+                            scenario_lvdc_async, steady_state)
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -325,6 +325,31 @@ class TestSetFlag:
             poles[item] = (out / "poles.csv").read_bytes()
         assert poles["k_p=0.05"] == poles["vscs.0.control.k_p=0.05"]
         assert poles["k_p=0.05"] != poles["k_p=0.025"]
+        # every other named gain, on a scenario with two VSCs and a DC edge
+        vb = _load_preset("lvdc_async")["base"]["v_base_dc_v"]
+        spellings = {
+            "k_d_1=0.004": ["vscs.0.control.k_d=0.004"],
+            "tau_kd=0.02": ["vscs.0.control.tau_kd_s=0.02",
+                            "vscs.1.control.tau_kd_s=0.02"],
+            "r_dc=0.3": ["dc_edges.0.r_ohm=0.3"],
+            "l_dc=3e-05": ["dc_edges.0.l_h=3e-05"],
+            "v_dc_star_pu=[0.9975,1.0]": [
+                f"vscs.0.v_dc_star_v={json.dumps(0.9975 * vb)}",
+                f"vscs.1.v_dc_star_v={json.dumps(1.0 * vb)}"]}
+        cfg = write_config(tmp_path, {"scenario": "lvdc_async"}, "lvdc.json")
+        for named, paths in spellings.items():
+            runs = []
+            for items in ([named], paths):
+                out = tmp_path / "lvdc" / items[0]
+                argv = ["poles", "--config", cfg, "--out", str(out)]
+                for item in items:
+                    argv += ["--set", item]
+                assert main(argv) == 0
+                manifest = json.loads((out / "manifest.json").read_text())
+                runs.append((json.dumps(manifest["resolved_parameters"],
+                                        sort_keys=True),
+                             (out / "poles.csv").read_bytes()))
+            assert runs[0] == runs[1], named
 
     def test_ratio_bounds_on_a_preset_without_them(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
@@ -351,11 +376,23 @@ class TestSetFlag:
         ("lvdc_async", "v_dc_star_pu=[1.01]", "1 values for 2 VSCs"),
         ("lvdc_async", "v_dc_star_pu=[1.01,1.0,0.99]", "3 values for 2"),
         ("islanded_pv", "r_dc=0.5", "no DC edge"),
-        ("islanded_pv", "l_dc=0.001", "no DC edge")])
+        ("islanded_pv", "l_dc=0.001", "no DC edge"),
+        ("lvdc_async", "vscs.-1.control.k_d=0.5",
+         "override 'vscs.-1.control.k_d': vscs has 2 items, no index '-1'"),
+        ("lvdc_async", "vscs.2.control.k_d=0.5",
+         "override 'vscs.2.control.k_d': vscs has 2 items, no index '2'"),
+        ("lvdc_async", "vscs.x.control.k_d=0.5",
+         "override 'vscs.x.control.k_d': vscs has 2 items, no index 'x'"),
+        ("lvdc_async", "base.nope.x=1",
+         "override 'base.nope.x': base has no 'nope'"),
+        ("lvdc_async", "k_p_1.5=0.1",
+         "override 'k_p_1.5': the scenario has no 'k_p_1'")])
     def test_named_override_that_misses_exit_1(self, tmp_path, capsys,
                                                scenario, item, message):
-        # an index that is not one of 1..n, a list of another length, or a
-        # scenario without the element: no VSC or edge is silently left out
+        # an index that is not one of 1..n, a list of another length, a
+        # scenario without the element, or a dotted path with a list index
+        # that is not a decimal below the list's length or a missing
+        # segment: no other element is written or silently left out
         cfg = write_config(tmp_path, {"scenario": scenario})
         out = tmp_path / "o"
         assert main(["poles", "--config", cfg, "--out", str(out),

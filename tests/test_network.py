@@ -27,7 +27,6 @@ def chain_graph(r2=0.0217, uniform_rho=False):
     return HybridGraph(
         ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
                   ("load", NodeKind.LOAD_AC)),
-        dc_nodes=(("vsc", NodeKind.VSC),),
         ac_edges=(AcEdge("sm", "load", l1, r1),
                   AcEdge("load", "vsc", l2, r2, l_virt_k=0.0023)),
         dc_edges=(), V_ac_star=400.0, omega_star=W0,
@@ -65,17 +64,22 @@ class TestGraph:
     def test_load_last_normalization(self):
         g = HybridGraph(
             ac_nodes=(("load", NodeKind.LOAD_AC), ("sm", NodeKind.SM)),
-            dc_nodes=(), ac_edges=(AcEdge("sm", "load", 1e-5, 1e-3),),
+            ac_edges=(AcEdge("sm", "load", 1e-5, 1e-3),),
             dc_edges=(), V_ac_star=400.0, omega_star=W0)
         assert g.ac_names == ["sm", "load"]
         assert g.load_names == ["load"]
 
     def test_vsc_must_be_in_both_sets(self):
-        with pytest.raises(ValueError):
-            HybridGraph(
-                ac_nodes=(("vsc", NodeKind.VSC), ("sm", NodeKind.SM)),
-                dc_nodes=(), ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),),
-                dc_edges=(), V_ac_star=400.0, omega_star=W0)
+        # every VSC is a DC node too, so it needs a DC setpoint
+        g = HybridGraph(
+            ac_nodes=(("vsc", NodeKind.VSC), ("sm", NodeKind.SM)),
+            ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),),
+            dc_edges=(), V_ac_star=400.0, omega_star=W0,
+            v_dc_star={"vsc": 740.0})
+        assert g.dc_nodes == (("vsc", NodeKind.VSC),)
+        assert g.dc_names == ["vsc"]
+        with pytest.raises(ValueError, match="missing DC setpoint"):
+            dataclasses.replace(g, v_dc_star={})
 
     def test_dc_nodes_must_be_vsc(self):
         # a DC node without a converter has no capacitor in the model, so
@@ -83,11 +87,13 @@ class TestGraph:
         for kind in NodeKind:
             if kind is NodeKind.VSC:
                 continue
-            with pytest.raises(ValueError, match="invalid DC node kind"):
+            with pytest.raises(ValueError,
+                               match="DC edge references unknown node"):
                 HybridGraph(
-                    ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC)),
-                    dc_nodes=(("vsc", NodeKind.VSC), ("mid", kind)),
-                    ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),),
+                    ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
+                              ("mid", kind)),
+                    ac_edges=(AcEdge("sm", "vsc", 1e-5, 1e-3),
+                              AcEdge("sm", "mid", 1e-5, 1e-3)),
                     dc_edges=(DcEdge("vsc", "mid", 1e-5, 0.1),),
                     V_ac_star=400.0, omega_star=W0,
                     v_dc_star={"vsc": 740.0, "mid": 740.0})
@@ -96,7 +102,6 @@ class TestGraph:
         with pytest.raises(ValueError):
             HybridGraph(
                 ac_nodes=(("a", NodeKind.SM), ("b", NodeKind.SM)),
-                dc_nodes=(),
                 ac_edges=(AcEdge("a", "b", 1e-5, 1e-3, l_virt_n=1e-4),),
                 dc_edges=(), V_ac_star=400.0, omega_star=W0)
 
@@ -104,7 +109,7 @@ class TestGraph:
         with pytest.raises(ValueError):
             HybridGraph(
                 ac_nodes=(("a", NodeKind.SM), ("b", NodeKind.SM)),
-                dc_nodes=(), ac_edges=(), dc_edges=(),
+                ac_edges=(), dc_edges=(),
                 V_ac_star=400.0, omega_star=W0)
 
     def test_incidence_shape(self):
@@ -134,7 +139,7 @@ class TestLaplacian:
     def test_orientation_invariance(self):
         g1 = chain_graph()
         g2 = HybridGraph(
-            ac_nodes=g1.ac_nodes, dc_nodes=g1.dc_nodes,
+            ac_nodes=g1.ac_nodes,
             ac_edges=tuple(
                 AcEdge(e.k, e.n, e.l, e.r, l_virt_n=e.l_virt_k,
                        l_virt_k=e.l_virt_n, r_virt_n=e.r_virt_k,
@@ -150,7 +155,6 @@ class TestLaplacian:
     def test_dc_laplacian_loss_vector(self):
         g = HybridGraph(
             ac_nodes=(("v1", NodeKind.VSC), ("v2", NodeKind.VSC)),
-            dc_nodes=(("v1", NodeKind.VSC), ("v2", NodeKind.VSC)),
             ac_edges=(AcEdge("v1", "v2", 1e-5, 1e-3, l_virt_n=1e-4),),
             dc_edges=(DcEdge("v1", "v2", 2.6e-5, 0.27),),
             V_ac_star=400.0, omega_star=W0,
@@ -204,7 +208,6 @@ def adjacent_loads_graph(r_load_load=8e-3):
     return HybridGraph(
         ac_nodes=(("sm", NodeKind.SM), ("vsc", NodeKind.VSC),
                   ("ld1", NodeKind.LOAD_AC), ("ld2", NodeKind.LOAD_AC)),
-        dc_nodes=(("vsc", NodeKind.VSC),),
         ac_edges=(AcEdge("sm", "ld1", l1, 1e-3),
                   AcEdge("ld1", "ld2", l2, r_load_load),
                   AcEdge("ld2", "vsc", l3, 1e-3, l_virt_k=1e-4)),
@@ -230,7 +233,6 @@ def radial_feeder(n_loads):
         ac_nodes=(("sm", NodeKind.SM),)
         + tuple((v, NodeKind.VSC) for v in vscs)
         + tuple((ld, NodeKind.LOAD_AC) for ld in loads),
-        dc_nodes=tuple((v, NodeKind.VSC) for v in vscs),
         ac_edges=tuple(edges), dc_edges=(), V_ac_star=400.0, omega_star=W0,
         v_dc_star={v: 740.0 for v in vscs})
 
@@ -258,7 +260,7 @@ def meshed_graphs(draw):
     vscs = tuple((n, NodeKind.VSC) for n in conv if n.startswith("vsc"))
     kinds = {"sm": NodeKind.SM, "vs": NodeKind.VSC, "ld": NodeKind.LOAD_AC}
     return HybridGraph(
-        ac_nodes=tuple((n, kinds[n[:2]]) for n in names), dc_nodes=vscs,
+        ac_nodes=tuple((n, kinds[n[:2]]) for n in names),
         ac_edges=tuple(edges), dc_edges=(), V_ac_star=400.0, omega_star=W0,
         v_dc_star={n: 740.0 for n, _ in vscs})
 
@@ -360,7 +362,6 @@ class TestAssumption1:
         g = adjacent_loads_graph(r_load_load=0.0)
         g = HybridGraph(
             tuple((renamed.get(n, n), k) for n, k in g.ac_nodes),
-            (("vsc1", NodeKind.VSC),),
             tuple(dataclasses.replace(e, n=renamed.get(e.n, e.n),
                                       k=renamed.get(e.k, e.k))
                   for e in g.ac_edges),
@@ -395,7 +396,7 @@ class TestAssumption1:
         g = HybridGraph(
             ac_nodes=(("sm1", NodeKind.SM), ("sm2", NodeKind.SM),
                       ("ld1", NodeKind.LOAD_AC), ("ld2", NodeKind.LOAD_AC)),
-            dc_nodes=(), ac_edges=tuple(edges), dc_edges=(),
+            ac_edges=tuple(edges), dc_edges=(),
             V_ac_star=400.0, omega_star=W0)
         v = check_assumption1(g)
         assert v.verdict == "holds"
@@ -417,7 +418,7 @@ class TestAssumption1:
         with pytest.raises(ValueError):
             HybridGraph(
                 ac_nodes=(("a", NodeKind.LOAD_AC), ("b", NodeKind.LOAD_AC)),
-                dc_nodes=(), ac_edges=(AcEdge("a", "b", 1e-5, 1e-3),),
+                ac_edges=(AcEdge("a", "b", 1e-5, 1e-3),),
                 dc_edges=(), V_ac_star=400.0, omega_star=W0)
 
 

@@ -10,8 +10,7 @@ import pytest
 import acdcdyn.system as system
 from acdcdyn.lti import dc_gain
 from acdcdyn.network import AcEdge, HybridGraph, NodeKind
-from acdcdyn.system import (ImproperController, NoDroop,
-                            _apply_simple_override, _load_preset, build,
+from acdcdyn.system import (ImproperController, NoDroop, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
                             resolve_scenario, scenario_islanded_pv, scenario_lvdc_async,
                             scenario_parallel_ac_dc, steady_state)
@@ -71,10 +70,6 @@ class TestOverrides:
     def test_r_dc_override(self):
         cfg = scenario_lvdc_async(r_dc=0.0)
         assert cfg.graph.dc_edges[0].r_dc == 0.0
-
-    def test_unknown_simple_override(self):
-        with pytest.raises(KeyError):
-            _apply_simple_override(_load_preset("lvdc_async"), "bogus", 1.0)
 
     def test_dotted_override(self):
         cfg = scenario_lvdc_async(overrides={"vscs.0.c_dc_f": 0.0062})
@@ -317,7 +312,7 @@ class TestSteadyState:
         cfg = scenario_islanded_pv()
         g = cfg.graph
         graph = HybridGraph(
-            (("sg", NodeKind.SM), ("vsc1", NodeKind.VSC)), g.dc_nodes,
+            (("sg", NodeKind.SM), ("vsc1", NodeKind.VSC)),
             (AcEdge("sg", "vsc1", 1e-5, 1e-3),), (), g.V_ac_star,
             g.omega_star, g.v_dc_star)
         with pytest.raises(ValueError, match="load node"):

@@ -1,0 +1,225 @@
+"""Record the bits that acdcdyn produces, and compare two records.
+
+    python3 tools/bit_identity.py record TREE OUT.json
+    python3 tools/bit_identity.py compare A.json B.json
+
+``record`` imports ``acdcdyn`` from ``TREE/src`` (a checkout, or a
+``git archive`` of one) and writes one flat JSON object, key -> value:
+
+* ``build/<preset>`` and ``build/feeder<seed>/<i>``: the sha256 of
+  ``build``'s A, B, C, D (dtype, shape and bytes), its input and output
+  names and its Assumption-1 verdict, or the class name of the exception
+  that ``config_from_dict`` or ``build`` raised.  The configs are the three
+  presets and ``FeederStream(0)`` and ``FeederStream(1)`` configs 0-71, from
+  the ``perfbench/feeder.py`` next to this tool, so two records always see
+  the same inputs.
+* ``cli/<command>/<preset>/exit`` and ``cli/<command>/<preset>/<file>``:
+  the exit code of each of the seven commands on each preset, and the
+  sha256 of every file the run writes (CSV, manifest, error record).
+  ``step`` runs 80 s at 1 ms; ``sweep`` sweeps ``k_d_1``.
+* ``resolve/<scenario> <overrides>``: the sha256 of
+  ``json.dumps(resolve_scenario(scenario, overrides), sort_keys=True)``
+  for the overrides that the tests and the benchmark use.
+
+``compare`` prints every key whose value differs or that only one record
+has, and exits 1 if there is any.  Recording takes a few minutes and about
+200 MB.  Nothing under ``perfbench/`` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import importlib
+import io
+import itertools
+import json
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent
+PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
+FEEDERS = 72
+CHANNEL = {"input": "p_load_load1", "output": "omega_vsc1"}
+#: command -> options, run on every preset.
+CLI_OPTIONS = {
+    "poles": {},
+    "bode": CHANNEL,
+    "step": {"input": "p_load_load1", "t_end_s": 80.0, "dt_s": 0.001},
+    "steady": {"delta_p_l_pu": 1.0},
+    "sweep": {"parameter": "k_d_1", "values": [0.0005, 0.001, 0.002, 0.004],
+              **CHANNEL},
+    "spectrum": {"input": "p_load_load1", "channel": "omega_vsc1"},
+    "check": {},
+}
+#: (scenario, overrides) that the tests and the benchmark resolve.
+OVERRIDES = (
+    ("islanded_pv", {"k_p": 0.05}),
+    ("islanded_pv", {"k_d": 0.005}),
+    ("islanded_pv", {"k_p": 0.05, "k_d": 0.01}),
+    ("islanded_pv", {"tau_kd": 0.0}),
+    ("islanded_pv", {"tau_kd": 0.02}),
+    ("islanded_pv", {"k_d_1": 0.001}),
+    ("islanded_pv", {"vscs.0.control.k_d": 0.005}),
+    ("islanded_pv", {"vscs.0.control.k_p": 0.05}),
+    ("islanded_pv", {"vscs.0.control.tau_kd_s": 0.0}),
+    ("islanded_pv", {"vscs.0.pv.k_pv_pu": 0.0}),
+    ("islanded_pv", {"vscs.0.pv": None, "sg.k_tg": 0.0}),
+    ("islanded_pv", {"ratio_bounds": {"vsc1": 0.3}}),
+    ("islanded_pv", {"vscs.0.c_dcf": 0.1}),
+    ("lvdc_async", {"k_p": 0.05}),
+    ("lvdc_async", {"k_d_1": 0.1}),
+    ("lvdc_async", {"k_d_1": 0.0005}),
+    ("lvdc_async", {"k_d_2": 0.012}),
+    ("lvdc_async", {"k_p": 0.03, "k_p_1": 0.04}),
+    ("lvdc_async", {"k_p_1": 0.04, "k_p": 0.03}),
+    ("lvdc_async", {"tau_kd": 0.02}),
+    ("lvdc_async", {"r_dc": 0.0}),
+    ("lvdc_async", {"r_dc": 0.3}),
+    ("lvdc_async", {"l_dc": 3e-05}),
+    ("lvdc_async", {"v_dc_star_pu": [0.9975, 1.0]}),
+    ("lvdc_async", {"r_dc": 0.0, "v_dc_star_pu": [0.9975, 1.0]}),
+    ("lvdc_async", {"k_d": 0.005, "vscs.1.c_dc_f": 0.0062}),
+    ("lvdc_async", {"vscs.0.c_dc_f": 0.0062}),
+    ("lvdc_async", {"vscs.0.v_dc_star_v": 0.0}),
+    ("lvdc_async", {"ratio_bounds": {"load1": 0.2}}),
+    ("lvdc_async", {"base.s_base_vaa": 1.0}),
+    ("lvdc_async", {"vscs.0.control.kp": 1.0}),
+    ("lvdc_async", {"ratio_bound": 1.0}),
+    ("lvdc_async", {"ac_edges.2.segments.1.length": 1.0}),
+    ("lvdc_async", {"dc_edges.0.r_dc": 1.0}),
+    ("parallel_ac_dc", {"v_dc_star_pu": [0.9975, 1.0]}),
+    ("parallel_ac_dc", {"r_dc": 0.0}),
+    ("parallel_ac_dc", {"vscs.1.l_virtual_h": 0.005}),
+)
+
+
+def digest(*parts) -> str:
+    """sha256 over arrays (dtype, shape and bytes) and JSON values."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(repr((part.dtype.str, part.shape)).encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(json.dumps(part, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+def import_tree(tree: Path):
+    """``acdcdyn`` and its modules, imported from ``tree/src``."""
+    src = (tree / "src").resolve()
+    sys.path.insert(0, str(src))
+    acdcdyn = importlib.import_module("acdcdyn")
+    if Path(acdcdyn.__file__).resolve().parent != src / "acdcdyn":
+        raise SystemExit(f"acdcdyn imported from {acdcdyn.__file__}, "
+                         f"not from {src}")
+    importlib.import_module("acdcdyn.cli")
+    return acdcdyn
+
+
+def build_digest(system, data) -> str:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = system.build(system.config_from_dict(data))
+    except Exception as exc:  # the class is the record
+        return type(exc).__name__
+    ss = model.ss
+    return digest(ss.A, ss.B, ss.C, ss.D, list(ss.input_names),
+                  list(ss.output_names), model.network_verdict)
+
+
+def record_builds(acdcdyn, out: dict) -> None:
+    system = acdcdyn.system
+    for name in PRESETS:
+        out[f"build/{name}"] = build_digest(system, system._load_preset(name))
+    sys.path.insert(0, str(HERE.parent / "perfbench"))
+    from feeder import FeederStream
+    for seed in (0, 1):
+        for i, data in enumerate(itertools.islice(FeederStream(seed),
+                                                  FEEDERS)):
+            out[f"build/feeder{seed}/{i:02d}"] = build_digest(system, data)
+
+
+def record_cli(acdcdyn, out: dict) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for command, options in CLI_OPTIONS.items():
+            for name in PRESETS:
+                key = f"cli/{command}/{name}"
+                cfg = tmp / f"{command}-{name}.json"
+                cfg.write_text(json.dumps({"scenario": name,
+                                           "options": options}))
+                run_dir = tmp / f"{command}-{name}"
+                with contextlib.redirect_stderr(io.StringIO()), \
+                        warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    code = acdcdyn.cli.main([command, "--config", str(cfg),
+                                             "--out", str(run_dir)])
+                out[f"{key}/exit"] = code
+                for path in sorted(run_dir.iterdir()):
+                    out[f"{key}/{path.name}"] = hashlib.sha256(
+                        path.read_bytes()).hexdigest()
+                    path.unlink()
+
+
+def record_resolve(acdcdyn, out: dict) -> None:
+    for scenario, overrides in OVERRIDES:
+        key = f"resolve/{scenario} {json.dumps(overrides)}"
+        try:
+            data = acdcdyn.system.resolve_scenario(scenario, overrides)
+        except Exception as exc:  # the class is the record
+            out[key] = type(exc).__name__
+        else:
+            out[key] = digest(data)
+
+
+def record(tree: Path, path: Path) -> int:
+    acdcdyn = import_tree(tree)
+    out: dict = {}
+    record_builds(acdcdyn, out)
+    record_cli(acdcdyn, out)
+    record_resolve(acdcdyn, out)
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+    raised = [v for k, v in out.items()
+              if k.startswith("build/") and len(v) != 64]
+    failed = [k for k, v in out.items() if k.endswith("/exit") and v != 0]
+    print(f"{len(out)} keys; builds raising: {len(raised)} "
+          f"({', '.join(sorted(set(raised)))}); CLI runs not exiting 0: "
+          f"{len(failed)}")
+    return 0
+
+
+def compare(a: Path, b: Path) -> int:
+    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+    differ = sorted(k for k in ra.keys() | rb.keys()
+                    if ra.get(k, "<missing>") != rb.get(k, "<missing>"))
+    for k in differ:
+        print(f"{k}: {ra.get(k, '<missing>')} != {rb.get(k, '<missing>')}")
+    print(f"{len(ra.keys() | rb.keys())} keys, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = ap.add_subparsers(dest="action", required=True)
+    rec = sub.add_parser("record", help="record a source tree")
+    rec.add_argument("tree", type=Path)
+    rec.add_argument("out", type=Path)
+    cmp_ = sub.add_parser("compare", help="compare two records")
+    cmp_.add_argument("a", type=Path)
+    cmp_.add_argument("b", type=Path)
+    args = ap.parse_args(argv)
+    if args.action == "record":
+        return record(args.tree, args.out)
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
