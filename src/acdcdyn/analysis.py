@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,12 +57,19 @@ def bode(model, input: str, output: str,
          f_min: float = 1e-2 / (2.0 * math.pi),
          f_max: float = 1e4 / (2.0 * math.pi),
          points: int = 400) -> BodeTable:
-    """Log-spaced magnitude/phase table of one closed-loop channel."""
+    """Log-spaced magnitude/phase table of one closed-loop channel, at
+    `points` frequencies from `f_min` to `f_max` (Hz)."""
     ss = _model_ss(model)
     if input not in ss.input_names:
         raise KeyError(f"unknown input channel {input!r}")
     if output not in ss.output_names:
         raise KeyError(f"unknown output channel {output!r}")
+    if not 0 < f_min < f_max < math.inf:
+        raise ValueError(f"the band needs 0 < f_min < f_max < inf, got "
+                         f"f_min = {f_min}, f_max = {f_max}")
+    if isinstance(points, bool) or not (isinstance(points, numbers.Integral)
+                                        and points > 0):
+        raise ValueError(f"points must be a positive int, got {points!r}")
     f = np.logspace(math.log10(f_min), math.log10(f_max), points)
     fr = freq_response(ss, 2.0 * math.pi * f)
     h = fr.channel(input, output)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -97,7 +96,10 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
             f.write(row * k % tuple(cells))
 
 
-def load_config(path: str, command: str) -> RunConfig:
+def load_config(path: str, command: str, sets: list[str]) -> RunConfig:
+    """Read a run: the JSON config at `path`, with each ``key=value`` of
+    `sets` applied, ``options.<key>`` to the options and any other key to
+    the overrides.  A value that is not JSON is taken as a string."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
@@ -107,22 +109,14 @@ def load_config(path: str, command: str) -> RunConfig:
         raise ParseError(
             f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    if command not in COMMANDS:
-        raise ValidationError(f"unknown command {command!r}")
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     if "scenario" not in data:
         raise ValidationError("config is missing the 'scenario' field")
-    return RunConfig(command, data["scenario"], data.get("overrides", {}),
-                     data.get("options", {}))
-
-
-def _apply_sets(cfg: RunConfig, sets: list[str]) -> RunConfig:
-    for key in ("overrides", "options"):
-        if not isinstance(getattr(cfg, key), dict):
+    blocks = {key: data.get(key, {}) for key in ("overrides", "options")}
+    for key, block in blocks.items():
+        if not isinstance(block, dict):
             raise ValidationError(f"'{key}' must be an object")
-    overrides = dict(cfg.overrides)
-    options = dict(cfg.options)
     for item in sets:
         if "=" not in item:
             raise ValidationError(f"--set expects key=value, got {item!r}")
@@ -132,10 +126,10 @@ def _apply_sets(cfg: RunConfig, sets: list[str]) -> RunConfig:
         except json.JSONDecodeError:
             value = raw
         if key.startswith("options."):
-            options[key[len("options."):]] = value
+            blocks["options"][key[len("options."):]] = value
         else:
-            overrides[key] = value
-    return RunConfig(cfg.command, cfg.scenario, overrides, options)
+            blocks["overrides"][key] = value
+    return RunConfig(command, data["scenario"], **blocks)
 
 
 def run(cfg: RunConfig, out_dir: str) -> int:
@@ -178,35 +172,38 @@ def _write_error(out: Path, manifest: dict, exc: Exception) -> None:
 def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
     opt = cfg.options
     _no_unknown_keys(opt, OPTIONS[cfg.command], "options")
+
+    def write(name: str, header: list[str], columns) -> None:
+        _write_csv(out / name, header, columns)
+        manifest["outputs"].append(name)
+
     if cfg.command == "poles":
         model = build(sysconf)
         rows = sorted(((p.value.real, p.value.imag, p.structural)
                        for p in poles(model.ss)),
                       key=lambda r: (r[0], r[1]))
-        _write_csv(out / "poles.csv", ["re", "im", "structural"], zip(*rows))
-        manifest["outputs"].append("poles.csv")
+        write("poles.csv", ["re", "im", "structural"], zip(*rows))
 
     elif cfg.command == "bode":
         model = build(sysconf)
-        table = analysis.bode(
-            model, opt["input"], opt["output"],
-            f_min=opt.get("f_min_hz", 1e-2 / (2 * math.pi)),
-            f_max=opt.get("f_max_hz", 1e4 / (2 * math.pi)),
-            points=int(opt.get("points", 400)))
-        _write_csv(out / "bode.csv", ["f_hz", "mag_db", "phase_deg"],
-                   [table.f_hz, table.mag_db, table.phase_deg])
-        manifest["outputs"].append("bode.csv")
+        band = {arg: opt[key] for arg, key in (
+            ("f_min", "f_min_hz"), ("f_max", "f_max_hz"), ("points", "points"))
+            if key in opt}
+        table = analysis.bode(model, opt["input"], opt["output"], **band)
+        write("bode.csv", ["f_hz", "mag_db", "phase_deg"],
+              [table.f_hz, table.mag_db, table.phase_deg])
 
     elif cfg.command == "step":
         model = build(sysconf)
         T = float(opt.get("t_end_s", 10.0))
         dt = float(opt.get("dt_s", 1e-3))
         amp = float(opt.get("amplitude", 1.0))
+        if not np.isfinite(amp):
+            raise ValueError(f"amplitude must be finite, got {amp}")
         ts = step_response(model.ss, opt["input"], T, dt)
         names = list(model.ss.output_names)
         cols = [ts.channels[n] * amp for n in names]
-        _write_csv(out / "step.csv", ["t_s"] + names, [ts.t] + cols)
-        manifest["outputs"].append("step.csv")
+        write("step.csv", ["t_s"] + names, [ts.t] + cols)
 
     elif cfg.command == "steady":
         if "delta_p_l_pu" in opt:
@@ -218,8 +215,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                 ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
         rows += [(f"dv_dc_{n}", v) for n, v in sorted(st.dv_dc.items())]
         rows += [(f"dp_ac_{n}", v) for n, v in sorted(st.dp_ac.items())]
-        _write_csv(out / "steady.csv", ["quantity", "value_pu"], zip(*rows))
-        manifest["outputs"].append("steady.csv")
+        write("steady.csv", ["quantity", "value_pu"], zip(*rows))
         manifest["effective_droops"] = {"kappa_tg": st.kappa_tg,
                                         "kappa_pv": st.kappa_pv}
 
@@ -242,10 +238,9 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
             else:
                 f_pk, m_pk = pt.peaks[channel]
                 rows.append((pt.params[param], pt.stable, f_pk, m_pk, ""))
-        _write_csv(out / "sweep.csv",
-                   [param, "stable", "f_peak_hz", "mag_peak_db", "error"],
-                   zip(*rows))
-        manifest["outputs"].append("sweep.csv")
+        write("sweep.csv",
+              [param, "stable", "f_peak_hz", "mag_peak_db", "error"],
+              zip(*rows))
 
     elif cfg.command == "spectrum":
         model = build(sysconf)
@@ -253,9 +248,8 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         dt = float(opt.get("dt_s", 1e-3))
         ts = step_response(model.ss, opt["input"], T, dt)
         spec = fft_magnitude(ts, opt["channel"])
-        _write_csv(out / "spectrum.csv", ["f_hz", "magnitude"],
-                   [spec.freq_hz, spec.magnitude])
-        manifest["outputs"].append("spectrum.csv")
+        write("spectrum.csv", ["f_hz", "magnitude"],
+              [spec.freq_hz, spec.magnitude])
 
     elif cfg.command == "check":
         verdict = check_assumption1(sysconf.graph)
@@ -266,8 +260,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         rows += [(f"ratio_bound_{n}", "pass" if ok else "fail")
                  for n, ok in sorted(analysis.check_ratio_bounds(sysconf)
                                      .items())]
-        _write_csv(out / "check.csv", ["check", "result"], zip(*rows))
-        manifest["outputs"].append("check.csv")
+        write("check.csv", ["check", "result"], zip(*rows))
         manifest["assumption1"] = verdict.verdict
         manifest["stable"] = stab.stable
         try:
@@ -293,8 +286,7 @@ def main(argv=None) -> int:
                              "options)")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config, args.command)
-        cfg = _apply_sets(cfg, args.set)
+        cfg = load_config(args.config, args.command, args.set)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

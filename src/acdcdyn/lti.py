@@ -115,7 +115,6 @@ class Polynomial:
 
 def poly_from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomial:
     c = np.atleast_1d(np.poly(list(roots)))  # descending
-    c = np.real_if_close(c, tol=1e6)
     return Polynomial(np.real(c)[::-1] * leading)
 
 
@@ -622,8 +621,10 @@ def freq_response(ss: StateSpace, omega_grid) -> FrequencyResponse:
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
         raise ValueError("omega grid must be a non-empty 1-D array")
-    if np.any(omega <= 0) or np.any(np.diff(omega) <= 0):
-        raise ValueError("omega grid must be positive and strictly ascending")
+    if not (np.all(np.isfinite(omega)) and omega[0] > 0
+            and np.all(np.diff(omega) > 0)):
+        raise ValueError("omega grid must be finite, positive and strictly "
+                         "ascending")
     n = ss.n_states
     vals = np.empty((omega.size, ss.n_outputs, ss.n_inputs), dtype=complex)
     if n == 0:
@@ -748,8 +749,9 @@ def step_response(ss: StateSpace, input_name: str, T: float,
     (C x_j + d), and the next block starts in Ad^K x + x_K.  K is the
     largest power of two whose maps fit in ``_STEP_BLOCK_BYTES``.  Raises
     ValueError when the output would exceed ``_STEP_OUTPUT_BYTES``."""
-    if dt <= 0 or dt > T / 100.0:
-        raise ValueError("require 0 < dt <= T/100")
+    if not 0 < dt <= T / 100.0 < math.inf:
+        raise ValueError(f"require 0 < dt <= T/100 < inf, got T = {T}, "
+                         f"dt = {dt}")
     if (T / dt + 1.0) * ss.n_outputs * 8 > _STEP_OUTPUT_BYTES:
         raise ValueError(f"{T / dt + 1.0:.3g} samples of {ss.n_outputs} "
                          f"outputs exceed {_STEP_OUTPUT_BYTES} bytes")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
@@ -244,6 +245,9 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     g, base = config.graph, config.base
     if not g.load_names:
         raise ValueError("the steady state needs a load node")
+    if not math.isfinite(dp_load):
+        raise ValueError(f"the load step dp_load must be finite, got "
+                         f"{dp_load}")
     k_tg = {n: p.k_tg * p.P_max / base.S_base for n, p in config.sg.items()}
     k_pv = {n: (0.0 if p.k_pv is None else p.k_pv) / p.control.k_p
             for n, p in config.vsc.items()}
@@ -481,8 +485,9 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 #: Named gains: name -> (the list it reaches, what one item of that list
 #: is called, the path it sets in every item).  ``k_p_<i>``, ``k_d_<i>``
-#: and ``tau_kd_<i>`` set the i-th VSC only, counted from 1, and
-#: ``v_dc_star_pu`` gives one p.u. value per VSC.
+#: and ``tau_kd_<i>`` set the i-th VSC only, counted from 1.  Each takes a
+#: real number, except ``v_dc_star_pu``: a list (or tuple) of one p.u.
+#: value per VSC.
 NAMED_GAINS = {
     "k_p": ("vscs", "VSC", "control.k_p"),
     "k_d": ("vscs", "VSC", "control.k_d"),
@@ -493,15 +498,28 @@ NAMED_GAINS = {
 }
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     """The item name of a named gain's list and the (dotted path, value)
     pairs it sets.  KeyError for an unknown name or an empty list,
-    ValueError for a ``v_dc_star_pu`` of another length than the VSCs."""
+    TypeError for a value that is not a real number (a list of them for
+    ``v_dc_star_pu``), ValueError for a ``v_dc_star_pu`` of another length
+    than the VSCs."""
     name, index = key, None
     if key not in NAMED_GAINS:
         name, _, index = key.rpartition("_")
         if name not in ("k_p", "k_d", "tau_kd"):
             raise KeyError(f"unknown override {key!r}")
+    if name == "v_dc_star_pu":
+        if not (isinstance(value, (list, tuple))
+                and all(map(_is_real, value))):
+            raise TypeError(f"override {key!r} takes a list of numbers, "
+                            f"got {value!r}")
+    elif not _is_real(value):
+        raise TypeError(f"override {key!r} takes a number, got {value!r}")
     items, item, path = NAMED_GAINS[name]
     n = len(data.get(items) or [])
     if n == 0:

@@ -123,8 +123,6 @@ def sg_damping_tf(p: SgParams, base: PerUnitBase) -> RationalTF:
 
 def gfm_ctrl_tf(p: GfmCtrlParams) -> RationalTF:
     """PD droop k_p + k_d s/(tau_kd s + 1); improper when tau_kd = 0."""
-    if p.tau_kd == 0.0:
-        return RationalTF(Polynomial([p.k_p, p.k_d]), Polynomial([1.0]))
     num = Polynomial([p.k_p, p.k_p * p.tau_kd + p.k_d])
     den = Polynomial([1.0, p.tau_kd])
     return RationalTF(num, den)

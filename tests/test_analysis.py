@@ -26,6 +26,20 @@ class TestBode:
         with pytest.raises(KeyError):
             analysis.bode(islanded_model, "bogus", "omega_vsc1")
 
+    @pytest.mark.parametrize("band, message", [
+        ({"f_min": 0.0}, "0 < f_min < f_max < inf"),
+        ({"f_min": math.nan}, "f_min = nan"),
+        ({"f_max": math.inf}, "f_max = inf"),
+        ({"f_min": 10.0, "f_max": 1.0}, "0 < f_min < f_max < inf"),
+        ({"points": 0}, "points must be a positive int"),
+        ({"points": 2.5}, "points must be a positive int"),
+        ({"points": True}, "points must be a positive int"),
+    ])
+    def test_band_checks(self, islanded_model, band, message):
+        with pytest.raises(ValueError, match=message):
+            analysis.bode(islanded_model, "p_load_load1", "omega_vsc1",
+                          **band)
+
     def test_static_gain_flat(self):
         ss = tf_to_ss(RationalTF.from_coeffs([2.0], [1.0]), "u", "y")
         t = analysis.bode(ss, "u", "y", points=2)

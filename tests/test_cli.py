@@ -135,6 +135,43 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert (out / "error.json").exists()
 
+    @pytest.mark.parametrize("command, options, sets, message", [
+        ("bode", {"f_min_hz": math.nan}, [], "f_min = nan"),
+        ("bode", {}, ["options.f_max_hz=Infinity"], "f_max = inf"),
+        ("bode", {"f_min_hz": 0}, [], "0 < f_min < f_max < inf"),
+        ("bode", {"points": 0}, [], "points must be a positive int"),
+        ("bode", {"points": 2.5}, [], "points must be a positive int"),
+        ("steady", {"delta_p_l_pu": math.nan}, [], "dp_load"),
+        ("steady", {"delta_p_l_w": math.inf}, [], "dp_load"),
+        ("step", {"amplitude": math.inf}, [], "amplitude"),
+        ("step", {"dt_s": math.nan}, [], "0 < dt <= T/100"),
+        ("spectrum", {"t_end_s": math.nan}, [], "0 < dt <= T/100"),
+    ], ids=["bode-f_min-nan", "bode-f_max-inf", "bode-f_min-zero",
+            "bode-points-zero", "bode-points-float", "steady-pu-nan",
+            "steady-w-inf", "step-amplitude-inf", "step-dt-nan",
+            "spectrum-t_end-nan"])
+    def test_bad_number_exit_1(self, tmp_path, capsys, command, options,
+                               sets, message):
+        # a NaN, an infinity or a band that is not one exits 1 naming the
+        # quantity, and writes no table
+        channel = {
+            "bode": {"input": "p_load_load1", "output": "omega_vsc1"},
+            "steady": {},
+            "step": {"input": "p_load_load1"},
+            "spectrum": {"input": "p_load_load1", "channel": "omega_vsc1"},
+        }[command]
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+                                      "options": {**channel, **options}})
+        out = tmp_path / "o"
+        argv = [command, "--config", cfg, "--out", str(out)]
+        for item in sets:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        assert message in json.loads((out / "error.json").read_text())[
+            "message"]
+
 
 class TestArtifacts:
     def test_poles_schema_and_manifest(self, tmp_path):
@@ -398,6 +435,25 @@ class TestSetFlag:
         assert main(["poles", "--config", cfg, "--out", str(out),
                      "--set", item]) == 1
         assert message in capsys.readouterr().err
+        assert not (out / "poles.csv").exists()
+
+    @pytest.mark.parametrize("item, message", [
+        ("k_d=true", "override 'k_d' takes a number, got True"),
+        ("k_d=[1,2]", "override 'k_d' takes a number, got [1, 2]"),
+        ("r_dc=null", "override 'r_dc' takes a number, got None"),
+        ('k_p_1="0.1"', "override 'k_p_1' takes a number, got '0.1'"),
+        ("v_dc_star_pu=1.0",
+         "override 'v_dc_star_pu' takes a list of numbers, got 1.0"),
+    ], ids=["bool", "list", "null", "string", "scalar-setpoints"])
+    def test_named_gain_of_wrong_type_exit_1(self, tmp_path, capsys, item,
+                                             message):
+        cfg = write_config(tmp_path, {"scenario": "lvdc_async"})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out),
+                     "--set", item]) == 1
+        assert message in capsys.readouterr().err
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "TypeError"
         assert not (out / "poles.csv").exists()
 
     def test_misspelt_scenario_key_exit_1(self, tmp_path, capsys):

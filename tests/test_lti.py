@@ -812,6 +812,12 @@ class TestResponses:
         with pytest.raises(ValueError):
             freq_response(ss, np.array([-1.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[math.nan, 1.0], [1.0, math.inf],
+                                      [1.0, math.nan]])
+    def test_freq_grid_must_be_finite(self, grid):
+        with pytest.raises(ValueError, match="finite"):
+            freq_response(integrator(1.0), np.array(grid))
+
     def test_singular_at_frequency(self):
         ss = tf_to_ss(RationalTF.from_coeffs([1.0], [4.0, 0.0, 1.0]))
         with pytest.raises(SingularAtFrequency):
@@ -833,6 +839,12 @@ class TestResponses:
         ss = integrator(1.0)
         with pytest.raises(ValueError):
             step_response(ss, "u", 1.0, 0.5)
+
+    @pytest.mark.parametrize("T, dt", [(1.0, math.nan), (math.nan, 0.01),
+                                       (math.inf, math.inf)])
+    def test_step_rejects_non_finite_times(self, T, dt):
+        with pytest.raises(ValueError, match="0 < dt <= T/100"):
+            step_response(integrator(1.0), "u", T, dt)
 
     def test_step_output_cap(self, monkeypatch):
         # 1e18 samples are refused before any work: an unstable model

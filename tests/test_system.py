@@ -318,6 +318,11 @@ class TestSteadyState:
         with pytest.raises(ValueError, match="load node"):
             steady_state(replace(cfg, graph=graph), 0.05)
 
+    @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_load_step_raises(self, dp):
+        with pytest.raises(ValueError, match="dp_load must be finite"):
+            steady_state(scenario_islanded_pv(), dp)
+
     def test_no_droop_raises(self):
         cfg = scenario_islanded_pv(overrides={"vscs.0.pv": None,
                                               "sg.k_tg": 0.0})

@@ -13,10 +13,12 @@
   presets and ``FeederStream(0)`` and ``FeederStream(1)`` configs 0-71, from
   the ``perfbench/feeder.py`` next to this tool, so two records always see
   the same inputs.
-* ``cli/<command>/<preset>/exit`` and ``cli/<command>/<preset>/<file>``:
-  the exit code of each of the seven commands on each preset, and the
-  sha256 of every file the run writes (CSV, manifest, error record).
-  ``step`` runs 80 s at 1 ms; ``sweep`` sweeps ``k_d_1``.
+* ``cli/<run>/<preset>/exit`` and ``cli/<run>/<preset>/<file>``: the exit
+  code of each run of ``CLI_RUNS`` on each preset, and the sha256 of every
+  file the run writes (CSV, manifest, error record).  A run is named after
+  its command: ``step`` runs 80 s at 1 ms, ``sweep`` sweeps ``k_d_1``, and
+  ``bode-band`` is ``bode`` with the band and point count given, so that
+  both the defaults and the options reach ``analysis.bode``.
 * ``resolve/<scenario> <overrides>``: the sha256 of
   ``json.dumps(resolve_scenario(scenario, overrides), sort_keys=True)``
   for the overrides that the tests and the benchmark use.
@@ -46,16 +48,20 @@ HERE = Path(__file__).resolve().parent
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 FEEDERS = 72
 CHANNEL = {"input": "p_load_load1", "output": "omega_vsc1"}
-#: command -> options, run on every preset.
-CLI_OPTIONS = {
-    "poles": {},
-    "bode": CHANNEL,
-    "step": {"input": "p_load_load1", "t_end_s": 80.0, "dt_s": 0.001},
-    "steady": {"delta_p_l_pu": 1.0},
-    "sweep": {"parameter": "k_d_1", "values": [0.0005, 0.001, 0.002, 0.004],
-              **CHANNEL},
-    "spectrum": {"input": "p_load_load1", "channel": "omega_vsc1"},
-    "check": {},
+#: run -> (command, options), run on every preset.
+CLI_RUNS = {
+    "poles": ("poles", {}),
+    "bode": ("bode", CHANNEL),
+    "bode-band": ("bode", {**CHANNEL, "f_min_hz": 0.05, "f_max_hz": 500.0,
+                           "points": 25}),
+    "step": ("step", {"input": "p_load_load1", "t_end_s": 80.0,
+                      "dt_s": 0.001}),
+    "steady": ("steady", {"delta_p_l_pu": 1.0}),
+    "sweep": ("sweep", {"parameter": "k_d_1",
+                        "values": [0.0005, 0.001, 0.002, 0.004], **CHANNEL}),
+    "spectrum": ("spectrum", {"input": "p_load_load1",
+                              "channel": "omega_vsc1"}),
+    "check": ("check", {}),
 }
 #: (scenario, overrides) that the tests and the benchmark resolve.
 OVERRIDES = (
@@ -150,13 +156,13 @@ def record_builds(acdcdyn, out: dict) -> None:
 def record_cli(acdcdyn, out: dict) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for command, options in CLI_OPTIONS.items():
+        for run, (command, options) in CLI_RUNS.items():
             for name in PRESETS:
-                key = f"cli/{command}/{name}"
-                cfg = tmp / f"{command}-{name}.json"
+                key = f"cli/{run}/{name}"
+                cfg = tmp / f"{run}-{name}.json"
                 cfg.write_text(json.dumps({"scenario": name,
                                            "options": options}))
-                run_dir = tmp / f"{command}-{name}"
+                run_dir = tmp / f"{run}-{name}"
                 with contextlib.redirect_stderr(io.StringIO()), \
                         warnings.catch_warnings():
                     warnings.simplefilter("ignore")
