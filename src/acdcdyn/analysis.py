@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import NumericFailure, Pole, StateSpace, freq_response, poles
+from .lti import (NumericFailure, Pole, StateSpace, check_real,
+                  freq_response, poles)
 from .system import ClosedLoopModel, SystemConfig, build
 
 
@@ -102,8 +103,9 @@ def bound_islanded_kd(k_p: float, C_dc_pu: float = C_DC_PU_IMPLIED,
     """Derivative-gain stability bound k_d < 4 C_dc k_p / k_pv for the
     islanded PV configuration; infinite when the PV is at its power maximum
     (k_pv -> 0)."""
-    if k_p <= 0 or C_dc_pu <= 0 or k_pv < 0:
-        raise ValueError("arguments must be positive (k_pv nonnegative)")
+    check_real("k_p", k_p, "positive")
+    check_real("C_dc_pu", C_dc_pu, "positive")
+    check_real("k_pv", k_pv, "nonnegative")
     if k_pv == 0:
         return math.inf
     return 4.0 * C_dc_pu * k_p / k_pv

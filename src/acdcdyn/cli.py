@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lti import (NoDcGain, NumericFailure, dc_gain, fft_magnitude, poles,
-                  step_response)
+from .lti import (NoDcGain, NumericFailure, check_real, dc_gain,
+                  fft_magnitude, poles, step_response)
 from .network import check_assumption1
 from .system import (_no_unknown_keys, build, check_scenario_keys,
                      config_from_dict, resolve_scenario, steady_state)
@@ -195,11 +195,9 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "step":
         model = build(sysconf)
-        T = float(opt.get("t_end_s", 10.0))
-        dt = float(opt.get("dt_s", 1e-3))
-        amp = float(opt.get("amplitude", 1.0))
-        if not np.isfinite(amp):
-            raise ValueError(f"amplitude must be finite, got {amp}")
+        T = check_real("options.t_end_s", opt.get("t_end_s", 10.0), "positive")
+        dt = check_real("options.dt_s", opt.get("dt_s", 1e-3), "positive")
+        amp = check_real("options.amplitude", opt.get("amplitude", 1.0))
         ts = step_response(model.ss, opt["input"], T, dt)
         names = list(model.ss.output_names)
         cols = [ts.channels[n] * amp for n in names]
@@ -207,9 +205,10 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "steady":
         if "delta_p_l_pu" in opt:
-            dp = float(opt["delta_p_l_pu"])
+            dp = check_real("options.delta_p_l_pu", opt["delta_p_l_pu"])
         else:
-            dp = float(opt["delta_p_l_w"]) / sysconf.base.S_base
+            dp = (check_real("options.delta_p_l_w", opt["delta_p_l_w"])
+                  / sysconf.base.S_base)
         st = steady_state(sysconf, dp)
         rows = [("delta_p_l", dp), ("domega", st.domega),
                 ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
@@ -244,8 +243,8 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "spectrum":
         model = build(sysconf)
-        T = float(opt.get("t_end_s", 40.0))
-        dt = float(opt.get("dt_s", 1e-3))
+        T = check_real("options.t_end_s", opt.get("t_end_s", 40.0), "positive")
+        dt = check_real("options.dt_s", opt.get("dt_s", 1e-3), "positive")
         ts = step_response(model.ss, opt["input"], T, dt)
         spec = fft_magnitude(ts, opt["channel"])
         write("spectrum.csv", ["f_hz", "magnitude"],

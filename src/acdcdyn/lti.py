@@ -9,6 +9,7 @@ concurrently without shared state.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,6 +20,36 @@ import numpy as np
 
 class NumericFailure(Exception):
     """A computation failed on valid input (exit 2); bad input is ValueError."""
+
+
+def is_real(x) -> bool:
+    """A real number that is not a bool: an int, a float or a NumPy one."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def check_real(name: str, value, kind: str = "real") -> float:
+    """`value` as a float if it is a finite real number of `kind` ("real",
+    "positive" or "nonnegative"), else TypeError or ValueError naming it."""
+    if not is_real(value):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:       # an int too large for a float
+        x = math.inf
+    admits = {"real": True, "positive": x > 0, "nonnegative": x >= 0}
+    if not (math.isfinite(x) and admits[kind]):
+        raise ValueError(f"{name} must be finite and {kind}, got {value!r}")
+    return x
+
+
+def check_fields(record, optional=(), **kinds) -> None:
+    """``check_real`` on the fields of `record` named under each kind, as
+    ``Record.field``; a field also in `optional` may be None."""
+    for kind, fields in kinds.items():
+        for field in fields:
+            value = getattr(record, field)
+            if value is not None or field not in optional:
+                check_real(f"{type(record).__name__}.{field}", value, kind)
 
 
 class PoleHit(NumericFailure):

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lti import NumericFailure, Polynomial, RationalTF
+from .lti import (NumericFailure, Polynomial, RationalTF, check_fields,
+                  check_real)
 
 
 class EdgePole(NumericFailure):
@@ -52,11 +53,8 @@ class AcEdge:
     r_virt_k: float = 0.0
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("line inductance must be positive")
-        if min(self.r, self.l_virt_n, self.l_virt_k,
-               self.r_virt_n, self.r_virt_k) < 0:
-            raise ValueError("resistances and virtual terms must be >= 0")
+        check_fields(self, positive=("l",), nonnegative=(
+            "r", "l_virt_n", "l_virt_k", "r_virt_n", "r_virt_k"))
 
     @property
     def k_nk(self) -> float:
@@ -77,10 +75,7 @@ class DcEdge:
     r_dc: float              # Ohm
 
     def __post_init__(self):
-        if self.l_dc <= 0:
-            raise ValueError("DC link inductance must be positive")
-        if self.r_dc < 0:
-            raise ValueError("DC link resistance must be >= 0")
+        check_fields(self, positive=("l_dc",), nonnegative=("r_dc",))
 
 
 def _ac_edge_gain(e: AcEdge, V_ac_star: float, omega_star: float) -> float:
@@ -134,8 +129,7 @@ class HybridGraph:
         object.__setattr__(self, "ac_nodes", tuple(conv + load))
         object.__setattr__(self, "ac_edges", tuple(self.ac_edges))
         object.__setattr__(self, "dc_edges", tuple(self.dc_edges))
-        if self.V_ac_star <= 0 or self.omega_star <= 0:
-            raise ValueError("operating point must be positive")
+        check_fields(self, positive=("V_ac_star", "omega_star"))
         if load and not conv:
             raise ValueError("load nodes need at least one conversion node")
         kinds = dict(self.ac_nodes)
@@ -154,8 +148,8 @@ class HybridGraph:
         for n in dc_names:
             if n not in self.v_dc_star:
                 raise ValueError(f"missing DC setpoint for node {n}")
-            if self.v_dc_star[n] <= 0:
-                raise ValueError(f"DC setpoint of node {n} must be positive")
+            check_real(f"HybridGraph.v_dc_star[{n!r}]", self.v_dc_star[n],
+                       "positive")
         if len(_components(kinds, self.ac_edges + self.dc_edges)) != 1:
             raise ValueError("hybrid graph must be connected")
 
@@ -505,7 +499,7 @@ def line_impedance(catalog: dict, cable: str, length_m: float,
     if cable not in catalog:
         raise KeyError(f"unknown cable type {cable!r}")
     entry = catalog[cable]
-    km = length_m / 1000.0
+    km = check_real("length_m", length_m, "positive") / 1000.0
     mult = 2.0 if loop else 1.0
     r = mult * entry["r_ohm_per_km"] * km
     l = mult * entry["x_ohm_per_km"] * km / (2.0 * math.pi * f_hz)

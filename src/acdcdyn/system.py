@@ -13,15 +13,14 @@ from __future__ import annotations
 import copy
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .lti import (EntrywiseBlock, NumericFailure, StateSpace, compose,
-                  integrator, tf_to_ss)
+from .lti import (EntrywiseBlock, NumericFailure, StateSpace, check_real,
+                  compose, integrator, is_real, tf_to_ss)
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
                       kron_reduce_symbolic, line_impedance, load_cable_catalog)
@@ -60,6 +59,8 @@ class SystemConfig:
         if stray:
             raise ValueError(f"ratio bounds given for {stray}, which are "
                              "not VSC nodes")
+        for n, bound in self.ratio_bounds.items():
+            check_real(f"SystemConfig.ratio_bounds[{n!r}]", bound, "positive")
 
     @property
     def has_infinite_bus(self) -> bool:
@@ -245,9 +246,7 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     g, base = config.graph, config.base
     if not g.load_names:
         raise ValueError("the steady state needs a load node")
-    if not math.isfinite(dp_load):
-        raise ValueError(f"the load step dp_load must be finite, got "
-                         f"{dp_load}")
+    check_real("dp_load", dp_load)
     k_tg = {n: p.k_tg * p.P_max / base.S_base for n, p in config.sg.items()}
     k_pv = {n: (0.0 if p.k_pv is None else p.k_pv) / p.control.k_p
             for n, p in config.vsc.items()}
@@ -417,8 +416,9 @@ def config_from_dict(data: dict) -> SystemConfig:
     not read (``check_scenario_keys``)."""
     check_scenario_keys(data)
     b = data["base"]
+    f_hz = check_real("base.f_base_hz", b["f_base_hz"], "positive")
     base = PerUnitBase(b["s_base_va"], b["v_base_ac_v"], b["v_base_dc_v"],
-                       2.0 * math.pi * b["f_base_hz"])
+                       2.0 * math.pi * f_hz)
     catalog = load_cable_catalog(data.get("cable_catalog"))
 
     sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
@@ -427,14 +427,15 @@ def config_from_dict(data: dict) -> SystemConfig:
         sg_params[s["node"]] = SgParams(
             s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"], s["k_omega"],
             s["t1_s"], s["t2_s"])
-    for v in data.get("vscs", []):
+    for i, v in enumerate(data.get("vscs", [])):
         node = v["node"]
         k_pv = None
         if v.get("pv"):
             pv = v["pv"]
             pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
                                   pv["v_base_dc_v"], base.omega_base)
-            k_pv = convert_k_pv(pv["k_pv_pu"], pv_base, base)
+            k_pv = convert_k_pv(check_real(f"vscs.{i}.pv.k_pv_pu",
+                                           pv["k_pv_pu"]), pv_base, base)
         c = v["control"]
         vsc_params[node] = VscParams(
             v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
@@ -448,14 +449,14 @@ def config_from_dict(data: dict) -> SystemConfig:
     ac_nodes = [(n, kind_map[k]) for n, k in data["ac_nodes"]]
 
     ac_edges = []
-    for e in data["ac_edges"]:
+    for i, e in enumerate(data["ac_edges"]):
         r = l = 0.0
         for seg in e["segments"]:
             rr, ll = line_impedance(catalog, seg["cable"], seg["length_m"],
-                                    f_hz=b["f_base_hz"])
+                                    f_hz=f_hz)
             r += rr
             l += ll
-        l += e.get("l_extra_h", 0.0)
+        l += check_real(f"ac_edges.{i}.l_extra_h", e.get("l_extra_h", 0.0))
         kw = {}
         virt = e.get("virtual_at")
         if virt is not None:
@@ -467,14 +468,10 @@ def config_from_dict(data: dict) -> SystemConfig:
     for e in data.get("dc_edges", []):
         if "cable" in e:
             r, l = line_impedance(catalog, e["cable"], e["length_m"],
-                                  f_hz=b["f_base_hz"],
-                                  loop=e.get("loop", True))
+                                  f_hz=f_hz, loop=e.get("loop", True))
+            r, l = e.get("r_ohm", r), e.get("l_h", l)
         else:
             r, l = e["r_ohm"], e["l_h"]
-        if "r_ohm" in e:
-            r = e["r_ohm"]
-        if "l_h" in e:
-            l = e["l_h"]
         dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
     graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges), tuple(dc_edges),
@@ -498,10 +495,6 @@ NAMED_GAINS = {
 }
 
 
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
 def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     """The item name of a named gain's list and the (dotted path, value)
     pairs it sets.  KeyError for an unknown name or an empty list,
@@ -515,10 +508,10 @@ def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
             raise KeyError(f"unknown override {key!r}")
     if name == "v_dc_star_pu":
         if not (isinstance(value, (list, tuple))
-                and all(map(_is_real, value))):
+                and all(map(is_real, value))):
             raise TypeError(f"override {key!r} takes a list of numbers, "
                             f"got {value!r}")
-    elif not _is_real(value):
+    elif not is_real(value):
         raise TypeError(f"override {key!r} takes a number, got {value!r}")
     items, item, path = NAMED_GAINS[name]
     n = len(data.get(items) or [])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lti import Polynomial, RationalTF
+from .lti import Polynomial, RationalTF, check_fields
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,8 @@ class PerUnitBase:
     omega_base: float    # rad/s
 
     def __post_init__(self):
-        for name in ("S_base", "V_base_ac", "V_base_dc", "omega_base"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        check_fields(self, positive=("S_base", "V_base_ac", "V_base_dc",
+                                     "omega_base"))
 
 
 @dataclass(frozen=True)
@@ -44,8 +43,8 @@ class SgParams:
     T2: float            # s
 
     def __post_init__(self):
-        if min(self.S_n, self.P_max, self.H, self.T1, self.T2) <= 0:
-            raise ValueError("SG parameters must be positive")
+        check_fields(self, positive=("S_n", "P_max", "H", "T1", "T2"),
+                     real=("k_tg", "k_omega"))
         if self.P_max > self.S_n:
             raise ValueError("P_max must not exceed S_n")
 
@@ -59,10 +58,7 @@ class GfmCtrlParams:
     tau_kd: float        # s (0 flags the improper ideal differentiator)
 
     def __post_init__(self):
-        if self.k_p <= 0:
-            raise ValueError("k_p must be positive")
-        if self.k_d < 0 or self.tau_kd < 0:
-            raise ValueError("k_d and tau_kd must be nonnegative")
+        check_fields(self, positive=("k_p",), nonnegative=("k_d", "tau_kd"))
 
 
 @dataclass(frozen=True)
@@ -78,10 +74,8 @@ class VscParams:
     c_extra: float = 0.0        # F, bus capacitance on the same DC node
 
     def __post_init__(self):
-        if self.C_dc <= 0:
-            raise ValueError("C_dc must be positive")
-        if self.c_extra < 0:
-            raise ValueError("c_extra must be nonnegative")
+        check_fields(self, positive=("C_dc",), nonnegative=("c_extra",),
+                     real=("k_pv",), optional=("k_pv",))
 
 
 def sm_tf(p: SgParams, base: PerUnitBase) -> RationalTF:

@@ -69,6 +69,19 @@ class TestBounds:
         with pytest.raises(ValueError):
             analysis.bound_islanded_kd(-0.025)
 
+    @pytest.mark.parametrize("kwargs, error, name", [
+        ({"k_p": math.nan}, ValueError, "k_p"),
+        ({"k_p": True}, TypeError, "k_p"),
+        ({"C_dc_pu": math.inf}, ValueError, "C_dc_pu"),
+        ({"C_dc_pu": 0.0}, ValueError, "C_dc_pu"),
+        ({"k_pv": -math.inf}, ValueError, "k_pv"),
+        ({"k_pv": "1"}, TypeError, "k_pv"),
+    ])
+    def test_bound_checks_each_argument(self, kwargs, error, name):
+        # NaN used to pass every comparison and come back as the bound
+        with pytest.raises(error, match=f"^{name} must be"):
+            analysis.bound_islanded_kd(**{"k_p": 0.025, **kwargs})
+
     def test_ratio_bounds_strict(self):
         r = analysis.check_ratio_bounds(scenario_lvdc_async(k_d_2=0.012))
         assert r == {"vsc1": True, "vsc2": True}

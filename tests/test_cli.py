@@ -141,11 +141,11 @@ class TestConfigHandling:
         ("bode", {"f_min_hz": 0}, [], "0 < f_min < f_max < inf"),
         ("bode", {"points": 0}, [], "points must be a positive int"),
         ("bode", {"points": 2.5}, [], "points must be a positive int"),
-        ("steady", {"delta_p_l_pu": math.nan}, [], "dp_load"),
-        ("steady", {"delta_p_l_w": math.inf}, [], "dp_load"),
-        ("step", {"amplitude": math.inf}, [], "amplitude"),
-        ("step", {"dt_s": math.nan}, [], "0 < dt <= T/100"),
-        ("spectrum", {"t_end_s": math.nan}, [], "0 < dt <= T/100"),
+        ("steady", {"delta_p_l_pu": math.nan}, [], "options.delta_p_l_pu"),
+        ("steady", {"delta_p_l_w": math.inf}, [], "options.delta_p_l_w"),
+        ("step", {"amplitude": math.inf}, [], "options.amplitude"),
+        ("step", {"dt_s": math.nan}, [], "options.dt_s"),
+        ("spectrum", {"t_end_s": math.nan}, [], "options.t_end_s"),
     ], ids=["bode-f_min-nan", "bode-f_max-inf", "bode-f_min-zero",
             "bode-points-zero", "bode-points-float", "steady-pu-nan",
             "steady-w-inf", "step-amplitude-inf", "step-dt-nan",
@@ -455,6 +455,40 @@ class TestSetFlag:
         assert json.loads((out / "error.json").read_text())["error"] \
             == "TypeError"
         assert not (out / "poles.csv").exists()
+
+    @pytest.mark.parametrize("command, item, error, message", [
+        ("steady", "k_p=NaN", "ValueError",
+         "GfmCtrlParams.k_p must be finite and positive, got nan"),
+        ("poles", "sg.h_s=NaN", "ValueError",
+         "SgParams.H must be finite and positive, got nan"),
+        ("poles", "vscs.0.control.k_d=[1]", "TypeError",
+         "GfmCtrlParams.k_d must be a real number, got [1]"),
+        ("poles", "sg.h_s=true", "TypeError",
+         "SgParams.H must be a real number, got True"),
+        ("step", "options.t_end_s=true", "TypeError",
+         "options.t_end_s must be a real number, got True"),
+        ("step", 'options.dt_s="0.001"', "TypeError",
+         "options.dt_s must be a real number, got '0.001'"),
+        ("steady", "options.delta_p_l_pu=true", "TypeError",
+         "options.delta_p_l_pu must be a real number, got True"),
+    ], ids=["k_p-nan", "h_s-nan", "k_d-list", "h_s-bool", "t_end_s-bool",
+            "dt_s-string", "delta_p_l_pu-bool"])
+    def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,
+                                       error, message):
+        # a value that is not a finite real number in its field's range is
+        # named where it is read: it neither fails deep in a kernel (exit
+        # 2, or exit 1 naming nothing) nor is read as 1 or parsed (exit 0)
+        options = {"poles": {}, "steady": {"delta_p_l_pu": 1.0},
+                   "step": {"input": "p_load_load1", "t_end_s": 1.0}}
+        cfg = write_config(tmp_path, {"scenario": "lvdc_async",
+                                      "options": options[command]})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--set", item]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["message"]) == (error, message)
 
     def test_misspelt_scenario_key_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})

@@ -437,3 +437,10 @@ class TestCatalog:
     def test_unknown_cable(self):
         with pytest.raises(KeyError):
             line_impedance({}, "bogus", 1.0)
+
+    @pytest.mark.parametrize("length", [-10.0, 0.0, math.nan, math.inf])
+    def test_length_must_be_finite_and_positive(self, length):
+        # a negative length would give a negative r and l, which surfaced
+        # only later, as AcEdge.l
+        with pytest.raises(ValueError, match=rf"length_m .* got {length}"):
+            line_impedance(load_cable_catalog(), "NAYY 4x35", length)

@@ -14,7 +14,7 @@ from acdcdyn.system import (ImproperController, NoDroop, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
                             resolve_scenario, scenario_islanded_pv, scenario_lvdc_async,
                             scenario_parallel_ac_dc, steady_state)
-from acdcdyn.units import GfmCtrlParams, SgParams, VscParams
+from acdcdyn.units import GfmCtrlParams, PerUnitBase, SgParams, VscParams
 
 #: Every numeric field of the device records, by record.
 DEVICE_FIELDS = ([("sg", f.name) for f in fields(SgParams)]
@@ -234,6 +234,103 @@ class TestConfigSurface:
                         ("load1", "vsc1"): (0.0, 0.0023),
                         ("vsc2", "grid"): (0.005, 0.0),
                         ("load1", "vsc2"): (0.0, 0.005)}
+
+
+def _records():
+    """One valid instance of each record that checks its numbers, from
+    the ``lvdc_async`` preset."""
+    cfg = scenario_lvdc_async()
+    vsc = cfg.vsc["vsc1"]
+    return {"PerUnitBase": cfg.base, "SgParams": cfg.sg["sg"],
+            "GfmCtrlParams": vsc.control, "VscParams": vsc,
+            "AcEdge": cfg.graph.ac_edges[0], "DcEdge": cfg.graph.dc_edges[0],
+            "HybridGraph": cfg.graph, "SystemConfig": cfg}
+
+
+#: Every (record, field) pair that the number rule covers.  A dict field
+#: is checked entry by entry.
+CHECKED_FIELDS = (
+    [("PerUnitBase", f) for f in ("S_base", "V_base_ac", "V_base_dc",
+                                  "omega_base")]
+    + [("SgParams", f.name) for f in fields(SgParams)]
+    + [("GfmCtrlParams", f.name) for f in fields(GfmCtrlParams)]
+    + [("VscParams", f) for f in ("C_dc", "k_pv", "c_extra")]
+    + [("AcEdge", f) for f in ("l", "r", "l_virt_n", "l_virt_k", "r_virt_n",
+                               "r_virt_k")]
+    + [("DcEdge", "l_dc"), ("DcEdge", "r_dc"),
+       ("HybridGraph", "V_ac_star"), ("HybridGraph", "omega_star"),
+       ("HybridGraph", "v_dc_star"), ("SystemConfig", "ratio_bounds")])
+
+
+def _with(record, field, value):
+    """`record` with `field` set to `value`; a dict field gets `value` at
+    its first entry."""
+    old = getattr(record, field)
+    if isinstance(old, dict):
+        value = {**old, next(iter(old)): value}
+    return replace(record, **{field: value})
+
+
+class TestNumberRule:
+    @pytest.mark.parametrize("value, error", [
+        (math.nan, ValueError), (math.inf, ValueError),
+        (-math.inf, ValueError), (10**400, ValueError), (True, TypeError),
+        ("1", TypeError), ([1], TypeError)],
+        ids=["nan", "inf", "-inf", "huge-int", "bool", "str", "list"])
+    @pytest.mark.parametrize("record, field", CHECKED_FIELDS,
+                             ids=[".".join(p) for p in CHECKED_FIELDS])
+    def test_bad_value_names_the_field(self, record, field, value, error):
+        with pytest.raises(error) as info:
+            _with(_records()[record], field, value)
+        message = str(info.value)
+        assert message.startswith(f"{record}.{field}")
+        assert message.endswith(f"got {value!r}")
+
+    @pytest.mark.parametrize("value, error", [(True, TypeError),
+                                              (math.nan, ValueError)])
+    @pytest.mark.parametrize("path", ["base.f_base_hz", "vscs.0.pv.k_pv_pu",
+                                      "ac_edges.0.l_extra_h"])
+    def test_scenario_number_computed_on_is_named(self, path, value, error):
+        # these are scaled or summed before any record sees them
+        data = resolve_scenario("islanded_pv", {path: value})
+        with pytest.raises(error, match=rf"^{path} must be"):
+            config_from_dict(data)
+
+    def test_values_that_still_pass(self):
+        r = _records()
+        for record, field in CHECKED_FIELDS:
+            old = getattr(r[record], field)
+            old = next(iter(old.values())) if isinstance(old, dict) else old
+            for cast in (np.float64, np.float32):
+                if old is not None:
+                    _with(r[record], field, cast(old))
+        ctrl = GfmCtrlParams(1, 0, np.int64(0))
+        VscParams(1, ctrl, k_pv=None, c_extra=0)
+        PerUnitBase(50000, 400, 650, np.int64(314))
+        _with(r["SgParams"], "k_tg", 0)
+        with pytest.raises(ImproperController):
+            build(scenario_lvdc_async(tau_kd=0))
+
+    def test_nonnegative_fields_take_zero_positive_ones_do_not(self):
+        r = _records()
+        nonnegative = {("GfmCtrlParams", "k_d"), ("GfmCtrlParams", "tau_kd"),
+                       ("VscParams", "c_extra"), ("AcEdge", "r"),
+                       ("AcEdge", "l_virt_n"), ("AcEdge", "l_virt_k"),
+                       ("AcEdge", "r_virt_n"), ("AcEdge", "r_virt_k"),
+                       ("DcEdge", "r_dc")}
+        real = {("SgParams", "k_tg"), ("SgParams", "k_omega"),
+                ("VscParams", "k_pv")}
+        for record, field in CHECKED_FIELDS:
+            if (record, field) in nonnegative | real:
+                _with(r[record], field, 0.0)
+            else:
+                with pytest.raises(ValueError, match="finite and positive"):
+                    _with(r[record], field, 0.0)
+            if (record, field) in real:
+                _with(r[record], field, -1.0)
+            else:
+                with pytest.raises(ValueError):
+                    _with(r[record], field, -1.0)
 
 
 class TestBuildErrors:
