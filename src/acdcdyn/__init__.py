@@ -2,9 +2,9 @@
 grid-forming control.
 
 Subpackages by layer: ``lti`` (polynomials, transfer functions, state space),
-``units`` (device factories and per-unit bases), ``network`` (hybrid graphs,
-Laplacians, Kron reduction), ``system`` (closed-loop assembly and scenario
-presets), ``analysis`` (Bode, stability, bounds, sweeps), ``cli``.
+``units`` (device factories and per-unit bases), ``network`` (graphs,
+Laplacians, Kron reduction, network blocks), ``system`` (closed-loop
+assembly, presets), ``analysis`` (Bode, stability, bounds, sweeps), ``cli``.
 """
 
 __version__ = "0.1.0"

@@ -65,8 +65,10 @@ def bode(model, input: str, output: str,
         raise KeyError(f"unknown input channel {input!r}")
     if output not in ss.output_names:
         raise KeyError(f"unknown output channel {output!r}")
-    if not 0 < f_min < f_max < math.inf:
-        raise ValueError(f"the band needs 0 < f_min < f_max < inf, got "
+    f_min = check_real("f_min", f_min, "positive")
+    f_max = check_real("f_max", f_max, "positive")
+    if not f_min < f_max:
+        raise ValueError(f"the band needs f_min < f_max, got "
                          f"f_min = {f_min}, f_max = {f_max}")
     if isinstance(points, bool) or not (isinstance(points, numbers.Integral)
                                         and points > 0):

@@ -1,5 +1,6 @@
 """Hybrid AC/DC network graphs, linearized edge transfer functions,
-Laplacian assembly, and generalized Kron reduction of load nodes.
+Laplacian assembly, generalized Kron reduction of load nodes, and the
+network's blocks of the closed loop (``network_blocks``).
 
 Angles are in radians, node voltages in volts; edge transfer functions map
 angle differences (AC) or voltage differences (DC) to power in watts.
@@ -16,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lti import (NumericFailure, Polynomial, RationalTF, check_fields,
-                  check_real)
+from .lti import (EntrywiseBlock, NumericFailure, Polynomial, RationalTF,
+                  check_fields, check_real, tf_to_ss)
 
 
 class EdgePole(NumericFailure):
@@ -296,7 +297,7 @@ def dc_laplacian_tfs(g: HybridGraph):
 
 
 # --------------------------------------------------------------------------
-# Kron reduction
+# Kron reduction and the network's blocks of the closed loop
 # --------------------------------------------------------------------------
 
 def kron_reduce(L: np.ndarray, n_conv: int, s: complex = None):
@@ -376,6 +377,54 @@ def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int):
         W = W[:e]
     G_load = [[(-1.0 * w).simplify() for w in row] for row in W]
     return M, G_load
+
+
+def _mimo_from_tf_matrix(tfm, input_names, output_names) -> EntrywiseBlock:
+    """Realize a matrix of rational transfer functions entrywise: one SISO
+    part per nonzero entry, in row-major order, for ``compose`` to place."""
+    parts = tuple((i, j, tf_to_ss(tf)) for i, row in enumerate(tfm)
+                  for j, tf in enumerate(row) if not tf.num.is_zero())
+    return EntrywiseBlock(parts, tuple(input_names), tuple(output_names))
+
+
+def network_blocks(g: HybridGraph, base) -> dict[str, EntrywiseBlock]:
+    """The network's blocks of the closed loop in the per-unit base `base`,
+    for ``compose``.  Any realization of the network meets this channel
+    contract, and ``build`` wires the devices to these channels alone:
+    ``acnet`` reads ``th_<conv>`` (rad) and ``pl_<load>`` (p.u.,
+    consumption-positive) and writes ``p_<conv>`` (p.u.), the power each
+    conversion node sends into the network; ``dcnet``, when there are DC
+    edges, reads ``v_<vsc>`` (p.u.) and writes ``p_<vsc>`` (p.u.), the
+    power each VSC sends into the DC network, losses included.  Here both
+    are symbolic Laplacians, Kron-reduced, scaled to per unit, simplified
+    and realized entry by entry."""
+    conv, loads, blocks = g.conv_names, g.load_names, {}
+    # reduced AC network in per-unit power
+    L = ac_laplacian_tfs(g)
+    G_conv, G_load = kron_reduce_symbolic(L, len(conv))
+    # angle inputs: W per rad -> p.u. per rad; load inputs are already
+    # power-to-power and stay dimensionless
+    scale = 1.0 / base.S_base
+    net_tfm = [[(scale * G_conv[i][j]).simplify() for j in range(len(conv))]
+               + [G_load[i][c].simplify() for c in range(len(loads))]
+               for i in range(len(conv))]
+    net_inputs = [f"th_{n}" for n in conv] + [f"pl_{n}" for n in loads]
+    net_outputs = [f"p_{n}" for n in conv]
+    blocks["acnet"] = _mimo_from_tf_matrix(net_tfm, net_inputs, net_outputs)
+
+    # DC network in per-unit power over per-unit node voltages
+    if g.dc_edges:
+        Ldc, loss = dc_laplacian_tfs(g)
+        k_v = base.V_base_dc / base.S_base
+        dc_tfm = [[(k_v * tf).simplify() for tf in row] for row in Ldc]
+        # the loss injection acts on each node's own voltage
+        for i, tf in enumerate(loss):
+            dc_tfm[i][i] = (dc_tfm[i][i] + (k_v * tf).simplify()).simplify()
+        dc_names = g.dc_names
+        blocks["dcnet"] = _mimo_from_tf_matrix(
+            dc_tfm, [f"v_{n}" for n in dc_names],
+            [f"p_{n}" for n in dc_names])
+    return blocks
 
 
 # --------------------------------------------------------------------------

@@ -14,16 +14,17 @@ import copy
 import json
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
 import numpy as np
 
-from .lti import (EntrywiseBlock, NumericFailure, StateSpace, check_real,
-                  compose, integrator, is_real, tf_to_ss)
+from .lti import (NumericFailure, StateSpace, check_real, compose,
+                  integrator, is_real, tf_to_ss)
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
-                      ac_laplacian_tfs, check_assumption1, dc_laplacian_tfs,
-                      kron_reduce_symbolic, line_impedance, load_cable_catalog)
+                      check_assumption1, line_impedance, load_cable_catalog,
+                      network_blocks)
 from .units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
                     convert_k_pv, gfm_ctrl_tf, governor_droop_tf,
                     sg_damping_tf, sm_tf, vsc_dclink_tf)
@@ -62,10 +63,6 @@ class SystemConfig:
         for n, bound in self.ratio_bounds.items():
             check_real(f"SystemConfig.ratio_bounds[{n!r}]", bound, "positive")
 
-    @property
-    def has_infinite_bus(self) -> bool:
-        return any(k is NodeKind.INFINITE_BUS for _, k in self.graph.ac_nodes)
-
 
 @dataclass(frozen=True)
 class ClosedLoopModel:
@@ -85,23 +82,12 @@ class SteadyState:
 
 
 # --------------------------------------------------------------------------
-# realization helpers
-# --------------------------------------------------------------------------
-
-def _mimo_from_tf_matrix(tfm, input_names, output_names) -> EntrywiseBlock:
-    """Realize a matrix of rational transfer functions entrywise: one SISO
-    part per nonzero entry, in row-major order, for ``compose`` to place."""
-    parts = tuple((i, j, tf_to_ss(tf)) for i, row in enumerate(tfm)
-                  for j, tf in enumerate(row) if not tf.num.is_zero())
-    return EntrywiseBlock(parts, tuple(input_names), tuple(output_names))
-
-
-# --------------------------------------------------------------------------
 # closed-loop assembly
 # --------------------------------------------------------------------------
 
 def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
-    """Assemble the interconnected closed-loop state-space model.
+    """Assemble the interconnected closed-loop state-space model: the
+    device blocks, wired to the channels of ``network_blocks``.
 
     Inputs: p_load_<node> per load node (p.u., consumption-positive),
     omega_pg when an infinite bus is present, n_<vsc> measurement noise.
@@ -113,47 +99,17 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
         if p.control.tau_kd == 0.0:
             raise ImproperController(
                 f"controller at {name} has tau_kd = 0 (not realizable)")
-    verdict = ""
-    if check_network:
-        res = check_assumption1(g)
-        verdict = res.verdict
-        if verdict == "fails":
-            warnings.warn("load-block inverse is unstable; the assembled "
-                          "model inherits unstable network modes")
+    verdict = check_assumption1(g).verdict if check_network else ""
+    if verdict == "fails":
+        warnings.warn("load-block inverse is unstable; the assembled "
+                      "model inherits unstable network modes")
 
     conv = g.conv_names
     loads = g.load_names
-    blocks: dict[str, StateSpace | EntrywiseBlock] = {}
+    blocks: dict = network_blocks(g, base)
     conns: list[tuple[str, str, float]] = []
     ext_in: list[str] = []
     ext_out: list[tuple[str, str]] = []   # (public name, internal channel)
-
-    # reduced AC network in per-unit power
-    L = ac_laplacian_tfs(g)
-    G_conv, G_load = kron_reduce_symbolic(L, len(conv))
-    # angle inputs: W per rad -> p.u. per rad; load inputs are already
-    # power-to-power and stay dimensionless
-    scale = 1.0 / base.S_base
-    net_tfm = [[(scale * G_conv[i][j]).simplify() for j in range(len(conv))]
-               + [G_load[i][c].simplify() for c in range(len(loads))]
-               for i in range(len(conv))]
-    net_inputs = [f"th_{n}" for n in conv] + [f"pl_{n}" for n in loads]
-    net_outputs = [f"p_{n}" for n in conv]
-    blocks["acnet"] = _mimo_from_tf_matrix(net_tfm, net_inputs, net_outputs)
-
-    # DC network in per-unit power over per-unit node voltages
-    has_dc = len(g.dc_edges) > 0
-    if has_dc:
-        Ldc, loss = dc_laplacian_tfs(g)
-        k_v = base.V_base_dc / base.S_base
-        dc_tfm = [[(k_v * tf).simplify() for tf in row] for row in Ldc]
-        # the loss injection acts on each node's own voltage
-        for i, tf in enumerate(loss):
-            dc_tfm[i][i] = (dc_tfm[i][i] + (k_v * tf).simplify()).simplify()
-        dc_names = g.dc_names
-        blocks["dcnet"] = _mimo_from_tf_matrix(
-            dc_tfm, [f"v_{n}" for n in dc_names],
-            [f"p_{n}" for n in dc_names])
 
     kinds = dict(g.ac_nodes)
     for n in conv:
@@ -172,7 +128,6 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                 (f"sm_{n}.p", f"acnet.p_{n}", -1.0),
                 (f"tg_{n}.omega", f"sm_{n}.omega", 1.0),
                 (f"th_{n}.omega", f"sm_{n}.omega", 1.0),
-                (f"acnet.th_{n}", f"th_{n}.theta", 1.0),
             ]
             ext_out += [(f"omega_{n}", f"sm_{n}.omega"),
                         (f"p_ac_{n}", f"acnet.p_{n}"),
@@ -188,7 +143,6 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                 (f"ctr_{n}.v", f"cap_{n}.v", 1.0),
                 (f"ctr_{n}.v", f"n_{n}", 1.0),
                 (f"th_{n}.omega", f"ctr_{n}.omega", 1.0),
-                (f"acnet.th_{n}", f"th_{n}.theta", 1.0),
             ]
             ext_in.append(f"n_{n}")
             if p.k_pv is not None:
@@ -197,7 +151,7 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                 conns += [(f"pv_{n}.v", f"cap_{n}.v", 1.0),
                           (f"cap_{n}.p", f"pv_{n}.p", 1.0)]
                 ext_out.append((f"p_pv_{n}", f"pv_{n}.p"))
-            if has_dc:
+            if "dcnet" in blocks:
                 conns += [(f"dcnet.v_{n}", f"cap_{n}.v", 1.0),
                           (f"cap_{n}.p", f"dcnet.p_{n}", -1.0)]
                 ext_out.append((f"p_dc_{n}", f"dcnet.p_{n}"))
@@ -206,14 +160,13 @@ def build(config: SystemConfig, check_network: bool = True) -> ClosedLoopModel:
                         (f"p_ac_{n}", f"acnet.p_{n}")]
         elif kind is NodeKind.INFINITE_BUS:
             blocks[f"th_{n}"] = integrator(base.omega_base, "omega", "theta")
-            conns += [(f"th_{n}.omega", "omega_pg", 1.0),
-                      (f"acnet.th_{n}", f"th_{n}.theta", 1.0)]
+            conns.append((f"th_{n}.omega", "omega_pg", 1.0))
 
-    for n in loads:
-        conns.append((f"acnet.pl_{n}", f"p_load_{n}", 1.0))
+    conns += [(f"acnet.th_{n}", f"th_{n}.theta", 1.0) for n in conv]
+    conns += [(f"acnet.pl_{n}", f"p_load_{n}", 1.0) for n in loads]
 
     ext_inputs = [f"p_load_{n}" for n in loads]
-    if config.has_infinite_bus:
+    if NodeKind.INFINITE_BUS in kinds.values():
         ext_inputs.append("omega_pg")
     ext_inputs += ext_in
 
@@ -410,10 +363,20 @@ def check_scenario_keys(data: dict) -> None:
         _no_unknown_keys(e, _BLOCK_KEYS["dc_edge"], f"dc_edges.{i}")
 
 
+@contextmanager
+def _element(where: str):
+    """Prefix `where`, a block's dotted path, to a TypeError or ValueError."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        exc.args = (f"{where}: {exc}",)
+        raise
+
+
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON-facing dictionary schema used by
     preset files and the command line.  Raises ValueError on a key it does
-    not read (``check_scenario_keys``)."""
+    not read (``check_scenario_keys``); a record's error names its block."""
     check_scenario_keys(data)
     b = data["base"]
     f_hz = check_real("base.f_base_hz", b["f_base_hz"], "positive")
@@ -424,22 +387,25 @@ def config_from_dict(data: dict) -> SystemConfig:
     sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
     if data.get("sg"):
         s = data["sg"]
-        sg_params[s["node"]] = SgParams(
-            s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"], s["k_omega"],
-            s["t1_s"], s["t2_s"])
+        with _element("sg"):
+            sg_params[s["node"]] = SgParams(
+                s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"],
+                s["k_omega"], s["t1_s"], s["t2_s"])
     for i, v in enumerate(data.get("vscs", [])):
         node = v["node"]
         k_pv = None
         if v.get("pv"):
             pv = v["pv"]
-            pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
-                                  pv["v_base_dc_v"], base.omega_base)
+            with _element(f"vscs.{i}.pv"):
+                pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
+                                      pv["v_base_dc_v"], base.omega_base)
             k_pv = convert_k_pv(check_real(f"vscs.{i}.pv.k_pv_pu",
                                            pv["k_pv_pu"]), pv_base, base)
         c = v["control"]
-        vsc_params[node] = VscParams(
-            v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
-            k_pv, v.get("c_extra_f", 0.0))
+        with _element(f"vscs.{i}"):
+            vsc_params[node] = VscParams(
+                v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
+                k_pv, v.get("c_extra_f", 0.0))
         v_dc_star[node] = v["v_dc_star_v"]
         virtual[node] = (v["l_virtual_h"], v.get("r_virtual_ohm", 0.0))
 
@@ -462,17 +428,19 @@ def config_from_dict(data: dict) -> SystemConfig:
         if virt is not None:
             side = "n" if virt == e["n"] else "k"
             kw[f"l_virt_{side}"], kw[f"r_virt_{side}"] = virtual[virt]
-        ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
+        with _element(f"ac_edges.{i}"):
+            ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
 
     dc_edges = []
-    for e in data.get("dc_edges", []):
+    for i, e in enumerate(data.get("dc_edges", [])):
         if "cable" in e:
             r, l = line_impedance(catalog, e["cable"], e["length_m"],
                                   f_hz=f_hz, loop=e.get("loop", True))
             r, l = e.get("r_ohm", r), e.get("l_h", l)
         else:
             r, l = e["r_ohm"], e["l_h"]
-        dc_edges.append(DcEdge(e["n"], e["k"], l, r))
+        with _element(f"dc_edges.{i}"):
+            dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
     graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges), tuple(dc_edges),
                         b["v_base_ac_v"], base.omega_base, v_dc_star)

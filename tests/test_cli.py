@@ -136,9 +136,15 @@ class TestConfigHandling:
         assert (out / "error.json").exists()
 
     @pytest.mark.parametrize("command, options, sets, message", [
-        ("bode", {"f_min_hz": math.nan}, [], "f_min = nan"),
-        ("bode", {}, ["options.f_max_hz=Infinity"], "f_max = inf"),
-        ("bode", {"f_min_hz": 0}, [], "0 < f_min < f_max < inf"),
+        ("bode", {"f_min_hz": math.nan}, [],
+         "f_min must be finite and positive, got nan"),
+        ("bode", {}, ["options.f_max_hz=Infinity"],
+         "f_max must be finite and positive, got inf"),
+        ("bode", {"f_min_hz": 0}, [], "f_min must be finite and positive"),
+        ("bode", {}, ["options.f_min_hz=true"],
+         "f_min must be a real number, got True"),
+        ("bode", {}, ['options.f_min_hz="0.1"'],
+         "f_min must be a real number, got '0.1'"),
         ("bode", {"points": 0}, [], "points must be a positive int"),
         ("bode", {"points": 2.5}, [], "points must be a positive int"),
         ("steady", {"delta_p_l_pu": math.nan}, [], "options.delta_p_l_pu"),
@@ -147,7 +153,7 @@ class TestConfigHandling:
         ("step", {"dt_s": math.nan}, [], "options.dt_s"),
         ("spectrum", {"t_end_s": math.nan}, [], "options.t_end_s"),
     ], ids=["bode-f_min-nan", "bode-f_max-inf", "bode-f_min-zero",
-            "bode-points-zero", "bode-points-float", "steady-pu-nan",
+            "bode-f_min-bool", "bode-f_min-string", "bode-points-zero", "bode-points-float", "steady-pu-nan",
             "steady-w-inf", "step-amplitude-inf", "step-dt-nan",
             "spectrum-t_end-nan"])
     def test_bad_number_exit_1(self, tmp_path, capsys, command, options,
@@ -458,20 +464,28 @@ class TestSetFlag:
 
     @pytest.mark.parametrize("command, item, error, message", [
         ("steady", "k_p=NaN", "ValueError",
-         "GfmCtrlParams.k_p must be finite and positive, got nan"),
+         "vscs.0: GfmCtrlParams.k_p must be finite and positive, got nan"),
+        ("poles", "k_p_2=NaN", "ValueError",
+         "vscs.1: GfmCtrlParams.k_p must be finite and positive, got nan"),
         ("poles", "sg.h_s=NaN", "ValueError",
-         "SgParams.H must be finite and positive, got nan"),
+         "sg: SgParams.H must be finite and positive, got nan"),
         ("poles", "vscs.0.control.k_d=[1]", "TypeError",
-         "GfmCtrlParams.k_d must be a real number, got [1]"),
+         "vscs.0: GfmCtrlParams.k_d must be a real number, got [1]"),
         ("poles", "sg.h_s=true", "TypeError",
-         "SgParams.H must be a real number, got True"),
+         "sg: SgParams.H must be a real number, got True"),
+        ("poles", "vscs.1.r_virtual_ohm=-1", "ValueError",
+         "ac_edges.2: AcEdge.r_virt_n must be finite and nonnegative, "
+         "got -1"),
+        ("poles", "dc_edges.0.r_ohm=-1", "ValueError",
+         "dc_edges.0: DcEdge.r_dc must be finite and nonnegative, got -1"),
         ("step", "options.t_end_s=true", "TypeError",
          "options.t_end_s must be a real number, got True"),
         ("step", 'options.dt_s="0.001"', "TypeError",
          "options.dt_s must be a real number, got '0.001'"),
         ("steady", "options.delta_p_l_pu=true", "TypeError",
          "options.delta_p_l_pu must be a real number, got True"),
-    ], ids=["k_p-nan", "h_s-nan", "k_d-list", "h_s-bool", "t_end_s-bool",
+    ], ids=["k_p-nan", "k_p_2-nan", "h_s-nan", "k_d-list", "h_s-bool",
+            "r_virtual-negative", "r_dc-negative", "t_end_s-bool",
             "dt_s-string", "delta_p_l_pu-bool"])
     def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,
                                        error, message):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm, matrix_balance, schur
 
 import acdcdyn.lti as lti
+import acdcdyn.network as network
 import acdcdyn.system as system
 from acdcdyn.lti import (AlgebraicLoop, ImproperTF, NoDcGain, PoleHit,
                          Polynomial, RationalTF, SingularAtFrequency,
@@ -297,7 +298,9 @@ class TestBalance:
             seen.append(tf.den.degree)
             return ss
 
+        # devices are realized in system, the network in network
         monkeypatch.setattr(system, "tf_to_ss", checked)
+        monkeypatch.setattr(network, "tf_to_ss", checked)
         cfgs = [_load_preset(name) for name in PRESETS]
         cfgs += itertools.islice(FeederStream(1), 72)
         for data in cfgs:
@@ -445,6 +448,12 @@ class TestEntrywiseNetwork:
         from feeder import FeederStream
 
         sizes = []
+        dense_blocks = []
+
+        def dense(*args):
+            dense_blocks.append(dense_mimo_reference(*args))
+            return dense_blocks[-1]
+
         cfgs = [_load_preset(name) for name in PRESETS]
         cfgs += itertools.islice(FeederStream(1), 11)
         for data in cfgs:
@@ -452,10 +461,14 @@ class TestEntrywiseNetwork:
                 ss, got = build_matrices(data)
             except ValueError:
                 continue         # configs whose symbolic Kron reduction fails
+            dense_blocks.clear()
             with monkeypatch.context() as m:
-                m.setattr(system, "_mimo_from_tf_matrix", dense_mimo_reference)
-                ref, dense = build_matrices(data)
-            assert got == dense
+                m.setattr(network, "_mimo_from_tf_matrix", dense)
+                ref, dense_bits = build_matrices(data)
+            # the reference realized the AC network, and the DC network
+            # where there is one
+            assert len(dense_blocks) == 1 + bool(data.get("dc_edges"))
+            assert got == dense_bits
             assert (ss.input_names, ss.output_names) == \
                 (ref.input_names, ref.output_names)
             sizes.append(ss.n_states)
