@@ -23,7 +23,5 @@ from .network import (AcEdge, DcEdge, HybridGraph, LoadBlockVerdict, NodeKind,
                       load_cable_catalog)
 from .system import (ClosedLoopModel, ImproperController, NoDroop,
                      SteadyState, SystemConfig, build, config_from_dict,
-                     nominal_dc_dispatch, scenario_islanded_pv,
-                     scenario_lvdc_async, scenario_parallel_ac_dc,
-                     steady_state)
+                     nominal_dc_dispatch, resolve_scenario, steady_state)
 from . import analysis

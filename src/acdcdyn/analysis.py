@@ -4,7 +4,6 @@ verdicts, analytic gain bounds, resonance-peak extraction, and gain sweeps.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -40,9 +39,9 @@ class StabilityResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
-    params: dict
+    value: object
     stable: bool | None
-    peaks: dict                           # (input, output) -> (f_hz, mag_db)
+    peak: tuple[float, float]             # (f_hz, mag_db) or (nan, nan)
     error: str = ""
 
 
@@ -167,35 +166,29 @@ def resonance_peak(table: BodeTable) -> tuple[float, float]:
     return interior_peak(table.f_hz, table.mag_db)
 
 
-def sweep(builder, grids: dict, channels) -> tuple[SweepPoint, ...]:
-    """Evaluate stability and per-channel resonance metrics, over the band
-    of ``bode``, at each point of the Cartesian product of parameter grids.
+def sweep(builder, values, channel) -> tuple[SweepPoint, ...]:
+    """Evaluate stability and the resonance peak of one (input, output)
+    `channel`, over the band of ``bode``, at each of `values`.
 
-    `builder` maps keyword parameters to a SystemConfig or ClosedLoopModel.
-    Points are independent: a NumericFailure or ValueError of one point is
-    recorded in its `error` and the sweep continues; any other exception,
-    such as a KeyError for an unknown parameter or channel, propagates.
+    `builder` maps one value to a SystemConfig.  Points are independent: a
+    NumericFailure or ValueError of one point is recorded in its `error`
+    and the sweep continues; any other exception, such as a KeyError for
+    an unknown parameter or channel, propagates.  A point without an
+    interior peak has the peak (nan, nan).
     """
-    if not grids or any(len(v) == 0 for v in grids.values()):
-        raise ValueError("grids must be non-empty")
-    names = list(grids)
+    if len(values) == 0:
+        raise ValueError("values must be non-empty")
     out = []
-    for combo in itertools.product(*(grids[n] for n in names)):
-        params = dict(zip(names, combo))
+    for value in values:
         try:
-            model = builder(**params)
-            if isinstance(model, SystemConfig):
-                model = build(model)
+            model = build(builder(value))
             verdict = stability(model)
-            peaks = {}
-            for cin, cout in channels:
-                table = bode(model, cin, cout)
-                try:
-                    peaks[(cin, cout)] = resonance_peak(table)
-                except NoInteriorPeak:
-                    peaks[(cin, cout)] = (math.nan, math.nan)
-            out.append(SweepPoint(params, verdict.stable, peaks))
+            try:
+                peak = resonance_peak(bode(model, *channel))
+            except NoInteriorPeak:
+                peak = (math.nan, math.nan)
+            out.append(SweepPoint(value, verdict.stable, peak))
         except (NumericFailure, ValueError) as exc:
-            out.append(SweepPoint(params, None, {},
+            out.append(SweepPoint(value, None, (math.nan, math.nan),
                                   f"{type(exc).__name__}: {exc}"))
     return tuple(out)

@@ -37,6 +37,14 @@ OPTIONS = {
     "check": (),
 }
 COMMANDS = tuple(OPTIONS)
+#: The ``options`` keys that a command cannot run without.  ``steady``
+#: takes exactly one of its two.
+REQUIRED = {
+    "bode": ("input", "output"),
+    "step": ("input",),
+    "sweep": ("parameter", "values", "input", "output"),
+    "spectrum": ("input", "channel"),
+}
 
 
 class ParseError(ValueError):
@@ -172,6 +180,10 @@ def _write_error(out: Path, manifest: dict, exc: Exception) -> None:
 def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
     opt = cfg.options
     _no_unknown_keys(opt, OPTIONS[cfg.command], "options")
+    missing = [key for key in REQUIRED.get(cfg.command, ()) if key not in opt]
+    if missing:
+        raise ValueError("missing " + ", ".join(f"options.{key}"
+                                                for key in missing))
 
     def write(name: str, header: list[str], columns) -> None:
         _write_csv(out / name, header, columns)
@@ -204,6 +216,9 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         write("step.csv", ["t_s"] + names, [ts.t] + cols)
 
     elif cfg.command == "steady":
+        if ("delta_p_l_pu" in opt) == ("delta_p_l_w" in opt):
+            raise ValueError("steady takes exactly one of "
+                             "options.delta_p_l_pu and options.delta_p_l_w")
         if "delta_p_l_pu" in opt:
             dp = check_real("options.delta_p_l_pu", opt["delta_p_l_pu"])
         else:
@@ -219,24 +234,17 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
                                         "kappa_pv": st.kappa_pv}
 
     elif cfg.command == "sweep":
-        param = opt["parameter"]
-        values = opt["values"]
-        channel = (opt["input"], opt["output"])
+        param, values = opt["parameter"], opt["values"]
         scenario = manifest["resolved_parameters"]
         # a key that no point can use is the run's error, not every row's
         if len(values):
             check_scenario_keys(resolve_scenario(scenario,
                                                  {param: values[0]}))
         points = analysis.sweep(
-            lambda **kw: config_from_dict(resolve_scenario(scenario, kw)),
-            {param: values}, [channel])
-        rows = []
-        for pt in points:
-            if pt.error:
-                rows.append((pt.params[param], "", "", "", pt.error))
-            else:
-                f_pk, m_pk = pt.peaks[channel]
-                rows.append((pt.params[param], pt.stable, f_pk, m_pk, ""))
+            lambda v: config_from_dict(resolve_scenario(scenario, {param: v})),
+            values, (opt["input"], opt["output"]))
+        rows = [(pt.value, "", "", "", pt.error) if pt.error
+                else (pt.value, pt.stable, *pt.peak, "") for pt in points]
         write("sweep.csv",
               [param, "stable", "f_peak_hz", "mag_peak_db", "error"],
               zip(*rows))

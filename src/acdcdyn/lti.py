@@ -209,7 +209,7 @@ class RationalTF:
         """Cancel numerator/denominator root pairs that match within
         ``SIMPLIFY_TOL`` and normalize the denominator to be monic."""
         if self.num.is_zero():
-            return RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+            return RationalTF.constant(0.0)
         nr = self.num.roots()
         dr = self.den.roots()
         gain = self.num.coeffs[-1] / self.den.coeffs[-1]

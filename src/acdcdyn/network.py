@@ -93,15 +93,10 @@ def ac_edge_tf(e: AcEdge, V_ac_star: float, omega_star: float) -> RationalTF:
 
 
 def dc_edge_tf(e: DcEdge, v_dc_star_n: float) -> RationalTF:
-    """Voltage-difference-to-power flow v*_n / (l s + r) out of node n."""
+    """Voltage-difference-to-power flow v*_n / (l s + r) out of node n.
+    Given v*_n - v*_k instead of v*_n, it is the edge's loss injection."""
     return RationalTF(Polynomial([v_dc_star_n]),
                       Polynomial([e.r_dc, e.l_dc]))
-
-
-def dc_loss_tf(e: DcEdge, dv_star: float) -> RationalTF:
-    """Node-voltage-to-loss power (v*_n - v*_k) / (l s + r); identically zero
-    for equal setpoints."""
-    return RationalTF(Polynomial([dv_star]), Polynomial([e.r_dc, e.l_dc]))
 
 
 @dataclass(frozen=True)
@@ -220,7 +215,7 @@ def ac_laplacian_tfs(g: HybridGraph) -> list[list[RationalTF]]:
     """Rational weighted AC Laplacian in the load-last node order."""
     names = g.ac_names
     idx = {n: i for i, n in enumerate(names)}
-    zero = RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+    zero = RationalTF.constant(0.0)
     L = [[zero for _ in names] for _ in names]
     for e in g.ac_edges:
         w = ac_edge_tf(e, g.V_ac_star, g.omega_star)
@@ -279,13 +274,13 @@ def dc_laplacian_tfs(g: HybridGraph):
     """Rational DC Laplacian and diagonal loss injection transfer functions."""
     names = g.dc_names
     idx = {n: i for i, n in enumerate(names)}
-    zero = RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+    zero = RationalTF.constant(0.0)
     L = [[zero for _ in names] for _ in names]
     loss = [zero for _ in names]
     for e in g.dc_edges:
         wn = dc_edge_tf(e, g.v_dc_star[e.n])
         wk = dc_edge_tf(e, g.v_dc_star[e.k])
-        dv = dc_loss_tf(e, g.v_dc_star[e.n] - g.v_dc_star[e.k])
+        dv = dc_edge_tf(e, g.v_dc_star[e.n] - g.v_dc_star[e.k])
         i, j = idx[e.n], idx[e.k]
         L[i][i] = L[i][i] + wn
         L[i][j] = L[i][j] - wn
@@ -355,7 +350,7 @@ def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int):
     """
     M = [list(row) for row in L]
     n = len(M)
-    zero = RationalTF(Polynomial([0.0]), Polynomial([1.0]))
+    zero = RationalTF.constant(0.0)
     W = [[zero for _ in range(n - n_conv)] for _ in range(n)]
     for c in range(n - n_conv):
         W[n_conv + c][c] = RationalTF.constant(-1.0)

@@ -365,11 +365,13 @@ def check_scenario_keys(data: dict) -> None:
 
 @contextmanager
 def _element(where: str):
-    """Prefix `where`, a block's dotted path, to a TypeError or ValueError."""
+    """Prefix `where`, a block's dotted path, to a KeyError, TypeError or
+    ValueError, keeping its type."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
-        exc.args = (f"{where}: {exc}",)
+    except (KeyError, TypeError, ValueError) as exc:
+        # args[0], not str(exc): a KeyError's str is the repr of its key
+        exc.args = (f"{where}: {exc.args[0] if exc.args else ''}",)
         raise
 
 
@@ -417,9 +419,10 @@ def config_from_dict(data: dict) -> SystemConfig:
     ac_edges = []
     for i, e in enumerate(data["ac_edges"]):
         r = l = 0.0
-        for seg in e["segments"]:
-            rr, ll = line_impedance(catalog, seg["cable"], seg["length_m"],
-                                    f_hz=f_hz)
+        for j, seg in enumerate(e["segments"]):
+            with _element(f"ac_edges.{i}.segments.{j}"):
+                rr, ll = line_impedance(catalog, seg["cable"],
+                                        seg["length_m"], f_hz=f_hz)
             r += rr
             l += ll
         l += check_real(f"ac_edges.{i}.l_extra_h", e.get("l_extra_h", 0.0))
@@ -433,13 +436,13 @@ def config_from_dict(data: dict) -> SystemConfig:
 
     dc_edges = []
     for i, e in enumerate(data.get("dc_edges", [])):
-        if "cable" in e:
-            r, l = line_impedance(catalog, e["cable"], e["length_m"],
-                                  f_hz=f_hz, loop=e.get("loop", True))
-            r, l = e.get("r_ohm", r), e.get("l_h", l)
-        else:
-            r, l = e["r_ohm"], e["l_h"]
         with _element(f"dc_edges.{i}"):
+            if "cable" in e:
+                r, l = line_impedance(catalog, e["cable"], e["length_m"],
+                                      f_hz=f_hz, loop=e.get("loop", True))
+                r, l = e.get("r_ohm", r), e.get("l_h", l)
+            else:
+                r, l = e["r_ohm"], e["l_h"]
             dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
     graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges), tuple(dc_edges),
@@ -520,27 +523,3 @@ def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
             for path, v in paths:
                 _deep_set(data, path, v, key, item)
     return data
-
-
-def _scenario(name: str, overrides: dict | None = None,
-              **named) -> SystemConfig:
-    data = resolve_scenario(
-        name, {k: v for k, v in named.items() if v is not None})
-    return config_from_dict(resolve_scenario(data, overrides))
-
-
-def scenario_islanded_pv(**kwargs) -> SystemConfig:
-    """Islanded LVAC area: SG + resistive load + PV-fed VSC."""
-    return _scenario("islanded_pv", **kwargs)
-
-
-def scenario_lvdc_async(**kwargs) -> SystemConfig:
-    """SG + load area coupled to a stiff utility grid solely via an LVDC
-    link between two dual-port GFM VSCs."""
-    return _scenario("lvdc_async", **kwargs)
-
-
-def scenario_parallel_ac_dc(**kwargs) -> SystemConfig:
-    """As the LVDC configuration plus a parallel LVAC tie, making the two AC
-    areas synchronous; DC-link flow is dispatched by voltage setpoints."""
-    return _scenario("parallel_ac_dc", **kwargs)

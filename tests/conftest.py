@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from acdcdyn.system import _load_preset, build, config_from_dict
+from acdcdyn.system import (_load_preset, build, config_from_dict,
+                            resolve_scenario)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
@@ -11,6 +12,11 @@ PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 #: Models above this order are the ``feeder`` benchmark's order blow-ups;
 #: the session cache keeps none of them.
 MAX_CACHED_STATES = 800
+
+
+def preset(name, overrides=None):
+    """The SystemConfig of preset `name` with `overrides` applied."""
+    return config_from_dict(resolve_scenario(name, overrides))
 
 
 def _outcome(data):

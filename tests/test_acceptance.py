@@ -12,11 +12,10 @@ import pytest
 from acdcdyn import analysis
 from acdcdyn.lti import dc_gain, fft_magnitude, step_response
 from acdcdyn.network import (AcEdge, DcEdge, HybridGraph, NodeKind,
-                             assemble_ac_laplacian, dc_edge_tf, dc_loss_tf,
-                             kron_reduce, kron_reduce_sequential)
-from acdcdyn.system import (build, nominal_dc_dispatch, scenario_islanded_pv,
-                            scenario_lvdc_async, scenario_parallel_ac_dc,
-                            steady_state)
+                             assemble_ac_laplacian, dc_edge_tf, kron_reduce,
+                             kron_reduce_sequential)
+from acdcdyn.system import build, nominal_dc_dispatch, steady_state
+from conftest import preset
 
 W0 = 2 * math.pi * 50.0
 
@@ -45,7 +44,7 @@ def _gain_map(model):
 
 def test_criterion_1_steady_state_sharing():
     with criterion(1, "steady-state sharing", 1.0):
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         st = steady_state(cfg, 1.0)
         # effective droop ratio and PV share for k_p = 0.025
         assert 1.0 / st.kappa_pv == pytest.approx(50.35, rel=1e-3)
@@ -60,14 +59,14 @@ def test_criterion_1_steady_state_sharing():
         assert abs(G[o["p_pv_vsc1"], j] - st.dp_pv) < 1e-9
         assert abs(G[o["p_tg_sg"], j] - st.dp_tg) < 1e-9
         # k_p = 0.05 halves the PV stiffness
-        st2 = steady_state(scenario_islanded_pv(k_p=0.05), 1.0)
+        st2 = steady_state(preset("islanded_pv", {"k_p": 0.05}), 1.0)
         assert 1.0 / st2.kappa_pv == pytest.approx(25.17, rel=1e-3)
 
 
 def test_criterion_2_islanded_stability_selections():
     with criterion(2, "islanded stability selections", 5.0):
         for k_p, k_d in ((0.025, 0.01), (0.025, 0.005), (0.05, 0.01)):
-            m = build(scenario_islanded_pv(k_p=k_p, k_d=k_d))
+            m = build(preset("islanded_pv", {"k_p": k_p, "k_d": k_d}))
             assert analysis.stability(m).stable, (k_p, k_d)
         for k_p in (0.025, 0.05):
             bound = analysis.bound_islanded_kd(k_p)
@@ -111,16 +110,16 @@ def test_criterion_4_dc_link_symmetry():
     with criterion(4, "DC-link symmetry and dispatch sign", 5.0):
         e = DcEdge("a", "b", 2.65e-5, 0.271)
         # equal setpoints: no loss injection, antisymmetric flow
-        assert dc_loss_tf(e, 0.0).num.is_zero()
+        assert dc_edge_tf(e, 0.0).num.is_zero()
         v = 740.0
         for s in (0.0, 1j * 5.0, 2.0 + 40.0j):
             p_nk = dc_edge_tf(e, v)(s)      # acts on (v_n - v_k)
             p_kn = dc_edge_tf(e, v)(s)      # acts on (v_k - v_n)
             assert p_nk == p_kn             # same weight, opposite argument
         # scenario (c): raising/lowering v*_1 around v*_2 flips P_ac,1
-        hi = nominal_dc_dispatch(scenario_parallel_ac_dc())          # 1.0037
+        hi = nominal_dc_dispatch(preset("parallel_ac_dc"))          # 1.0037
         lo = nominal_dc_dispatch(
-            scenario_parallel_ac_dc(v_dc_star_pu=(0.9975, 1.0)))
+            preset("parallel_ac_dc", {"v_dc_star_pu": (0.9975, 1.0)}))
         assert hi["p_ac"]["vsc1"] < 0.0 < lo["p_ac"]["vsc1"]
         assert hi["edge_flows"][("vsc1", "vsc2")] > 0.0
         assert lo["edge_flows"][("vsc1", "vsc2")] < 0.0
@@ -130,7 +129,7 @@ def test_criterion_5_tau_kd_noise_tradeoff():
     with criterion(5, "tau_kd noise trade-off", 5.0):
         hf = []
         for tau in (0.005, 0.01, 0.02, 0.1):
-            m = build(scenario_islanded_pv(tau_kd=tau))
+            m = build(preset("islanded_pv", {"tau_kd": tau}))
             t1 = analysis.bode(m, "n_vsc1", "omega_vsc1",
                                f_min=1000.0, f_max=1001.0, points=2)
             hf.append(t1.mag_db[0])
@@ -141,7 +140,7 @@ def test_criterion_5_tau_kd_noise_tradeoff():
 
 
 def _lvdc_resonance_stats(k_d_1):
-    m = build(scenario_lvdc_async(k_d_1=k_d_1))
+    m = build(preset("lvdc_async", {"k_d_1": k_d_1}))
     out = {}
     for ch in ("v_dc_vsc1", "omega_vsc1", "omega_vsc2"):
         t = analysis.bode(m, "p_load_load1", ch,
@@ -158,10 +157,10 @@ def test_criterion_6_kd_resonance_trends():
     with criterion(6, "k_d resonance trends", 30.0):
         # scenario (a): lowering k_d raises the omega_vsc resonance frequency
         f_hi = analysis.resonance_peak(analysis.bode(
-            build(scenario_islanded_pv(k_d=0.01)),
+            build(preset("islanded_pv", {"k_d": 0.01})),
             "p_load_load1", "omega_vsc1"))[0]
         f_lo = analysis.resonance_peak(analysis.bode(
-            build(scenario_islanded_pv(k_d=0.005)),
+            build(preset("islanded_pv", {"k_d": 0.005})),
             "p_load_load1", "omega_vsc1"))[0]
         assert f_lo > f_hi
         # scenario (b): sweep k_d_1
@@ -182,7 +181,7 @@ def test_criterion_6_kd_resonance_trends():
 
 def test_criterion_7_async_steady_state_pinning():
     with criterion(7, "async steady-state pinning", 1.0):
-        m = build(scenario_lvdc_async(r_dc=0.0))
+        m = build(preset("lvdc_async", {"r_dc": 0.0}))
         G, i, o = _gain_map(m)
         jp, jw = i["p_load_load1"], i["omega_pg"]
         assert abs(G[o["omega_vsc2"], jp]) < 1e-9
@@ -193,7 +192,7 @@ def test_criterion_7_async_steady_state_pinning():
 def test_criterion_8_time_frequency_consistency():
     with criterion(8, "time/frequency consistency", 30.0):
         # step convergence to the analytic steady state, scenario (a)
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         dp = 2500.0 / 50e3
         ts = step_response(build(cfg).ss, "p_load_load1", 30.0, 1e-3)
         st = steady_state(cfg, dp)
@@ -204,7 +203,7 @@ def test_criterion_8_time_frequency_consistency():
         # FFT of scenario (b) steps reproduces the k_d_1 peak-shift ordering
         cents = []
         for kd in (0.001, 0.01, 0.05, 0.1):
-            mm = build(scenario_lvdc_async(k_d_1=kd))
+            mm = build(preset("lvdc_async", {"k_d_1": kd}))
             tb = step_response(mm.ss, "p_load_load1", 80.0, 1e-3)
             sp = fft_magnitude(tb, "v_dc_vsc1")
             band = (sp.freq_hz >= 0.1) & (sp.freq_hz <= 20.0)

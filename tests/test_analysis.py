@@ -5,13 +5,13 @@ import pytest
 
 from acdcdyn import analysis
 from acdcdyn.lti import RationalTF, tf_to_ss
-from acdcdyn.system import (build, scenario_islanded_pv,
-                            scenario_lvdc_async)
+from acdcdyn.system import build
+from conftest import preset
 
 
 @pytest.fixture(scope="module")
 def islanded_model():
-    return build(scenario_islanded_pv())
+    return build(preset("islanded_pv"))
 
 
 class TestBode:
@@ -83,17 +83,18 @@ class TestBounds:
             analysis.bound_islanded_kd(**{"k_p": 0.025, **kwargs})
 
     def test_ratio_bounds_strict(self):
-        r = analysis.check_ratio_bounds(scenario_lvdc_async(k_d_2=0.012))
+        r = analysis.check_ratio_bounds(preset("lvdc_async", {"k_d_2": 0.012}))
         assert r == {"vsc1": True, "vsc2": True}
         # boundary is excluded (strict inequality)
-        b1 = scenario_lvdc_async().ratio_bounds["vsc1"]
-        r2 = analysis.check_ratio_bounds(scenario_lvdc_async(k_d_1=b1 * 0.025))
+        b1 = preset("lvdc_async").ratio_bounds["vsc1"]
+        r2 = analysis.check_ratio_bounds(
+            preset("lvdc_async", {"k_d_1": b1 * 0.025}))
         assert r2 == {"vsc1": False, "vsc2": True}
-        assert analysis.check_ratio_bounds(scenario_islanded_pv()) == {}
+        assert analysis.check_ratio_bounds(preset("islanded_pv")) == {}
 
     def test_ratio_bounds_validation(self):
         with pytest.raises(ValueError, match="not VSC nodes"):
-            scenario_lvdc_async(overrides={"ratio_bounds": {"load1": 0.2}})
+            preset("lvdc_async", {"ratio_bounds": {"load1": 0.2}})
 
 
 class TestPeaks:
@@ -130,17 +131,19 @@ class TestSweep:
         def builder(k_d):
             if k_d < 0:
                 raise ValueError("bad gain")
-            return scenario_islanded_pv(k_d=k_d)
+            return preset("islanded_pv", {"k_d": k_d})
 
-        res = analysis.sweep(builder, {"k_d": [-1.0, 0.005, 0.01]},
-                             [("p_load_load1", "omega_vsc1")])
-        assert len(res) == 3
+        res = analysis.sweep(builder, [-1.0, 0.005, 0.01],
+                             ("p_load_load1", "omega_vsc1"))
+        assert [pt.value for pt in res] == [-1.0, 0.005, 0.01]
         assert res[0].error and res[0].stable is None
+        assert all(map(math.isnan, res[0].peak))
         for pt in res[1:]:
-            assert pt.stable is True
-            f, m = pt.peaks[("p_load_load1", "omega_vsc1")]
+            assert pt.stable is True and not pt.error
+            f, m = pt.peak
             assert np.isfinite(f) and np.isfinite(m)
 
     def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            analysis.sweep(lambda: None, {}, [])
+        with pytest.raises(ValueError, match="values must be non-empty"):
+            analysis.sweep(lambda value: None, [],
+                           ("p_load_load1", "omega_vsc1"))

@@ -19,8 +19,8 @@ import acdcdyn
 import acdcdyn.cli
 from acdcdyn import NumericFailure
 from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
-from acdcdyn.system import (_load_preset, scenario_islanded_pv,
-                            scenario_lvdc_async, steady_state)
+from acdcdyn.system import _load_preset, steady_state
+from conftest import preset
 
 
 def write_config(tmp_path, data, name="cfg.json"):
@@ -152,22 +152,38 @@ class TestConfigHandling:
         ("step", {"amplitude": math.inf}, [], "options.amplitude"),
         ("step", {"dt_s": math.nan}, [], "options.dt_s"),
         ("spectrum", {"t_end_s": math.nan}, [], "options.t_end_s"),
+        ("bode", {"input": None}, [], "missing options.input"),
+        ("step", {"input": None}, [], "missing options.input"),
+        ("spectrum", {"input": None, "channel": None}, [],
+         "missing options.input, options.channel"),
+        ("sweep", {"parameter": None}, [], "missing options.parameter"),
+        ("steady", {}, [], "steady takes exactly one of "
+         "options.delta_p_l_pu and options.delta_p_l_w"),
+        ("steady", {"delta_p_l_pu": 0.1, "delta_p_l_w": 5000.0}, [],
+         "steady takes exactly one of"),
     ], ids=["bode-f_min-nan", "bode-f_max-inf", "bode-f_min-zero",
             "bode-f_min-bool", "bode-f_min-string", "bode-points-zero", "bode-points-float", "steady-pu-nan",
             "steady-w-inf", "step-amplitude-inf", "step-dt-nan",
-            "spectrum-t_end-nan"])
+            "spectrum-t_end-nan", "bode-no-input", "step-no-input",
+            "spectrum-no-input-channel", "sweep-no-parameter",
+            "steady-no-step", "steady-both-steps"])
     def test_bad_number_exit_1(self, tmp_path, capsys, command, options,
                                sets, message):
-        # a NaN, an infinity or a band that is not one exits 1 naming the
-        # quantity, and writes no table
+        # a NaN, an infinity, a band that is not one or a missing option
+        # exits 1 naming the quantity, and writes no table; an option
+        # given as None is left out of the run's options
         channel = {
             "bode": {"input": "p_load_load1", "output": "omega_vsc1"},
             "steady": {},
             "step": {"input": "p_load_load1"},
+            "sweep": {"parameter": "k_d", "values": [0.005],
+                      "input": "p_load_load1", "output": "omega_vsc1"},
             "spectrum": {"input": "p_load_load1", "channel": "omega_vsc1"},
         }[command]
+        options = {key: value for key, value in {**channel, **options}.items()
+                   if value is not None}
         cfg = write_config(tmp_path, {"scenario": "islanded_pv",
-                                      "options": {**channel, **options}})
+                                      "options": options})
         out = tmp_path / "o"
         argv = [command, "--config", cfg, "--out", str(out)]
         for item in sets:
@@ -208,7 +224,7 @@ class TestArtifacts:
         out = tmp_path / "run"
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
         rows = {r[0]: r[1] for r in read_csv(out / "steady.csv")[1:]}
-        st = steady_state(scenario_islanded_pv(), 0.05)
+        st = steady_state(preset("islanded_pv"), 0.05)
         assert float(rows["domega"]) == pytest.approx(st.domega, rel=1e-8)
         assert float(rows["dp_pv"]) == pytest.approx(st.dp_pv, rel=1e-8)
         assert float(rows["dv_dc_vsc1"]) == pytest.approx(st.dv_dc["vsc1"],
@@ -220,7 +236,7 @@ class TestArtifacts:
                                       "options": {"delta_p_l_pu": 0.05}})
         out = tmp_path / "run"
         assert main(["steady", "--config", cfg, "--out", str(out)]) == 0
-        st = steady_state(scenario_lvdc_async(), 0.05)
+        st = steady_state(preset("lvdc_async"), 0.05)
         rows = [("delta_p_l", 0.05), ("domega", st.domega),
                 ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
         rows += [(f"dv_dc_{n}", v) for n, v in sorted(st.dv_dc.items())]
@@ -484,9 +500,21 @@ class TestSetFlag:
          "options.dt_s must be a real number, got '0.001'"),
         ("steady", "options.delta_p_l_pu=true", "TypeError",
          "options.delta_p_l_pu must be a real number, got True"),
+        ("poles", "ac_edges.0.segments.0.length_m=-1", "ValueError",
+         "ac_edges.0.segments.0: length_m must be finite and positive, "
+         "got -1"),
+        ("poles", "dc_edges.0.length_m=0", "ValueError",
+         "dc_edges.0: length_m must be finite and positive, got 0"),
+        # a KeyError's message is the repr of its argument
+        ("poles", 'ac_edges.0.segments.0.cable="NAYY"', "KeyError",
+         "\"ac_edges.0.segments.0: unknown cable type 'NAYY'\""),
+        ("poles", 'dc_edges.0.cable="NAYY"', "KeyError",
+         "\"dc_edges.0: unknown cable type 'NAYY'\""),
     ], ids=["k_p-nan", "k_p_2-nan", "h_s-nan", "k_d-list", "h_s-bool",
             "r_virtual-negative", "r_dc-negative", "t_end_s-bool",
-            "dt_s-string", "delta_p_l_pu-bool"])
+            "dt_s-string", "delta_p_l_pu-bool", "segment-length-negative",
+            "dc-edge-length-zero", "segment-cable-unknown",
+            "dc-edge-cable-unknown"])
     def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,
                                        error, message):
         # a value that is not a finite real number in its field's range is

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acdcdyn.network import (AcEdge, DcEdge, HybridGraph, NodeKind,
+from acdcdyn.lti import NumericFailure, RationalTF
+from acdcdyn.network import (AcEdge, DcEdge, EdgePole, HybridGraph, NodeKind,
+                             SingularLL,
                              ac_edge_tf, ac_laplacian_tfs,
                              assemble_ac_laplacian, assemble_dc_laplacian,
-                             check_assumption1, dc_edge_tf, dc_loss_tf,
+                             check_assumption1, dc_edge_tf,
                              kron_reduce, kron_reduce_sequential,
                              kron_reduce_symbolic, line_impedance,
                              load_cable_catalog)
-from acdcdyn.system import build, scenario_islanded_pv
+from acdcdyn.system import build
+from conftest import preset
 
 W0 = 2 * math.pi * 50.0
 
@@ -31,6 +34,24 @@ def chain_graph(r2=0.0217, uniform_rho=False):
                   AcEdge("load", "vsc", l2, r2, l_virt_k=0.0023)),
         dc_edges=(), V_ac_star=400.0, omega_star=W0,
         v_dc_star={"vsc": 650.0})
+
+
+def dc_pair_graph():
+    """Two VSCs tied by an AC line and a DC link at unequal setpoints."""
+    return HybridGraph(
+        ac_nodes=(("v1", NodeKind.VSC), ("v2", NodeKind.VSC)),
+        ac_edges=(AcEdge("v1", "v2", 1e-5, 1e-3, l_virt_n=1e-4),),
+        dc_edges=(DcEdge("v1", "v2", 2.6e-5, 0.27),),
+        V_ac_star=400.0, omega_star=W0,
+        v_dc_star={"v1": 742.7, "v2": 740.0})
+
+
+#: A Laplacian whose two load nodes (the last two) are tied only to each
+#: other, and one whose last node is isolated.
+FLOATING_LOADS = np.array([[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+                           [0.0, 0.0, 1.0, -1.0], [0.0, 0.0, -1.0, 1.0]])
+ISOLATED_LOAD = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0]])
 
 
 class TestEdges:
@@ -51,7 +72,7 @@ class TestEdges:
         for s in (0.0, 1j, 10 + 5j):
             assert dc_edge_tf(e, 650.0)(s) == pytest.approx(
                 dc_edge_tf(e, 650.0)(s))
-        assert dc_loss_tf(e, 0.0).num.is_zero()
+        assert dc_edge_tf(e, 0.0).num.is_zero()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -153,16 +174,27 @@ class TestLaplacian:
         assert np.allclose(L1, L2)
 
     def test_dc_laplacian_loss_vector(self):
-        g = HybridGraph(
-            ac_nodes=(("v1", NodeKind.VSC), ("v2", NodeKind.VSC)),
-            ac_edges=(AcEdge("v1", "v2", 1e-5, 1e-3, l_virt_n=1e-4),),
-            dc_edges=(DcEdge("v1", "v2", 2.6e-5, 0.27),),
-            V_ac_star=400.0, omega_star=W0,
-            v_dc_star={"v1": 742.7, "v2": 740.0})
-        L, loss = assemble_dc_laplacian(g, 0.0)
+        L, loss = assemble_dc_laplacian(dc_pair_graph(), 0.0)
         assert L[0, 0] == pytest.approx(742.7 / 0.27)
         assert loss[0] == pytest.approx(2.7 / 0.27)
         assert loss[1] == pytest.approx(-2.7 / 0.27)
+
+    @pytest.mark.parametrize("edge", [0, 1])
+    def test_ac_edge_pole_is_a_numeric_failure(self, edge):
+        # s = -rho + j k w* is a root of the edge's denominator
+        g = chain_graph()
+        e = g.ac_edges[edge]
+        with pytest.raises(NumericFailure) as info:
+            assemble_ac_laplacian(g, complex(-e.rho, e.k_nk * W0))
+        assert isinstance(info.value, EdgePole)
+        assert f"({e.n},{e.k})" in str(info.value)
+
+    def test_dc_edge_pole_is_a_numeric_failure(self):
+        g = dc_pair_graph()
+        e, = g.dc_edges
+        with pytest.raises(NumericFailure) as info:
+            assemble_dc_laplacian(g, -e.r_dc / e.l_dc)
+        assert isinstance(info.value, EdgePole)
 
 
 class TestKron:
@@ -195,6 +227,21 @@ class TestKron:
         L = assemble_ac_laplacian(g, 1e-9j)
         _, Gl = kron_reduce(L, 2)
         assert Gl.sum(axis=0)[0] == pytest.approx(1.0, abs=1e-6)
+
+    def test_singular_load_block_is_a_numeric_failure(self):
+        with pytest.raises(NumericFailure) as info:
+            kron_reduce(FLOATING_LOADS, 2)
+        assert isinstance(info.value, SingularLL)
+
+    def test_zero_pivot_is_a_numeric_failure(self):
+        symbolic = [[RationalTF.constant(x) for x in row]
+                    for row in ISOLATED_LOAD]
+        for reduce, L in ((kron_reduce_sequential, ISOLATED_LOAD),
+                          (kron_reduce_symbolic, symbolic)):
+            with pytest.raises(NumericFailure) as info:
+                reduce(L, 2)
+            assert isinstance(info.value, SingularLL)
+            assert "zero pivot" in str(info.value)
 
     def test_no_loads_identity(self):
         L = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -357,7 +404,7 @@ class TestAssumption1:
         assert_all_zeros(g, v.roots)
 
     def test_lossless_load_load_edge_builds_without_warning(self):
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         renamed = {"sm": "sg", "vsc": "vsc1"}
         g = adjacent_loads_graph(r_load_load=0.0)
         g = HybridGraph(

@@ -12,9 +12,9 @@ from acdcdyn.lti import dc_gain
 from acdcdyn.network import AcEdge, HybridGraph, NodeKind
 from acdcdyn.system import (ImproperController, NoDroop, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
-                            resolve_scenario, scenario_islanded_pv, scenario_lvdc_async,
-                            scenario_parallel_ac_dc, steady_state)
+                            resolve_scenario, steady_state)
 from acdcdyn.units import GfmCtrlParams, PerUnitBase, SgParams, VscParams
+from conftest import preset
 
 #: Every numeric field of the device records, by record.
 DEVICE_FIELDS = ([("sg", f.name) for f in fields(SgParams)]
@@ -25,7 +25,7 @@ DEVICE_FIELDS = ([("sg", f.name) for f in fields(SgParams)]
 
 class TestPresets:
     def test_islanded_channels(self):
-        m = build(scenario_islanded_pv())
+        m = build(preset("islanded_pv"))
         assert "p_load_load1" in m.ss.input_names
         assert "n_vsc1" in m.ss.input_names
         for out in ("omega_sg", "omega_vsc1", "v_dc_vsc1", "p_ac_sg",
@@ -34,57 +34,46 @@ class TestPresets:
         assert m.network_verdict == "holds_trivially"
 
     def test_lvdc_has_grid_input_and_dc_channels(self):
-        m = build(scenario_lvdc_async())
+        m = build(preset("lvdc_async"))
         assert "omega_pg" in m.ss.input_names
         for out in ("omega_vsc2", "v_dc_vsc2", "p_dc_vsc1", "p_dc_vsc2"):
             assert out in m.ss.output_names
 
     def test_parallel_builds_stable(self):
         from acdcdyn import analysis
-        m = build(scenario_parallel_ac_dc())
+        m = build(preset("parallel_ac_dc"))
         assert analysis.stability(m).stable
 
     def test_preset_roundtrip_unchanged(self):
         data = _load_preset("islanded_pv")
         cfg1 = config_from_dict(data)
-        cfg2 = scenario_islanded_pv()
+        cfg2 = preset("islanded_pv")
         assert cfg1.vsc["vsc1"].control.k_p == cfg2.vsc["vsc1"].control.k_p
         assert cfg1.graph.ac_edges == cfg2.graph.ac_edges
 
 
 class TestOverrides:
     def test_global_gain_override(self):
-        cfg = scenario_lvdc_async(k_p=0.05)
+        cfg = preset("lvdc_async", {"k_p": 0.05})
         assert cfg.vsc["vsc1"].control.k_p == 0.05
         assert cfg.vsc["vsc2"].control.k_p == 0.05
 
     def test_indexed_gain_override(self):
-        cfg = scenario_lvdc_async(k_d_1=0.1)
+        cfg = preset("lvdc_async", {"k_d_1": 0.1})
         assert cfg.vsc["vsc1"].control.k_d == 0.1
         assert cfg.vsc["vsc2"].control.k_d == 0.001
 
     def test_setpoint_pu_override(self):
-        cfg = scenario_parallel_ac_dc(v_dc_star_pu=(0.9975, 1.0))
+        cfg = preset("parallel_ac_dc", {"v_dc_star_pu": (0.9975, 1.0)})
         assert cfg.graph.v_dc_star["vsc1"] == pytest.approx(0.9975 * 740.0)
 
     def test_r_dc_override(self):
-        cfg = scenario_lvdc_async(r_dc=0.0)
+        cfg = preset("lvdc_async", {"r_dc": 0.0})
         assert cfg.graph.dc_edges[0].r_dc == 0.0
 
     def test_dotted_override(self):
-        cfg = scenario_lvdc_async(overrides={"vscs.0.c_dc_f": 0.0062})
+        cfg = preset("lvdc_async", {"vscs.0.c_dc_f": 0.0062})
         assert cfg.vsc["vsc1"].C_dc == 0.0062
-
-    def test_named_gain_in_overrides(self):
-        assert scenario_lvdc_async(overrides={"k_p": 0.05}) == \
-            scenario_lvdc_async(k_p=0.05)
-
-    def test_named_kwargs_before_overrides(self):
-        cfg = scenario_lvdc_async(k_p=0.03, overrides={"k_p_1": 0.04})
-        assert cfg.vsc["vsc1"].control.k_p == 0.04
-        assert cfg.vsc["vsc2"].control.k_p == 0.03
-        cfg = scenario_lvdc_async(k_p_1=0.04, overrides={"k_p": 0.03})
-        assert cfg.vsc["vsc1"].control.k_p == 0.03
 
     @pytest.mark.parametrize("key", ["k_p", "k_d", "tau_kd", "k_d_1",
                                      "v_dc_star_pu"])
@@ -97,7 +86,7 @@ class TestOverrides:
     @pytest.mark.parametrize("value", [(1.01,), (1.01, 1.0, 0.99)])
     def test_setpoint_pu_length_mismatch(self, value):
         with pytest.raises(ValueError, match="2 VSCs"):
-            scenario_lvdc_async(v_dc_star_pu=value)
+            preset("lvdc_async", {"v_dc_star_pu": value})
 
     def test_resolve_unknown_named_gain(self):
         with pytest.raises(KeyError):
@@ -128,7 +117,7 @@ class TestOverrides:
                                       "vscs.0.control.kp"])
     def test_unknown_base_or_control_key(self, path):
         with pytest.raises(ValueError, match="unknown keys"):
-            scenario_lvdc_async(overrides={path: 1.0})
+            preset("lvdc_async", {path: 1.0})
 
     @pytest.mark.parametrize("scenario, path, block", [
         ("lvdc_async", "ratio_bound", "the scenario"),
@@ -170,7 +159,7 @@ class TestConfigSurface:
     def test_graph_setpoint_drives_the_capacitor(self):
         # the DC setpoint has one home: replacing it in the graph gives the
         # same model as editing it in the preset
-        cfg = scenario_parallel_ac_dc()
+        cfg = preset("parallel_ac_dc")
         v_dc_star = dict(cfg.graph.v_dc_star, vsc1=760.0)
         via_graph = build(replace(
             cfg, graph=replace(cfg.graph, v_dc_star=v_dc_star))).ss
@@ -183,7 +172,7 @@ class TestConfigSurface:
         assert via_graph.output_names == via_preset.output_names
 
     def test_vsc_keys_must_match_vsc_nodes(self):
-        cfg = scenario_lvdc_async()
+        cfg = preset("lvdc_async")
         missing = {n: p for n, p in cfg.vsc.items() if n != "vsc2"}
         with pytest.raises(ValueError):
             replace(cfg, vsc=missing)
@@ -191,26 +180,26 @@ class TestConfigSurface:
             replace(cfg, vsc=dict(cfg.vsc, load1=cfg.vsc["vsc1"]))
 
     def test_sg_keys_must_match_sm_nodes(self):
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         with pytest.raises(ValueError):
             replace(cfg, sg={})
 
     def test_pv_at_zero_droop_keeps_its_channel(self):
-        cfg = scenario_islanded_pv(overrides={"vscs.0.pv.k_pv_pu": 0.0})
+        cfg = preset("islanded_pv", {"vscs.0.pv.k_pv_pu": 0.0})
         assert cfg.vsc["vsc1"].k_pv == 0.0
         assert "p_pv_vsc1" in build(cfg).ss.output_names
-        no_pv = scenario_islanded_pv(overrides={"vscs.0.pv": None})
+        no_pv = preset("islanded_pv", {"vscs.0.pv": None})
         assert no_pv.vsc["vsc1"].k_pv is None
         assert "p_pv_vsc1" not in build(no_pv).ss.output_names
 
     def test_nonpositive_setpoint_rejected(self):
         with pytest.raises(ValueError):
-            scenario_lvdc_async(overrides={"vscs.0.v_dc_star_v": 0.0})
+            preset("lvdc_async", {"vscs.0.v_dc_star_v": 0.0})
 
     @pytest.mark.parametrize("record,name", DEVICE_FIELDS)
     def test_every_device_field_reaches_the_model(self, record, name):
         # a field that build never reads is a parameter without an effect
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         (sg_node, sg), = cfg.sg.items()
         (vsc_node, vsc), = cfg.vsc.items()
         old = {"sg": sg, "vsc": vsc, "control": vsc.control}[record]
@@ -227,7 +216,7 @@ class TestConfigSurface:
                        for m in "ABCD")
 
     def test_virtual_impedance_lands_on_the_vsc_side(self):
-        cfg = scenario_parallel_ac_dc(overrides={"vscs.1.l_virtual_h": 0.005})
+        cfg = preset("parallel_ac_dc", {"vscs.1.l_virtual_h": 0.005})
         virt = {(e.n, e.k): (e.l_virt_n, e.l_virt_k)
                 for e in cfg.graph.ac_edges}
         assert virt == {("sg", "load1"): (0.0, 0.0),
@@ -239,7 +228,7 @@ class TestConfigSurface:
 def _records():
     """One valid instance of each record that checks its numbers, from
     the ``lvdc_async`` preset."""
-    cfg = scenario_lvdc_async()
+    cfg = preset("lvdc_async")
     vsc = cfg.vsc["vsc1"]
     return {"PerUnitBase": cfg.base, "SgParams": cfg.sg["sg"],
             "GfmCtrlParams": vsc.control, "VscParams": vsc,
@@ -309,7 +298,7 @@ class TestNumberRule:
         PerUnitBase(50000, 400, 650, np.int64(314))
         _with(r["SgParams"], "k_tg", 0)
         with pytest.raises(ImproperController):
-            build(scenario_lvdc_async(tau_kd=0))
+            build(preset("lvdc_async", {"tau_kd": 0}))
 
     def test_nonnegative_fields_take_zero_positive_ones_do_not(self):
         r = _records()
@@ -335,7 +324,7 @@ class TestNumberRule:
 
 class TestBuildErrors:
     def test_improper_controller_rejected(self):
-        cfg = scenario_islanded_pv(tau_kd=0.0)
+        cfg = preset("islanded_pv", {"tau_kd": 0.0})
         with pytest.raises(ImproperController):
             build(cfg)
 
@@ -362,7 +351,7 @@ def steady_state_gap(cfg):
 
 class TestSteadyState:
     def test_matches_dc_gain(self):
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         m = build(cfg)
         st = steady_state(cfg, 1.0)
         G = dc_gain(m.ss)
@@ -377,36 +366,37 @@ class TestSteadyState:
         assert steady_state_gap(cfg) <= 1e-9
 
     def test_shares_sum_to_load(self):
-        st = steady_state(scenario_islanded_pv(), 0.05)
+        st = steady_state(preset("islanded_pv"), 0.05)
         assert st.dp_tg + st.dp_pv == pytest.approx(0.05)
 
     def test_infinite_bus_pins_frequency(self):
         # one AC area, and it holds the infinite bus
-        st = steady_state(scenario_parallel_ac_dc(), 0.05)
+        st = steady_state(preset("parallel_ac_dc"), 0.05)
         assert st.domega == 0.0
         assert all(v == 0.0 for v in st.dv_dc.values())
         assert all(v == 0.0 for v in st.dp_ac.values())
 
-    @pytest.mark.parametrize("scenario, kwargs", [
-        (scenario_lvdc_async, {}),
-        (scenario_lvdc_async, {"r_dc": 0.0}),
-        (scenario_lvdc_async, {"v_dc_star_pu": (0.9975, 1.0)}),
-        (scenario_parallel_ac_dc, {}),
-        (scenario_parallel_ac_dc, {"v_dc_star_pu": (0.9975, 1.0)}),
+    @pytest.mark.parametrize("scenario, overrides", [
+        ("lvdc_async", {}),
+        ("lvdc_async", {"r_dc": 0.0}),
+        ("lvdc_async", {"v_dc_star_pu": (0.9975, 1.0)}),
+        ("parallel_ac_dc", {}),
+        ("parallel_ac_dc", {"v_dc_star_pu": (0.9975, 1.0)}),
     ], ids=["lvdc", "lvdc-lossless", "lvdc-unequal", "parallel",
             "parallel-unequal"])
-    def test_dc_coupled_matches_dc_gain(self, scenario, kwargs):
+    def test_dc_coupled_matches_dc_gain(self, scenario, overrides):
         # the SG area of lvdc_async reaches the grid only through the DC
         # link; a lossless link pins its frequency as well
-        assert steady_state_gap(scenario(**kwargs)) <= 1e-7
+        assert steady_state_gap(preset(scenario, overrides)) <= 1e-7
 
     def test_lossless_link_between_unequal_setpoints_raises(self):
-        cfg = scenario_lvdc_async(r_dc=0.0, v_dc_star_pu=(0.9975, 1.0))
+        cfg = preset("lvdc_async", {"r_dc": 0.0,
+                                    "v_dc_star_pu": (0.9975, 1.0)})
         with pytest.raises(ValueError, match="lossless"):
             steady_state(cfg, 0.05)
 
     def test_needs_a_load_node(self):
-        cfg = scenario_islanded_pv()
+        cfg = preset("islanded_pv")
         g = cfg.graph
         graph = HybridGraph(
             (("sg", NodeKind.SM), ("vsc1", NodeKind.VSC)),
@@ -418,10 +408,10 @@ class TestSteadyState:
     @pytest.mark.parametrize("dp", [math.nan, math.inf, -math.inf])
     def test_non_finite_load_step_raises(self, dp):
         with pytest.raises(ValueError, match="dp_load must be finite"):
-            steady_state(scenario_islanded_pv(), dp)
+            steady_state(preset("islanded_pv"), dp)
 
     def test_no_droop_raises(self):
-        cfg = scenario_islanded_pv(overrides={"vscs.0.pv": None,
+        cfg = preset("islanded_pv", {"vscs.0.pv": None,
                                               "sg.k_tg": 0.0})
         with pytest.raises(NoDroop):
             steady_state(cfg, 0.05)
@@ -429,15 +419,15 @@ class TestSteadyState:
 
 class TestNominalDispatch:
     def test_sign_flip_with_setpoints(self):
-        hi = nominal_dc_dispatch(scenario_parallel_ac_dc())
+        hi = nominal_dc_dispatch(preset("parallel_ac_dc"))
         lo = nominal_dc_dispatch(
-            scenario_parallel_ac_dc(v_dc_star_pu=(0.9975, 1.0)))
+            preset("parallel_ac_dc", {"v_dc_star_pu": (0.9975, 1.0)}))
         assert hi["p_ac"]["vsc1"] < 0 < lo["p_ac"]["vsc1"]
 
     def test_lossless_rejected(self):
         with pytest.raises(ValueError):
-            nominal_dc_dispatch(scenario_parallel_ac_dc(r_dc=0.0))
+            nominal_dc_dispatch(preset("parallel_ac_dc", {"r_dc": 0.0}))
 
     def test_equal_setpoints_zero_flow(self):
-        d = nominal_dc_dispatch(scenario_lvdc_async())
+        d = nominal_dc_dispatch(preset("lvdc_async"))
         assert all(abs(f) < 1e-12 for f in d["edge_flows"].values())
