@@ -26,25 +26,25 @@ from .system import (_no_unknown_keys, build, check_scenario_keys,
                      config_from_dict, resolve_scenario, steady_state)
 from . import analysis
 
-#: The ``options`` keys that each command reads; any other is a ValueError.
+#: The default of an option that a command cannot run without.
+_REQUIRED = object()
+_NAME, _PASS = ("name", _REQUIRED), (None, None)
+#: key -> (kind, default) of the ``options`` that each command reads, as
+#: ``_read_options`` applies them.  ``steady`` takes exactly one of its two.
 OPTIONS = {
-    "poles": (),
-    "bode": ("input", "output", "f_min_hz", "f_max_hz", "points"),
-    "step": ("input", "t_end_s", "dt_s", "amplitude"),
-    "steady": ("delta_p_l_pu", "delta_p_l_w"),
-    "sweep": ("parameter", "values", "input", "output"),
-    "spectrum": ("input", "channel", "t_end_s", "dt_s"),
-    "check": (),
+    "poles": {},
+    "bode": {"input": _NAME, "output": _NAME, "f_min_hz": _PASS,
+             "f_max_hz": _PASS, "points": _PASS},
+    "step": {"input": _NAME, "t_end_s": ("positive", 10.0),
+             "dt_s": ("positive", 1e-3), "amplitude": ("real", 1.0)},
+    "steady": {"delta_p_l_pu": ("real", None), "delta_p_l_w": ("real", None)},
+    "sweep": {"parameter": _NAME, "values": ("values", _REQUIRED),
+              "input": _NAME, "output": _NAME},
+    "spectrum": {"input": _NAME, "channel": _NAME,
+                 "t_end_s": ("positive", 40.0), "dt_s": ("positive", 1e-3)},
+    "check": {},
 }
 COMMANDS = tuple(OPTIONS)
-#: The ``options`` keys that a command cannot run without.  ``steady``
-#: takes exactly one of its two.
-REQUIRED = {
-    "bode": ("input", "output"),
-    "step": ("input",),
-    "sweep": ("parameter", "values", "input", "output"),
-    "spectrum": ("input", "channel"),
-}
 
 
 class ParseError(ValueError):
@@ -158,32 +158,57 @@ def run(cfg: RunConfig, out_dir: str) -> int:
         }
         _dispatch(cfg, sysconf, out, manifest)
     except (NumericFailure, np.linalg.LinAlgError) as exc:
-        _write_error(out, manifest, exc)
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        print("numeric failure:", _write_error(out, manifest, exc),
+              file=sys.stderr)
         return 2
     except (ValueError, LookupError, TypeError) as exc:
-        _write_error(out, manifest, exc)
-        print(f"error: {exc}", file=sys.stderr)
+        print("error:", _write_error(out, manifest, exc), file=sys.stderr)
         return 1
     with open(out / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
     return 0
 
 
-def _write_error(out: Path, manifest: dict, exc: Exception) -> None:
-    record = {"error": type(exc).__name__, "message": str(exc),
+def _write_error(out: Path, manifest: dict, exc: Exception) -> str:
+    # the message, returned; a KeyError's str is the repr of its argument
+    message = str(exc.args[0] if isinstance(exc, KeyError) and exc.args
+                  else exc)
+    record = {"error": type(exc).__name__, "message": message,
               "manifest": manifest}
     with open(out / "error.json", "w", encoding="utf-8") as f:
         json.dump(record, f, indent=2, sort_keys=True)
+    return message
+
+
+def _read_options(command: str, given: dict) -> dict:
+    """`given`, with no key that ``OPTIONS[command]`` lacks or requires
+    missing, each value checked by its kind and named ``options.<key>``
+    ("real" and "positive" by ``check_real``, "name" a string, "values" a
+    non-empty list, None not at all), and every other default but None."""
+    spec = OPTIONS[command]
+    _no_unknown_keys(given, spec, "options")
+    missing = [f"options.{key}" for key, (_, default) in spec.items()
+               if default is _REQUIRED and key not in given]
+    if missing:
+        raise ValueError("missing " + ", ".join(missing))
+    opt = {key: default for key, (_, default) in spec.items()
+           if default is not None}
+    for key, value in given.items():
+        kind, where = spec[key][0], f"options.{key}"
+        if kind in ("real", "positive"):
+            value = check_real(where, value, kind)
+        elif kind == "name" and not isinstance(value, str):
+            raise TypeError(f"{where} must be a string, got {value!r}")
+        elif kind == "values" and not isinstance(value, list):
+            raise TypeError(f"{where} must be a list, got {value!r}")
+        elif kind == "values" and not value:
+            raise ValueError(f"{where} must be non-empty")
+        opt[key] = value
+    return opt
 
 
 def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
-    opt = cfg.options
-    _no_unknown_keys(opt, OPTIONS[cfg.command], "options")
-    missing = [key for key in REQUIRED.get(cfg.command, ()) if key not in opt]
-    if missing:
-        raise ValueError("missing " + ", ".join(f"options.{key}"
-                                                for key in missing))
+    opt = _read_options(cfg.command, cfg.options)
 
     def write(name: str, header: list[str], columns) -> None:
         _write_csv(out / name, header, columns)
@@ -207,23 +232,19 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "step":
         model = build(sysconf)
-        T = check_real("options.t_end_s", opt.get("t_end_s", 10.0), "positive")
-        dt = check_real("options.dt_s", opt.get("dt_s", 1e-3), "positive")
-        amp = check_real("options.amplitude", opt.get("amplitude", 1.0))
-        ts = step_response(model.ss, opt["input"], T, dt)
-        names = list(model.ss.output_names)
-        cols = [ts.channels[n] * amp for n in names]
-        write("step.csv", ["t_s"] + names, [ts.t] + cols)
+        ts = step_response(model.ss, opt["input"], opt["t_end_s"],
+                           opt["dt_s"])
+        write("step.csv", ["t_s", *ts.channels],
+              [ts.t] + [x * opt["amplitude"] for x in ts.channels.values()])
 
     elif cfg.command == "steady":
         if ("delta_p_l_pu" in opt) == ("delta_p_l_w" in opt):
             raise ValueError("steady takes exactly one of "
                              "options.delta_p_l_pu and options.delta_p_l_w")
         if "delta_p_l_pu" in opt:
-            dp = check_real("options.delta_p_l_pu", opt["delta_p_l_pu"])
+            dp = opt["delta_p_l_pu"]
         else:
-            dp = (check_real("options.delta_p_l_w", opt["delta_p_l_w"])
-                  / sysconf.base.S_base)
+            dp = opt["delta_p_l_w"] / sysconf.base.S_base
         st = steady_state(sysconf, dp)
         rows = [("delta_p_l", dp), ("domega", st.domega),
                 ("dp_tg", st.dp_tg), ("dp_pv", st.dp_pv)]
@@ -237,9 +258,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
         param, values = opt["parameter"], opt["values"]
         scenario = manifest["resolved_parameters"]
         # a key that no point can use is the run's error, not every row's
-        if len(values):
-            check_scenario_keys(resolve_scenario(scenario,
-                                                 {param: values[0]}))
+        check_scenario_keys(resolve_scenario(scenario, {param: values[0]}))
         points = analysis.sweep(
             lambda v: config_from_dict(resolve_scenario(scenario, {param: v})),
             values, (opt["input"], opt["output"]))
@@ -251,9 +270,8 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "spectrum":
         model = build(sysconf)
-        T = check_real("options.t_end_s", opt.get("t_end_s", 40.0), "positive")
-        dt = check_real("options.dt_s", opt.get("dt_s", 1e-3), "positive")
-        ts = step_response(model.ss, opt["input"], T, dt)
+        ts = step_response(model.ss, opt["input"], opt["t_end_s"],
+                           opt["dt_s"])
         spec = fft_magnitude(ts, opt["channel"])
         write("spectrum.csv", ["f_hz", "magnitude"],
               [spec.freq_hz, spec.magnitude])

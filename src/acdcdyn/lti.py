@@ -627,6 +627,13 @@ def _eig_structural_mask(A: np.ndarray, eigvals: np.ndarray):
     return mask
 
 
+def _channel_index(names: tuple[str, ...], name, kind: str) -> int:
+    """Where `name` is among a model's external `kind` channel `names`."""
+    if name not in names:
+        raise KeyError(f"unknown {kind} channel {name!r}")
+    return names.index(name)
+
+
 def poles(ss: StateSpace) -> list[Pole]:
     """Eigenvalues of A; structural (angle-reference) zero modes tagged so
     stability verdicts can exclude them."""
@@ -642,8 +649,8 @@ class FrequencyResponse:
     output_names: tuple[str, ...]
 
     def channel(self, input_name: str, output_name: str) -> np.ndarray:
-        i = self.input_names.index(input_name)
-        o = self.output_names.index(output_name)
+        i = _channel_index(self.input_names, input_name, "input")
+        o = _channel_index(self.output_names, output_name, "output")
         return self.values[:, o, i]
 
 
@@ -786,7 +793,7 @@ def step_response(ss: StateSpace, input_name: str, T: float,
     if (T / dt + 1.0) * ss.n_outputs * 8 > _STEP_OUTPUT_BYTES:
         raise ValueError(f"{T / dt + 1.0:.3g} samples of {ss.n_outputs} "
                          f"outputs exceed {_STEP_OUTPUT_BYTES} bytes")
-    j = ss.input_names.index(input_name)
+    j = _channel_index(ss.input_names, input_name, "input")
     for p in poles(ss):
         if not p.structural and p.value.real > 0:
             warnings.warn("model has unstable non-structural poles",
@@ -922,7 +929,8 @@ class Spectrum:
 def fft_magnitude(ts: TimeSeries, channel: str) -> Spectrum:
     """Single-sided magnitude spectrum after mean removal; frequency
     resolution 1/(N dt)."""
-    x = np.asarray(ts.channels[channel], dtype=float)
+    i = _channel_index(tuple(ts.channels), channel, "output")
+    x = np.asarray(list(ts.channels.values())[i], dtype=float)
     n = x.size
     if n < 16:
         raise TooShort(f"need at least 16 samples, got {n}")

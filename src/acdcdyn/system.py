@@ -411,10 +411,10 @@ def config_from_dict(data: dict) -> SystemConfig:
         v_dc_star[node] = v["v_dc_star_v"]
         virtual[node] = (v["l_virtual_h"], v.get("r_virtual_ohm", 0.0))
 
-    kind_map = {"sm": NodeKind.SM, "vsc": NodeKind.VSC,
-                "load_ac": NodeKind.LOAD_AC,
-                "infinite_bus": NodeKind.INFINITE_BUS}
-    ac_nodes = [(n, kind_map[k]) for n, k in data["ac_nodes"]]
+    ac_nodes = []
+    for i, (n, kind) in enumerate(data["ac_nodes"]):
+        with _element(f"ac_nodes.{i}"):
+            ac_nodes.append((n, NodeKind(kind)))
 
     ac_edges = []
     for i, e in enumerate(data["ac_edges"]):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import acdcdyn
 import acdcdyn.cli
 from acdcdyn import NumericFailure
-from acdcdyn.cli import _CSV_BLOCK_ROWS, _write_csv, main
+from acdcdyn.cli import COMMANDS, _CSV_BLOCK_ROWS, _write_csv, main
 from acdcdyn.system import _load_preset, steady_state
 from conftest import preset
 
@@ -193,6 +193,25 @@ class TestConfigHandling:
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
         assert message in json.loads((out / "error.json").read_text())[
             "message"]
+
+    def test_readme_lists_every_option(self):
+        # the README's option table has one row per key of cli.OPTIONS,
+        # with "required" or the default that the command fills in
+        readme = Path(acdcdyn.__file__).resolve().parents[2] / "README.md"
+        rows = {}
+        for line in readme.read_text(encoding="utf-8").splitlines():
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            if len(cells) == 4 and cells[0].strip("`") in COMMANDS:
+                rows[cells[0].strip("`"), cells[1].strip("`")] = cells[2]
+        expected = {(command, key): default
+                    for command, spec in acdcdyn.cli.OPTIONS.items()
+                    for key, (_, default) in spec.items()}
+        assert sorted(rows) == sorted(expected)
+        for row, default in expected.items():
+            if default is acdcdyn.cli._REQUIRED:
+                assert rows[row] == "required", row
+            elif default is not None:
+                assert rows[row] == repr(default), row
 
 
 class TestArtifacts:
@@ -505,23 +524,45 @@ class TestSetFlag:
          "got -1"),
         ("poles", "dc_edges.0.length_m=0", "ValueError",
          "dc_edges.0: length_m must be finite and positive, got 0"),
-        # a KeyError's message is the repr of its argument
+        # a KeyError is reported by its argument, not by its quoted repr
         ("poles", 'ac_edges.0.segments.0.cable="NAYY"', "KeyError",
-         "\"ac_edges.0.segments.0: unknown cable type 'NAYY'\""),
+         "ac_edges.0.segments.0: unknown cable type 'NAYY'"),
         ("poles", 'dc_edges.0.cable="NAYY"', "KeyError",
-         "\"dc_edges.0: unknown cable type 'NAYY'\""),
+         "dc_edges.0: unknown cable type 'NAYY'"),
+        ("poles", 'ac_nodes.0.1="xyz"', "ValueError",
+         "ac_nodes.0: 'xyz' is not a valid NodeKind"),
+        ("sweep", "options.values=5", "TypeError",
+         "options.values must be a list, got 5"),
+        ("sweep", 'options.values={"a":1}', "TypeError",
+         "options.values must be a list, got {'a': 1}"),
+        ("sweep", "options.parameter=5", "TypeError",
+         "options.parameter must be a string, got 5"),
+        ("step", "options.input=nope", "KeyError",
+         "unknown input channel 'nope'"),
+        ("spectrum", "options.channel=nope", "KeyError",
+         "unknown output channel 'nope'"),
+        ("bode", "options.output=nope", "KeyError",
+         "unknown output channel 'nope'"),
     ], ids=["k_p-nan", "k_p_2-nan", "h_s-nan", "k_d-list", "h_s-bool",
             "r_virtual-negative", "r_dc-negative", "t_end_s-bool",
             "dt_s-string", "delta_p_l_pu-bool", "segment-length-negative",
             "dc-edge-length-zero", "segment-cable-unknown",
-            "dc-edge-cable-unknown"])
+            "dc-edge-cable-unknown", "node-kind-unknown", "values-int",
+            "values-object", "parameter-int", "step-input-unknown",
+            "spectrum-channel-unknown", "bode-output-unknown"])
     def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,
                                        error, message):
-        # a value that is not a finite real number in its field's range is
+        # a value of the wrong type or range, or a name the model lacks, is
         # named where it is read: it neither fails deep in a kernel (exit
         # 2, or exit 1 naming nothing) nor is read as 1 or parsed (exit 0)
+        channel = {"input": "p_load_load1", "output": "omega_vsc1"}
         options = {"poles": {}, "steady": {"delta_p_l_pu": 1.0},
-                   "step": {"input": "p_load_load1", "t_end_s": 1.0}}
+                   "step": {"input": "p_load_load1", "t_end_s": 1.0},
+                   "bode": channel,
+                   "sweep": {"parameter": "k_d", "values": [0.005],
+                             **channel},
+                   "spectrum": {"input": "p_load_load1",
+                                "channel": "omega_vsc1"}}
         cfg = write_config(tmp_path, {"scenario": "lvdc_async",
                                       "options": options[command]})
         out = tmp_path / "o"

@@ -859,6 +859,20 @@ class TestResponses:
         with pytest.raises(ValueError, match="0 < dt <= T/100"):
             step_response(integrator(1.0), "u", T, dt)
 
+    def test_unknown_channel_named_alike(self):
+        # every lookup of an external channel by name fails the same way
+        ss = integrator(1.0)
+        fr = freq_response(ss, np.array([1.0]))
+        ts = step_response(ss, "u", 1.0, 0.01)
+        for kind, lookup in [
+                ("input", lambda: step_response(ss, "x", 1.0, 0.01)),
+                ("input", lambda: fr.channel("x", "y")),
+                ("output", lambda: fr.channel("u", "x")),
+                ("output", lambda: fft_magnitude(ts, "x"))]:
+            with pytest.raises(KeyError) as info:
+                lookup()
+            assert info.value.args == (f"unknown {kind} channel 'x'",)
+
     def test_step_output_cap(self, monkeypatch):
         # 1e18 samples are refused before any work: an unstable model
         # would warn first if the poles were computed

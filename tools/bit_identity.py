@@ -18,7 +18,10 @@
   file the run writes (CSV, manifest, error record).  A run is named after
   its command: ``step`` runs 80 s at 1 ms, ``sweep`` sweeps ``k_d_1``, and
   ``bode-band`` is ``bode`` with the band and point count given, so that
-  both the defaults and the options reach ``analysis.bode``.
+  both the defaults and the options reach ``analysis.bode``.  The runs
+  ``step-default`` (the 10 s default), ``step-amplitude`` (-2),
+  ``steady-w`` (the load step in W) and ``spectrum-times`` (20 s at 2 ms)
+  reach the other defaults and options of ``cli.OPTIONS``.
 * ``resolve/<scenario> <overrides>``: the sha256 of
   ``json.dumps(resolve_scenario(scenario, overrides), sort_keys=True)``
   for the overrides that the tests and the benchmark use.
@@ -56,11 +59,17 @@ CLI_RUNS = {
                            "points": 25}),
     "step": ("step", {"input": "p_load_load1", "t_end_s": 80.0,
                       "dt_s": 0.001}),
+    "step-default": ("step", {"input": "p_load_load1"}),
+    "step-amplitude": ("step", {"input": "p_load_load1", "amplitude": -2}),
     "steady": ("steady", {"delta_p_l_pu": 1.0}),
+    "steady-w": ("steady", {"delta_p_l_w": 5000.0}),
     "sweep": ("sweep", {"parameter": "k_d_1",
                         "values": [0.0005, 0.001, 0.002, 0.004], **CHANNEL}),
     "spectrum": ("spectrum", {"input": "p_load_load1",
                               "channel": "omega_vsc1"}),
+    "spectrum-times": ("spectrum", {"input": "p_load_load1",
+                                    "channel": "omega_vsc1",
+                                    "t_end_s": 20.0, "dt_s": 0.002}),
     "check": ("check", {}),
 }
 #: (scenario, overrides) that the tests and the benchmark resolve.
