@@ -19,11 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .lti import (NoDcGain, NumericFailure, check_real, dc_gain,
-                  fft_magnitude, poles, step_response)
+from .lti import (NoDcGain, NumericFailure, _channel_index, check_real,
+                  dc_gain, fft_magnitude, poles, step_response)
 from .network import check_assumption1
-from .system import (_no_unknown_keys, build, check_scenario_keys,
-                     config_from_dict, resolve_scenario, steady_state)
+from .system import build, config_from_dict, resolve_scenario, steady_state
 from . import analysis
 
 #: The default of an option that a command cannot run without.
@@ -186,7 +185,9 @@ def _read_options(command: str, given: dict) -> dict:
     ("real" and "positive" by ``check_real``, "name" a string, "values" a
     non-empty list, None not at all), and every other default but None."""
     spec = OPTIONS[command]
-    _no_unknown_keys(given, spec, "options")
+    unknown = sorted(set(given) - set(spec))
+    if unknown:
+        raise KeyError(f"unknown keys {unknown} in options")
     missing = [f"options.{key}" for key, (_, default) in spec.items()
                if default is _REQUIRED and key not in given]
     if missing:
@@ -257,8 +258,6 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
     elif cfg.command == "sweep":
         param, values = opt["parameter"], opt["values"]
         scenario = manifest["resolved_parameters"]
-        # a key that no point can use is the run's error, not every row's
-        check_scenario_keys(resolve_scenario(scenario, {param: values[0]}))
         points = analysis.sweep(
             lambda v: config_from_dict(resolve_scenario(scenario, {param: v})),
             values, (opt["input"], opt["output"]))
@@ -270,6 +269,7 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
 
     elif cfg.command == "spectrum":
         model = build(sysconf)
+        _channel_index(model.ss.output_names, opt["channel"], "output")
         ts = step_response(model.ss, opt["input"], opt["t_end_s"],
                            opt["dt_s"])
         spec = fft_magnitude(ts, opt["channel"])

@@ -14,7 +14,6 @@ import copy
 import json
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -307,148 +306,145 @@ def _deep_set(data: dict, path: str, value, override: str = "",
             d, where = d[seg], ".".join(segs[:depth])
 
 
-def _no_unknown_keys(block: dict, known: tuple, where: str) -> None:
-    unknown = sorted(set(block) - set(known))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in {where}")
+class _Block:
+    """One scenario object, the block at dotted `path` ("" for the scenario
+    itself), read as a context manager.  ``blk[key]`` and ``blk.get(key,
+    default)`` record the key, and a missing ``blk[key]`` raises KeyError.
+    A clean exit raises KeyError for every key neither read nor `unused`
+    (a key that describes the scenario without entering the model).  A
+    KeyError, TypeError or ValueError raised inside gets `path` before its
+    message, keeping its type: once, from the innermost block, and not
+    when the message already names a key under the path."""
 
+    def __init__(self, data, path: str = "", unused: tuple = ()):
+        self._where = path or "the scenario"
+        if not isinstance(data, dict):
+            raise TypeError(f"{self._where} must be an object, got {data!r}")
+        self._data, self._path, self._read = data, path, set(unused)
 
-#: The top-level keys that ``config_from_dict`` reads.
-SCENARIO_KEYS = ("base", "cable_catalog", "sg", "vscs", "ac_nodes",
-                 "ac_edges", "dc_edges", "ratio_bounds")
+    def __enter__(self):
+        return self
 
-#: The keys of each scenario block that ``config_from_dict`` reads, plus
-#: those that describe the scenario or a device without entering the
-#: model: the ``scenario`` name, the ``nominal`` record, ratings
-#: (``v_n_v``, ``n_r_hz``, ``s_rated_va``, ``v_rated_v``) and the PV curve
-#: points.
-_BLOCK_KEYS = {
-    "scenario": SCENARIO_KEYS + ("scenario", "nominal"),
-    "base": ("s_base_va", "v_base_ac_v", "v_base_dc_v", "f_base_hz"),
-    "sg": ("node", "s_n_va", "p_max_w", "h_s", "k_tg", "k_omega", "t1_s",
-           "t2_s", "v_n_v", "n_r_hz"),
-    "vsc": ("node", "c_dc_f", "c_extra_f", "v_dc_star_v", "l_virtual_h",
-            "r_virtual_ohm", "control", "pv", "s_rated_va", "v_rated_v"),
-    "control": ("k_p", "k_d", "tau_kd_s"),
-    "pv": ("s_base_va", "v_base_dc_v", "k_pv_pu", "v_oc_v", "i_sc_a",
-           "v_mpp_v", "i_mpp_a", "v_op_v"),
-    "ac_edge": ("n", "k", "segments", "l_extra_h", "virtual_at"),
-    "segment": ("cable", "length_m"),
-    "dc_edge": ("n", "k", "cable", "length_m", "loop", "r_ohm", "l_h"),
-}
+    def __getitem__(self, key: str):
+        if key not in self._data:
+            raise KeyError(f"missing key {key!r}")
+        self._read.add(key)
+        return self._data[key]
 
+    def get(self, key: str, default=None):
+        self._read.add(key)
+        return self._data.get(key, default)
 
-def check_scenario_keys(data: dict) -> None:
-    """Raise ValueError on a key that ``config_from_dict`` would silently
-    ignore: one outside ``_BLOCK_KEYS`` at the top level, in ``base``,
-    ``sg``, a VSC, its ``control`` or ``pv``, an AC edge or one of its
-    segments, or a DC edge.  The error names the block by its dotted
-    path."""
-    _no_unknown_keys(data, _BLOCK_KEYS["scenario"], "the scenario")
-    _no_unknown_keys(data["base"], _BLOCK_KEYS["base"], "base")
-    if data.get("sg"):
-        _no_unknown_keys(data["sg"], _BLOCK_KEYS["sg"], "sg")
-    for i, v in enumerate(data.get("vscs", [])):
-        _no_unknown_keys(v, _BLOCK_KEYS["vsc"], f"vscs.{i}")
-        _no_unknown_keys(v["control"], _BLOCK_KEYS["control"],
-                         f"vscs.{i}.control")
-        if v.get("pv"):
-            _no_unknown_keys(v["pv"], _BLOCK_KEYS["pv"], f"vscs.{i}.pv")
-    for i, e in enumerate(data["ac_edges"]):
-        _no_unknown_keys(e, _BLOCK_KEYS["ac_edge"], f"ac_edges.{i}")
-        for j, seg in enumerate(e["segments"]):
-            _no_unknown_keys(seg, _BLOCK_KEYS["segment"],
-                             f"ac_edges.{i}.segments.{j}")
-    for i, e in enumerate(data.get("dc_edges", [])):
-        _no_unknown_keys(e, _BLOCK_KEYS["dc_edge"], f"dc_edges.{i}")
-
-
-@contextmanager
-def _element(where: str):
-    """Prefix `where`, a block's dotted path, to a KeyError, TypeError or
-    ValueError, keeping its type."""
-    try:
-        yield
-    except (KeyError, TypeError, ValueError) as exc:
-        # args[0], not str(exc): a KeyError's str is the repr of its key
-        exc.args = (f"{where}: {exc.args[0] if exc.args else ''}",)
-        raise
+    def __exit__(self, kind, exc, tb):
+        if exc is None:
+            unknown = sorted(set(self._data) - self._read)
+            if unknown:
+                error = KeyError(f"unknown keys {unknown} in {self._where}")
+                error.block = self._path
+                raise error
+        elif (isinstance(exc, (KeyError, TypeError, ValueError))
+              and self._path and not hasattr(exc, "block")):
+            # args[0], not str(exc): a KeyError's str is the repr of its key
+            message = exc.args[0] if exc.args else ""
+            if not str(message).startswith(f"{self._path}."):
+                exc.args = (f"{self._path}: {message}",)
+            exc.block = self._path
+        return False
 
 
 def config_from_dict(data: dict) -> SystemConfig:
     """Build a SystemConfig from the JSON-facing dictionary schema used by
-    preset files and the command line.  Raises ValueError on a key it does
-    not read (``check_scenario_keys``); a record's error names its block."""
-    check_scenario_keys(data)
-    b = data["base"]
-    f_hz = check_real("base.f_base_hz", b["f_base_hz"], "positive")
-    base = PerUnitBase(b["s_base_va"], b["v_base_ac_v"], b["v_base_dc_v"],
-                       2.0 * math.pi * f_hz)
-    catalog = load_cable_catalog(data.get("cable_catalog"))
+    preset files and the command line.  The blocks read here, each through
+    ``_Block``, are the schema: a missing key, a key not read, a block that
+    is not an object and a record's error all name their block."""
+    with _Block(data, unused=("scenario", "nominal")) as top:
+        with _Block(top["base"], "base") as b:
+            f_hz = check_real("base.f_base_hz", b["f_base_hz"], "positive")
+            base = PerUnitBase(b["s_base_va"], b["v_base_ac_v"],
+                               b["v_base_dc_v"], 2.0 * math.pi * f_hz)
+        catalog = load_cable_catalog(top.get("cable_catalog"))
 
-    sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
-    if data.get("sg"):
-        s = data["sg"]
-        with _element("sg"):
-            sg_params[s["node"]] = SgParams(
-                s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"],
-                s["k_omega"], s["t1_s"], s["t2_s"])
-    for i, v in enumerate(data.get("vscs", [])):
-        node = v["node"]
-        k_pv = None
-        if v.get("pv"):
-            pv = v["pv"]
-            with _element(f"vscs.{i}.pv"):
-                pv_base = PerUnitBase(pv["s_base_va"], base.V_base_ac,
-                                      pv["v_base_dc_v"], base.omega_base)
-            k_pv = convert_k_pv(check_real(f"vscs.{i}.pv.k_pv_pu",
-                                           pv["k_pv_pu"]), pv_base, base)
-        c = v["control"]
-        with _element(f"vscs.{i}"):
-            vsc_params[node] = VscParams(
-                v["c_dc_f"], GfmCtrlParams(c["k_p"], c["k_d"], c["tau_kd_s"]),
-                k_pv, v.get("c_extra_f", 0.0))
-        v_dc_star[node] = v["v_dc_star_v"]
-        virtual[node] = (v["l_virtual_h"], v.get("r_virtual_ohm", 0.0))
+        sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
+        if top["sg"]:
+            with _Block(top["sg"], "sg", unused=("v_n_v", "n_r_hz")) as s:
+                sg_params[s["node"]] = SgParams(
+                    s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"],
+                    s["k_omega"], s["t1_s"], s["t2_s"])
+        for i, v in enumerate(top["vscs"]):
+            with _Block(v, f"vscs.{i}",
+                        unused=("s_rated_va", "v_rated_v")) as v:
+                node = v["node"]
+                k_pv = None
+                if v.get("pv"):
+                    with _Block(v["pv"], f"vscs.{i}.pv", unused=(
+                            "v_oc_v", "i_sc_a", "v_mpp_v", "i_mpp_a",
+                            "v_op_v")) as pv:
+                        pv_base = PerUnitBase(pv["s_base_va"],
+                                              base.V_base_ac,
+                                              pv["v_base_dc_v"],
+                                              base.omega_base)
+                        k_pv = convert_k_pv(check_real(
+                            f"vscs.{i}.pv.k_pv_pu", pv["k_pv_pu"]),
+                            pv_base, base)
+                with _Block(v["control"], f"vscs.{i}.control") as c:
+                    gains = c["k_p"], c["k_d"], c["tau_kd_s"]
+                vsc_params[node] = VscParams(
+                    v["c_dc_f"], GfmCtrlParams(*gains), k_pv,
+                    v.get("c_extra_f", 0.0))
+                v_dc_star[node] = v["v_dc_star_v"]
+                virtual[node] = (v["l_virtual_h"],
+                                 v.get("r_virtual_ohm", 0.0))
 
-    ac_nodes = []
-    for i, (n, kind) in enumerate(data["ac_nodes"]):
-        with _element(f"ac_nodes.{i}"):
-            ac_nodes.append((n, NodeKind(kind)))
+        ac_nodes = []
+        for i, node in enumerate(top["ac_nodes"]):
+            if not (isinstance(node, (list, tuple)) and len(node) == 2):
+                raise TypeError(f"ac_nodes.{i} must be a [name, kind] "
+                                f"pair, got {node!r}")
+            try:
+                ac_nodes.append((node[0], NodeKind(node[1])))
+            except ValueError as exc:
+                raise ValueError(f"ac_nodes.{i}: {exc}") from None
 
-    ac_edges = []
-    for i, e in enumerate(data["ac_edges"]):
-        r = l = 0.0
-        for j, seg in enumerate(e["segments"]):
-            with _element(f"ac_edges.{i}.segments.{j}"):
-                rr, ll = line_impedance(catalog, seg["cable"],
-                                        seg["length_m"], f_hz=f_hz)
-            r += rr
-            l += ll
-        l += check_real(f"ac_edges.{i}.l_extra_h", e.get("l_extra_h", 0.0))
-        kw = {}
-        virt = e.get("virtual_at")
-        if virt is not None:
-            side = "n" if virt == e["n"] else "k"
-            kw[f"l_virt_{side}"], kw[f"r_virt_{side}"] = virtual[virt]
-        with _element(f"ac_edges.{i}"):
-            ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
+        ac_edges = []
+        for i, e in enumerate(top["ac_edges"]):
+            with _Block(e, f"ac_edges.{i}") as e:
+                r = l = 0.0
+                for j, seg in enumerate(e["segments"]):
+                    with _Block(seg, f"ac_edges.{i}.segments.{j}") as seg:
+                        rr, ll = line_impedance(catalog, seg["cable"],
+                                                seg["length_m"], f_hz=f_hz)
+                    r += rr
+                    l += ll
+                l += check_real(f"ac_edges.{i}.l_extra_h",
+                                e.get("l_extra_h", 0.0))
+                kw = {}
+                virt = e.get("virtual_at")
+                if virt is not None:
+                    if virt not in (e["n"], e["k"]) or virt not in virtual:
+                        raise ValueError(f"virtual_at {virt!r} is not a VSC "
+                                         "at an end of this edge")
+                    side = "n" if virt == e["n"] else "k"
+                    kw[f"l_virt_{side}"], kw[f"r_virt_{side}"] = \
+                        virtual[virt]
+                ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
 
-    dc_edges = []
-    for i, e in enumerate(data.get("dc_edges", [])):
-        with _element(f"dc_edges.{i}"):
-            if "cable" in e:
-                r, l = line_impedance(catalog, e["cable"], e["length_m"],
-                                      f_hz=f_hz, loop=e.get("loop", True))
-                r, l = e.get("r_ohm", r), e.get("l_h", l)
-            else:
-                r, l = e["r_ohm"], e["l_h"]
-            dc_edges.append(DcEdge(e["n"], e["k"], l, r))
+        dc_edges = []
+        for i, e in enumerate(top["dc_edges"]):
+            with _Block(e, f"dc_edges.{i}") as e:
+                if e.get("cable") is None:
+                    r, l = e["r_ohm"], e["l_h"]
+                else:
+                    r, l = line_impedance(catalog, e["cable"], e["length_m"],
+                                          f_hz=f_hz,
+                                          loop=e.get("loop", True))
+                    r, l = e.get("r_ohm", r), e.get("l_h", l)
+                dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
-    graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges), tuple(dc_edges),
-                        b["v_base_ac_v"], base.omega_base, v_dc_star)
-    return SystemConfig(graph, base, sg_params, vsc_params,
-                        dict(data.get("ratio_bounds") or {}))
+        graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges),
+                            tuple(dc_edges), base.V_base_ac, base.omega_base,
+                            v_dc_star)
+        return SystemConfig(graph, base, sg_params, vsc_params,
+                            dict(top.get("ratio_bounds") or {}))
 
 
 #: Named gains: name -> (the list it reaches, what one item of that list
@@ -468,15 +464,12 @@ NAMED_GAINS = {
 
 def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     """The item name of a named gain's list and the (dotted path, value)
-    pairs it sets.  KeyError for an unknown name or an empty list,
-    TypeError for a value that is not a real number (a list of them for
-    ``v_dc_star_pu``), ValueError for a ``v_dc_star_pu`` of another length
-    than the VSCs."""
+    pairs it sets.  KeyError for an empty list, TypeError for a value that
+    is not a real number (a list of them for ``v_dc_star_pu``), ValueError
+    for a ``v_dc_star_pu`` of another length than the VSCs."""
     name, index = key, None
     if key not in NAMED_GAINS:
         name, _, index = key.rpartition("_")
-        if name not in ("k_p", "k_d", "tau_kd"):
-            raise KeyError(f"unknown override {key!r}")
     if name == "v_dc_star_pu":
         if not (isinstance(value, (list, tuple))
                 and all(map(is_real, value))):
@@ -503,9 +496,9 @@ def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
 def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
     """The dict that ``config_from_dict`` reads: a preset by name or a copy
     of an inline scenario, with ``overrides`` applied in order.  A key with
-    a dot, a key the scenario has, or one of ``SCENARIO_KEYS`` is a dotted
-    path; any other key is a named gain (``NAMED_GAINS``), which expands to
-    dotted paths.  ``_deep_set`` writes every path."""
+    a dot is a dotted path; a named gain (``NAMED_GAINS``, ``k_p_<i>``,
+    ``k_d_<i>``, ``tau_kd_<i>``) expands to dotted paths; any other key is
+    a top-level path.  ``_deep_set`` writes every path."""
     if isinstance(scenario, str):
         try:
             data = _load_preset(scenario)
@@ -516,10 +509,11 @@ def resolve_scenario(scenario, overrides: dict | None = None) -> dict:
     else:
         raise TypeError("a scenario is a preset name or an object")
     for key, value in (overrides or {}).items():
-        if "." in key or key in data or key in SCENARIO_KEYS:
-            _deep_set(data, key, value)
-        else:
+        if key in NAMED_GAINS or ("." not in key and key.rpartition("_")[0]
+                                  in ("k_p", "k_d", "tau_kd")):
             item, paths = _named_gain_paths(data, key, value)
             for path, v in paths:
                 _deep_set(data, path, v, key, item)
+        else:
+            _deep_set(data, key, value)
     return data

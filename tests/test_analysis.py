@@ -22,9 +22,17 @@ class TestBode:
         assert t.f_hz[0] == pytest.approx(1e-2 / (2 * math.pi))
         assert t.f_hz[-1] == pytest.approx(1e4 / (2 * math.pi))
 
-    def test_unknown_channel(self, islanded_model):
-        with pytest.raises(KeyError):
-            analysis.bode(islanded_model, "bogus", "omega_vsc1")
+    def test_unknown_channel(self, islanded_model, monkeypatch):
+        # the names are looked up before the frequency grid is solved
+        def kernel(*args):
+            raise AssertionError("freq_response called")
+
+        monkeypatch.setattr(analysis, "freq_response", kernel)
+        for channel, kind in ((("bogus", "omega_vsc1"), "input"),
+                              (("p_load_load1", "bogus"), "output")):
+            with pytest.raises(KeyError) as info:
+                analysis.bode(islanded_model, *channel)
+            assert info.value.args[0] == f"unknown {kind} channel 'bogus'"
 
     @pytest.mark.parametrize("band, message", [
         ({"f_min": 0.0}, "f_min must be finite and positive, got 0.0"),

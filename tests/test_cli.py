@@ -352,7 +352,7 @@ class TestArtifacts:
     @pytest.mark.parametrize("parameter", ["base.bogus", "vscs.0.c_dcf"])
     def test_sweep_unknown_scenario_key_exit_1(self, tmp_path, capsys,
                                                parameter):
-        # a key no point can use fails the run before the first point
+        # a key no point can use fails the run at the first point
         cfg = write_config(tmp_path, {
             "scenario": "islanded_pv",
             "options": {"parameter": parameter, "values": [1.0, 2.0],
@@ -363,7 +363,23 @@ class TestArtifacts:
         assert err.startswith("error: ") and parameter.split(".")[-1] in err
         assert not (out / "sweep.csv").exists()
         assert json.loads((out / "error.json").read_text())["error"] \
-            == "ValueError"
+            == "KeyError"
+
+    def test_spectrum_unknown_channel_before_the_step(self, tmp_path,
+                                                      capsys, monkeypatch):
+        def kernel(*args):
+            raise AssertionError("step_response called")
+
+        monkeypatch.setattr(acdcdyn.cli, "step_response", kernel)
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"input": "p_load_load1", "channel": "nope"}})
+        out = tmp_path / "run"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown output channel 'nope'\n"
+        assert json.loads((out / "error.json").read_text())["error"] \
+            == "KeyError"
 
     def test_spectrum_csv(self, tmp_path):
         cfg = write_config(tmp_path, {
@@ -531,6 +547,12 @@ class TestSetFlag:
          "dc_edges.0: unknown cable type 'NAYY'"),
         ("poles", 'ac_nodes.0.1="xyz"', "ValueError",
          "ac_nodes.0: 'xyz' is not a valid NodeKind"),
+        ("poles", 'ac_edges.1.virtual_at="vsc2"', "ValueError",
+         "ac_edges.1: virtual_at 'vsc2' is not a VSC at an end of this "
+         "edge"),
+        ("poles", 'ac_edges.1.virtual_at="load1"', "ValueError",
+         "ac_edges.1: virtual_at 'load1' is not a VSC at an end of this "
+         "edge"),
         ("sweep", "options.values=5", "TypeError",
          "options.values must be a list, got 5"),
         ("sweep", 'options.values={"a":1}', "TypeError",
@@ -547,7 +569,8 @@ class TestSetFlag:
             "r_virtual-negative", "r_dc-negative", "t_end_s-bool",
             "dt_s-string", "delta_p_l_pu-bool", "segment-length-negative",
             "dc-edge-length-zero", "segment-cable-unknown",
-            "dc-edge-cable-unknown", "node-kind-unknown", "values-int",
+            "dc-edge-cable-unknown", "node-kind-unknown",
+            "virtual-at-other-vsc", "virtual-at-non-vsc", "values-int",
             "values-object", "parameter-int", "step-input-unknown",
             "spectrum-channel-unknown", "bode-output-unknown"])
     def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,

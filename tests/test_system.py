@@ -14,7 +14,7 @@ from acdcdyn.system import (ImproperController, NoDroop, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
                             resolve_scenario, steady_state)
 from acdcdyn.units import GfmCtrlParams, PerUnitBase, SgParams, VscParams
-from conftest import preset
+from conftest import PERFBENCH, PRESETS, preset
 
 #: Every numeric field of the device records, by record.
 DEVICE_FIELDS = ([("sg", f.name) for f in fields(SgParams)]
@@ -89,8 +89,12 @@ class TestOverrides:
             preset("lvdc_async", {"v_dc_star_pu": value})
 
     def test_resolve_unknown_named_gain(self):
-        with pytest.raises(KeyError):
-            resolve_scenario("lvdc_async", {"bogus": 1})
+        # a key that is no named gain is a top-level path, which
+        # config_from_dict names as a key it does not read
+        data = resolve_scenario("lvdc_async", {"bogus": 1})
+        with pytest.raises(KeyError) as info:
+            config_from_dict(data)
+        assert info.value.args[0] == "unknown keys ['bogus'] in the scenario"
 
     def test_top_level_key_the_preset_lacks(self):
         # islanded_pv publishes no ratio bound; an override can add one
@@ -116,8 +120,9 @@ class TestOverrides:
     @pytest.mark.parametrize("path", ["base.s_base_vaa",
                                       "vscs.0.control.kp"])
     def test_unknown_base_or_control_key(self, path):
-        with pytest.raises(ValueError, match="unknown keys"):
+        with pytest.raises(KeyError) as info:
             preset("lvdc_async", {path: 1.0})
+        assert info.value.args[0].startswith("unknown keys")
 
     @pytest.mark.parametrize("scenario, path, block", [
         ("lvdc_async", "ratio_bound", "the scenario"),
@@ -133,26 +138,82 @@ class TestOverrides:
         data = resolve_scenario(scenario)
         system._deep_set(data, path, 1.0)
         key = path.rsplit(".", 1)[-1]
-        with pytest.raises(ValueError,
-                           match=rf"unknown keys \['{key}'\] in {block}$"):
+        with pytest.raises(KeyError) as info:
             config_from_dict(data)
+        assert info.value.args[0] == f"unknown keys ['{key}'] in {block}"
 
-    def test_presets_and_feeders_load_unchanged(self, monkeypatch):
-        # the descriptive keys of the presets and of the generated feeders
-        # pass, and the check changes no config
-        monkeypatch.syspath_prepend(
-            str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+def _preset_keys():
+    """(preset, block path, key) of every key of every object in the
+    three presets; the block path of a top-level key is ""."""
+    def walk(node, path):
+        if isinstance(node, dict):
+            for key, value in node.items():
+                yield path, key
+                yield from walk(value, f"{path}.{key}".lstrip("."))
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                yield from walk(value, f"{path}.{i}")
+
+    return [(name, path, key) for name in PRESETS
+            for path, key in walk(_load_preset(name), "")]
+
+
+class TestSchema:
+    def test_presets_and_feeders_read_every_key(self, monkeypatch):
+        # config_from_dict raises on a key it neither reads nor declares
+        # unused, so each of these loads only if all its keys are known
+        monkeypatch.syspath_prepend(str(PERFBENCH))
         from feeder import FeederStream
 
-        cfgs = [_load_preset(name) for name in
-                ("islanded_pv", "lvdc_async", "parallel_ac_dc")]
+        cfgs = [_load_preset(name) for name in PRESETS]
         for seed in (0, 1):
             cfgs += itertools.islice(FeederStream(seed), 72)
         for data in cfgs:
-            cfg = config_from_dict(data)
-            with monkeypatch.context() as m:
-                m.setattr(system, "check_scenario_keys", lambda data: None)
-                assert config_from_dict(data) == cfg
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("name, path, key", _preset_keys(),
+                             ids=lambda x: x or "-")
+    def test_deleting_a_key_loads_or_names_it(self, name, path, key):
+        data = _load_preset(name)
+        block = data
+        for seg in filter(None, path.split(".")):
+            block = block[int(seg) if isinstance(block, list) else seg]
+        del block[key]
+        try:
+            config_from_dict(data)
+        except KeyError as exc:
+            # a DC edge without a cable needs its resistance and inductance
+            if path.startswith("dc_edges.") and key == "cable":
+                key = "r_ohm"
+            assert exc.args[0] == (f"{path}: " if path else "") \
+                + f"missing key {key!r}"
+
+    @pytest.mark.parametrize("path, value, message", [
+        ("base", 5, "base must be an object, got 5"),
+        ("sg", [1], "sg must be an object, got [1]"),
+        ("vscs.0", "vsc1", "vscs.0 must be an object, got 'vsc1'"),
+        ("vscs.0.control", 0.1, "vscs.0.control must be an object, got 0.1"),
+        ("vscs.0.pv", True, "vscs.0.pv must be an object, got True"),
+        ("ac_edges.0.segments.0", None,
+         "ac_edges.0.segments.0 must be an object, got None"),
+        ("ac_nodes.0", ["sg"],
+         "ac_nodes.0 must be a [name, kind] pair, got ['sg']"),
+        ("ac_nodes.2", "load1",
+         "ac_nodes.2 must be a [name, kind] pair, got 'load1'"),
+    ])
+    def test_malformed_block_is_named(self, path, value, message):
+        data = resolve_scenario("islanded_pv", {path: value})
+        with pytest.raises(TypeError) as info:
+            config_from_dict(data)
+        assert info.value.args[0] == message
+
+    def test_inner_error_is_named_once(self):
+        # an unknown key of a nested block passes its outer block unchanged
+        data = resolve_scenario("islanded_pv", {"vscs.0.control.kp": 1.0})
+        with pytest.raises(KeyError) as info:
+            config_from_dict(data)
+        assert info.value.args[0] == "unknown keys ['kp'] in vscs.0.control"
 
 
 class TestConfigSurface:

@@ -25,6 +25,12 @@
 * ``resolve/<scenario> <overrides>``: the sha256 of
   ``json.dumps(resolve_scenario(scenario, overrides), sort_keys=True)``
   for the overrides that the tests and the benchmark use.
+* ``config/<case>``: ``loads``, or the class and message of the exception
+  that ``config_from_dict(resolve_scenario(...))`` raises, for each of
+  ``MALFORMED``: a preset with a block or a record key deleted, an
+  unknown key in each block, a block that is not an object, and a
+  ``virtual_at`` that names no VSC end of its edge.  Input-layer changes
+  show here as the messages they change.
 
 ``compare`` prints every key whose value differs or that only one record
 has, and exits 1 if there is any.  Recording takes a few minutes and about
@@ -112,6 +118,49 @@ OVERRIDES = (
     ("parallel_ac_dc", {"r_dc": 0.0}),
     ("parallel_ac_dc", {"vscs.1.l_virtual_h": 0.005}),
 )
+#: Marks a ``MALFORMED`` case that deletes the key at its path.
+DELETE = object()
+#: case -> (preset, dotted path, the value an override sets there, or
+#: DELETE to remove the key from the preset).
+MALFORMED = {
+    "no-base": ("islanded_pv", "base", DELETE),
+    "no-sg": ("lvdc_async", "sg", DELETE),
+    "no-vscs": ("lvdc_async", "vscs", DELETE),
+    "no-ac-nodes": ("lvdc_async", "ac_nodes", DELETE),
+    "no-ac-edges": ("lvdc_async", "ac_edges", DELETE),
+    "no-dc-edges": ("lvdc_async", "dc_edges", DELETE),
+    "no-base-f": ("lvdc_async", "base.f_base_hz", DELETE),
+    "no-sg-h": ("lvdc_async", "sg.h_s", DELETE),
+    "no-vsc-control": ("lvdc_async", "vscs.1.control", DELETE),
+    "no-vsc-setpoint": ("lvdc_async", "vscs.0.v_dc_star_v", DELETE),
+    "no-control-k_p": ("lvdc_async", "vscs.0.control.k_p", DELETE),
+    "no-pv-k_pv": ("islanded_pv", "vscs.0.pv.k_pv_pu", DELETE),
+    "no-ac-edge-k": ("lvdc_async", "ac_edges.1.k", DELETE),
+    "no-segment-cable": ("lvdc_async", "ac_edges.2.segments.1.cable",
+                         DELETE),
+    "no-dc-edge-cable": ("lvdc_async", "dc_edges.0.cable", DELETE),
+    "unknown-top": ("lvdc_async", "bogus", 1.0),
+    "unknown-base": ("lvdc_async", "base.bogus", 1.0),
+    "unknown-sg": ("lvdc_async", "sg.bogus", 1.0),
+    "unknown-vsc": ("lvdc_async", "vscs.1.bogus", 1.0),
+    "unknown-control": ("lvdc_async", "vscs.0.control.bogus", 1.0),
+    "unknown-pv": ("islanded_pv", "vscs.0.pv.bogus", 1.0),
+    "unknown-ac-edge": ("lvdc_async", "ac_edges.2.bogus", 1.0),
+    "unknown-segment": ("lvdc_async", "ac_edges.2.segments.1.bogus", 1.0),
+    "unknown-dc-edge": ("lvdc_async", "dc_edges.0.bogus", 1.0),
+    "object-base": ("lvdc_async", "base", 5),
+    "object-sg": ("lvdc_async", "sg", [1]),
+    "object-vsc": ("lvdc_async", "vscs.0", "vsc1"),
+    "object-control": ("lvdc_async", "vscs.0.control", 0.1),
+    "object-pv": ("islanded_pv", "vscs.0.pv", True),
+    "object-ac-edge": ("lvdc_async", "ac_edges.0", 5),
+    "object-segment": ("lvdc_async", "ac_edges.0.segments.0", None),
+    "object-dc-edge": ("lvdc_async", "dc_edges.0", "vsc1"),
+    "pair-ac-node": ("lvdc_async", "ac_nodes.0", ["sg"]),
+    "virtual-at-other-vsc": ("parallel_ac_dc", "ac_edges.3.virtual_at",
+                             "vsc1"),
+    "virtual-at-non-vsc": ("lvdc_async", "ac_edges.1.virtual_at", "load1"),
+}
 
 
 def digest(*parts) -> str:
@@ -195,12 +244,35 @@ def record_resolve(acdcdyn, out: dict) -> None:
             out[key] = digest(data)
 
 
+def record_configs(acdcdyn, out: dict) -> None:
+    system = acdcdyn.system
+    for case, (name, path, value) in MALFORMED.items():
+        scenario, overrides = name, {path: value}
+        if value is DELETE:
+            scenario, overrides = system._load_preset(name), {}
+            *parents, key = path.split(".")
+            block = scenario
+            for seg in parents:
+                block = block[int(seg) if isinstance(block, list) else seg]
+            del block[key]
+        try:
+            system.config_from_dict(
+                system.resolve_scenario(scenario, overrides))
+        except Exception as exc:  # the class and message are the record
+            message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
+                       else exc)
+            out[f"config/{case}"] = f"{type(exc).__name__}: {message}"
+        else:
+            out[f"config/{case}"] = "loads"
+
+
 def record(tree: Path, path: Path) -> int:
     acdcdyn = import_tree(tree)
     out: dict = {}
     record_builds(acdcdyn, out)
     record_cli(acdcdyn, out)
     record_resolve(acdcdyn, out)
+    record_configs(acdcdyn, out)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     raised = [v for k, v in out.items()
               if k.startswith("build/") and len(v) != 64]
