@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (NumericFailure, Pole, StateSpace, _channel_index,
-                  check_real, freq_response, poles)
+from .lti import (NumericFailure, Pole, StateSpace, check_real,
+                  freq_response, poles)
 from .system import ClosedLoopModel, SystemConfig, build
 
 
@@ -68,10 +68,8 @@ def bode(model, input: str, output: str,
     if isinstance(points, bool) or not (isinstance(points, numbers.Integral)
                                         and points > 0):
         raise ValueError(f"points must be a positive int, got {points!r}")
-    i = _channel_index(ss.input_names, input, "input")
-    o = _channel_index(ss.output_names, output, "output")
     f = np.logspace(math.log10(f_min), math.log10(f_max), points)
-    h = freq_response(ss, 2.0 * math.pi * f).values[:, o, i]
+    h = freq_response(ss, input, output, 2.0 * math.pi * f).values
     mag_db = 20.0 * np.log10(np.abs(h))
     phase = np.degrees(np.unwrap(np.angle(h)))
     return BodeTable(f, mag_db, phase)

@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .lti import (NoDcGain, NumericFailure, _channel_index, check_real,
                   dc_gain, fft_magnitude, poles, step_response)
-from .network import check_assumption1
+from .network import _read_json, check_assumption1
 from .system import build, config_from_dict, resolve_scenario, steady_state
 from . import analysis
 
@@ -44,10 +44,6 @@ OPTIONS = {
     "check": {},
 }
 COMMANDS = tuple(OPTIONS)
-
-
-class ParseError(ValueError):
-    """Config file is unreadable or not valid JSON."""
 
 
 class ValidationError(ValueError):
@@ -107,15 +103,7 @@ def load_config(path: str, command: str, sets: list[str]) -> RunConfig:
     """Read a run: the JSON config at `path`, with each ``key=value`` of
     `sets` applied, ``options.<key>`` to the options and any other key to
     the overrides.  A value that is not JSON is taken as a string."""
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     if "scenario" not in data:

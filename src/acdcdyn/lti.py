@@ -644,18 +644,14 @@ def poles(ss: StateSpace) -> list[Pole]:
 @dataclass(frozen=True)
 class FrequencyResponse:
     omega: np.ndarray                   # rad/s, ascending
-    values: np.ndarray                  # (n_omega, p, m) complex
-    input_names: tuple[str, ...]
-    output_names: tuple[str, ...]
-
-    def channel(self, input_name: str, output_name: str) -> np.ndarray:
-        i = _channel_index(self.input_names, input_name, "input")
-        o = _channel_index(self.output_names, output_name, "output")
-        return self.values[:, o, i]
+    values: np.ndarray                  # (n_omega,) complex
 
 
-def freq_response(ss: StateSpace, omega_grid) -> FrequencyResponse:
-    """C (jwI - A)^-1 B + D by exact complex linear solve per grid point."""
+def freq_response(ss: StateSpace, input_name: str, output_name: str,
+                  omega_grid) -> FrequencyResponse:
+    """C[o] (jwI - A)^-1 B[:, j] + D[o, j] of the channel from input j to
+    output o, by one exact complex solve for that input's column per grid
+    point.  Both names are looked up before any solve."""
     omega = np.asarray(omega_grid, dtype=float)
     if omega.ndim != 1 or omega.size == 0:
         raise ValueError("omega grid must be a non-empty 1-D array")
@@ -663,18 +659,18 @@ def freq_response(ss: StateSpace, omega_grid) -> FrequencyResponse:
             and np.all(np.diff(omega) > 0)):
         raise ValueError("omega grid must be finite, positive and strictly "
                          "ascending")
-    n = ss.n_states
-    vals = np.empty((omega.size, ss.n_outputs, ss.n_inputs), dtype=complex)
-    if n == 0:
-        vals[:] = ss.D
-        return FrequencyResponse(omega, vals, ss.input_names, ss.output_names)
-    I = np.eye(n)
+    j = _channel_index(ss.input_names, input_name, "input")
+    o = _channel_index(ss.output_names, output_name, "output")
+    vals = np.full(omega.size, ss.D[o, j], dtype=complex)
+    if ss.n_states == 0:
+        return FrequencyResponse(omega, vals)
+    I = np.eye(ss.n_states)
     for i, w in enumerate(omega):
         s = 1j * w
         if np.min(np.abs(s - ss.eigvals)) < 1e-9 * (1.0 + abs(s)):
             raise SingularAtFrequency(f"omega = {w} rad/s lies on a pole of A")
-        vals[i] = ss.C @ np.linalg.solve(s * I - ss.A, ss.B) + ss.D
-    return FrequencyResponse(omega, vals, ss.input_names, ss.output_names)
+        vals[i] += ss.C[o] @ np.linalg.solve(s * I - ss.A, ss.B[:, j])
+    return FrequencyResponse(omega, vals)
 
 
 @dataclass(frozen=True)

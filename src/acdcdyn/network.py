@@ -21,6 +21,10 @@ from .lti import (EntrywiseBlock, NumericFailure, Polynomial, RationalTF,
                   check_fields, check_real, tf_to_ss)
 
 
+class ParseError(ValueError):
+    """A JSON file is unreadable or not valid JSON."""
+
+
 class EdgePole(NumericFailure):
     """Evaluation frequency coincides with an edge transfer-function pole."""
 
@@ -523,16 +527,34 @@ def check_assumption1(g: HybridGraph) -> LoadBlockVerdict:
 # cable catalog
 # --------------------------------------------------------------------------
 
+def _read_json(path: str, what: str):
+    """The JSON value in the file at `path`; a read failure or invalid JSON
+    raises ParseError naming `what` and the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON in {what} {path!r} at line {exc.lineno}, "
+            f"column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ParseError(f"cannot read {what} {path!r}: {reason}") from exc
+
+
 def load_cable_catalog(path: str | None = None) -> dict:
     """Per-km series impedance catalog (external datasheet values, not
-    measured ground truth)."""
+    measured ground truth): the packaged one, or the ``cables`` object of
+    the JSON file at `path`."""
     if path is None:
-        text = resources.files("acdcdyn").joinpath(
-            "data/cables.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as f:
-            text = f.read()
-    data = json.loads(text)
+        return json.loads(resources.files("acdcdyn").joinpath(
+            "data/cables.json").read_text())["cables"]
+    if not isinstance(path, str):
+        raise TypeError(f"cable_catalog must be a path string, got {path!r}")
+    data = _read_json(path, "cable_catalog")
+    if not (isinstance(data, dict) and isinstance(data.get("cables"), dict)):
+        raise ValueError(f"cable_catalog {path!r} must be a JSON object with "
+                         f"a 'cables' object")
     return data["cables"]
 
 

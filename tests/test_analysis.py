@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from acdcdyn import analysis
+from acdcdyn import analysis, lti, system
 from acdcdyn.lti import RationalTF, tf_to_ss
 from acdcdyn.system import build
-from conftest import preset
+from conftest import PERFBENCH, preset
 
 
 @pytest.fixture(scope="module")
@@ -24,10 +24,10 @@ class TestBode:
 
     def test_unknown_channel(self, islanded_model, monkeypatch):
         # the names are looked up before the frequency grid is solved
-        def kernel(*args):
-            raise AssertionError("freq_response called")
+        def solve(*args):
+            raise AssertionError("np.linalg.solve called")
 
-        monkeypatch.setattr(analysis, "freq_response", kernel)
+        monkeypatch.setattr(np.linalg, "solve", solve)
         for channel, kind in ((("bogus", "omega_vsc1"), "input"),
                               (("p_load_load1", "bogus"), "output")):
             with pytest.raises(KeyError) as info:
@@ -52,6 +52,31 @@ class TestBode:
         ss = tf_to_ss(RationalTF.from_coeffs([2.0], [1.0]), "u", "y")
         t = analysis.bode(ss, "u", "y", points=2)
         assert np.allclose(t.mag_db, 20 * math.log10(2.0))
+
+
+class TestBenchmarkTrace:
+    def test_traced_kernels_keep_their_attributes(self, monkeypatch):
+        # the benchmark's tracer reads the arguments and results of these
+        # three calls: a change to what they take or return fails here,
+        # not only in a traced benchmark run
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from spans import Tracer
+
+        tracer = Tracer()
+        tracer.install()
+        try:
+            model = system.build(preset("islanded_pv"))
+            analysis.bode(model, "p_load_load1", "omega_vsc1", points=20)
+            lti.step_response(model.ss, "p_load_load1", 1.0, 0.01)
+        finally:
+            tracer.uninstall()
+        spans = {s.name: s for s in tracer.spans}
+        n, p = model.ss.n_states, model.ss.n_outputs
+        for name, attr, value in [
+                ("system.build", "n_states", n),
+                ("lti.freq_response", "flop", 20 * n ** 3),
+                ("lti.step_response", "flop", 100 * n * (n + p))]:
+            assert spans[name].ok and spans[name].attrs[attr] == value, name
 
 
 class TestStability:

@@ -596,6 +596,43 @@ class TestSetFlag:
         record = json.loads((out / "error.json").read_text())
         assert (record["error"], record["message"]) == (error, message)
 
+    @pytest.mark.parametrize("content, value, error, message", [
+        (None, "{path}", "ParseError",
+         "cannot read cable_catalog '{path}': No such file or directory"),
+        ("{not json", "{path}", "ParseError",
+         "invalid JSON in cable_catalog '{path}' at line 1, column 2: "
+         "Expecting property name enclosed in double quotes"),
+        ("[1]", "{path}", "ValueError",
+         "cable_catalog '{path}' must be a JSON object with a 'cables' "
+         "object"),
+        ('{"cables": [1]}', "{path}", "ValueError",
+         "cable_catalog '{path}' must be a JSON object with a 'cables' "
+         "object"),
+        (None, "true", "TypeError",
+         "cable_catalog must be a path string, got True"),
+        (None, "5", "TypeError", "cable_catalog must be a path string, got 5"),
+        (None, "{}", "TypeError",
+         "cable_catalog must be a path string, got {}"),
+    ], ids=["missing", "invalid-json", "list", "cables-list", "bool", "int",
+            "object"])
+    def test_bad_cable_catalog_exit_1(self, tmp_path, capsys, content, value,
+                                      error, message):
+        # a catalog that is not a readable JSON file of a 'cables' object
+        # is named with its path: no traceback, no file descriptor opened
+        path = tmp_path / "cables.json"
+        if content is not None:
+            path.write_text(content)
+        value, message = (x.replace("{path}", str(path))
+                          for x in (value, message))
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out),
+                     "--set", f"cable_catalog={value}"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+        record = json.loads((out / "error.json").read_text())
+        assert (record["error"], record["message"]) == (error, message)
+
     def test_misspelt_scenario_key_exit_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "islanded_pv"})
         out = tmp_path / "o"

@@ -8,12 +8,16 @@ import numpy as np
 import pytest
 
 import acdcdyn.system as system
-from acdcdyn.lti import dc_gain
-from acdcdyn.network import AcEdge, HybridGraph, NodeKind
+from acdcdyn.lti import dc_gain, freq_response
+from acdcdyn.network import (AcEdge, HybridGraph, NodeKind,
+                             assemble_ac_laplacian, assemble_dc_laplacian,
+                             kron_reduce, load_cable_catalog)
 from acdcdyn.system import (ImproperController, NoDroop, _load_preset, build,
                             config_from_dict, nominal_dc_dispatch,
                             resolve_scenario, steady_state)
-from acdcdyn.units import GfmCtrlParams, PerUnitBase, SgParams, VscParams
+from acdcdyn.units import (GfmCtrlParams, PerUnitBase, SgParams, VscParams,
+                           gfm_ctrl_tf, governor_droop_tf, sg_damping_tf,
+                           sm_tf, vsc_dclink_tf)
 from conftest import PERFBENCH, PRESETS, preset
 
 #: Every numeric field of the device records, by record.
@@ -276,6 +280,24 @@ class TestConfigSurface:
         assert not all(np.array_equal(getattr(a, m), getattr(b, m))
                        for m in "ABCD")
 
+    def test_custom_cable_catalog(self, tmp_path):
+        # a cable_catalog file replaces the packaged catalog: a copy of it
+        # gives the same edges, and one cable's resistance doubled doubles
+        # that of the one edge made of it alone
+        cables = load_cable_catalog()
+        path = tmp_path / "cables.json"
+        path.write_text(json.dumps({"cables": cables}))
+        edges = preset("islanded_pv").graph.ac_edges
+        assert preset("islanded_pv",
+                      {"cable_catalog": str(path)}).graph.ac_edges == edges
+        entry = cables["NAYY 4x35"]
+        entry["r_ohm_per_km"] *= 2.0
+        path.write_text(json.dumps({"cables": cables}))
+        changed = preset("islanded_pv", {"cable_catalog": str(path)})
+        assert [(e.n, e.k, e.l, e.r) for e in changed.graph.ac_edges] == [
+            (e.n, e.k, e.l, 2.0 * e.r if e.k == "vsc1" else e.r)
+            for e in edges]
+
     def test_virtual_impedance_lands_on_the_vsc_side(self):
         cfg = preset("parallel_ac_dc", {"vscs.1.l_virtual_h": 0.005})
         virt = {(e.n, e.k): (e.l_virt_n, e.l_virt_k)
@@ -388,6 +410,83 @@ class TestBuildErrors:
         cfg = preset("islanded_pv", {"tau_kd": 0.0})
         with pytest.raises(ImproperController):
             build(cfg)
+
+
+def node_balance_response(cfg, s: complex, load: str) -> dict:
+    """Every output of ``build(cfg)`` at s for a unit step at `load`, from
+    the device TFs and the evaluated network alone: the power balance of
+    each conversion node and each VSC's DC link, solved for the frequency
+    of each conversion node (zero at an infinite bus) and the DC voltage
+    of each VSC."""
+    g, base = cfg.graph, cfg.base
+    conv, vscs, kinds = g.conv_names, g.dc_names, dict(g.ac_nodes)
+    G_conv, G_load = kron_reduce(assemble_ac_laplacian(g, s), len(conv))
+    # p_ac (p.u.) per conversion-node frequency, through theta = w_b/s omega
+    P = G_conv / base.S_base * (base.omega_base / s)
+    p_load = G_load[:, g.load_names.index(load)]
+    nw, nv = len(conv), len(vscs)
+    K = np.zeros((nv, nv), dtype=complex)
+    if g.dc_edges:
+        L_dc, loss = assemble_dc_laplacian(g, s)
+        K = base.V_base_dc / base.S_base * (L_dc + np.diag(loss))
+    M = np.zeros((nw + nv, nw + nv), dtype=complex)
+    b = np.zeros(nw + nv, dtype=complex)
+    for i, n in enumerate(conv):
+        if kinds[n] is NodeKind.INFINITE_BUS:
+            M[i, i] = 1.0
+        elif kinds[n] is NodeKind.SM:
+            sg = cfg.sg[n]
+            M[i, :nw] = P[i]
+            M[i, i] += (1.0 / sm_tf(sg, base)(s)
+                        - governor_droop_tf(sg, base)(s)
+                        - sg_damping_tf(sg, base)(s))
+            b[i] = -p_load[i]
+        else:
+            # omega = C(s) v, and the DC link balances the VSC's power
+            k, vsc = nw + vscs.index(n), cfg.vsc[n]
+            M[i, i], M[i, k] = 1.0, -gfm_ctrl_tf(vsc.control)(s)
+            M[k, :nw], M[k, nw:] = P[i], K[k - nw]
+            M[k, k] += (1.0 / vsc_dclink_tf(vsc, g.v_dc_star[n], base)(s)
+                        + (vsc.k_pv or 0.0))
+            b[k] = -p_load[i]
+    x = np.linalg.solve(M, b)
+    omega, v = x[:nw], x[nw:]
+    p_ac, p_dc = P @ omega + p_load, K @ v
+    out = {}
+    for i, n in enumerate(conv):
+        if kinds[n] is NodeKind.SM:
+            out[f"omega_{n}"], out[f"p_ac_{n}"] = omega[i], p_ac[i]
+            out[f"p_tg_{n}"] = governor_droop_tf(cfg.sg[n], base)(s) * omega[i]
+        elif kinds[n] is NodeKind.VSC:
+            k, k_pv = vscs.index(n), cfg.vsc[n].k_pv
+            out[f"omega_{n}"], out[f"p_ac_{n}"] = omega[i], p_ac[i]
+            out[f"v_dc_{n}"] = v[k]
+            if g.dc_edges:
+                out[f"p_dc_{n}"] = p_dc[k]
+            if k_pv is not None:
+                out[f"p_pv_{n}"] = -k_pv * v[k]
+    return out
+
+
+class TestFrequencyOracle:
+    @pytest.mark.parametrize("name, bound", [
+        ("islanded_pv", 1e-10), ("lvdc_async", 1e-10),
+        # the entrywise realization of the unequal-setpoint DC network
+        # misses by 1.4e-6, at p_dc_vsc2 near 18.7 rad/s
+        ("parallel_ac_dc", 1e-5)])
+    def test_closed_loop_matches_node_balance(self, name, bound):
+        # every output of the realized closed loop against the node
+        # balance solved point by point, relative to the channel's peak
+        cfg = preset(name)
+        ss = build(cfg).ss
+        w = np.logspace(-1, 4, 12)
+        ref = [node_balance_response(cfg, 1j * wk, "load1") for wk in w]
+        assert set(ref[0]) == set(ss.output_names)
+        for out in ss.output_names:
+            h_ref = np.array([r[out] for r in ref])
+            h = freq_response(ss, "p_load_load1", out, w).values
+            assert np.max(np.abs(h - h_ref)) <= \
+                bound * np.max(np.abs(h_ref)), out
 
 
 def steady_state_gap(cfg):

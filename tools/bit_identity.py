@@ -28,9 +28,13 @@
 * ``config/<case>``: ``loads``, or the class and message of the exception
   that ``config_from_dict(resolve_scenario(...))`` raises, for each of
   ``MALFORMED``: a preset with a block or a record key deleted, an
-  unknown key in each block, a block that is not an object, and a
-  ``virtual_at`` that names no VSC end of its edge.  Input-layer changes
-  show here as the messages they change.
+  unknown key in each block, a block that is not an object, a
+  ``virtual_at`` that names no VSC end of its edge, and a
+  ``cable_catalog`` that is not a path or names a file that is missing,
+  not JSON, or not an object with a ``cables`` object.  The catalog files
+  are written from ``CATALOG_FILES`` into a temporary working directory,
+  so the paths in the messages are the same in every record.  Input-layer
+  changes show here as the messages they change.
 
 ``compare`` prints every key whose value differs or that only one record
 has, and exits 1 if there is any.  Recording takes a few minutes and about
@@ -160,7 +164,17 @@ MALFORMED = {
     "virtual-at-other-vsc": ("parallel_ac_dc", "ac_edges.3.virtual_at",
                              "vsc1"),
     "virtual-at-non-vsc": ("lvdc_async", "ac_edges.1.virtual_at", "load1"),
+    "catalog-missing": ("islanded_pv", "cable_catalog", "missing.json"),
+    "catalog-invalid": ("islanded_pv", "cable_catalog", "invalid.json"),
+    "catalog-list": ("islanded_pv", "cable_catalog", "list.json"),
+    "catalog-no-cables": ("islanded_pv", "cable_catalog", "empty.json"),
+    "catalog-bool": ("islanded_pv", "cable_catalog", True),
+    "catalog-int": ("islanded_pv", "cable_catalog", 5),
+    "catalog-object": ("islanded_pv", "cable_catalog", {}),
 }
+#: file name -> content of the catalog files that ``MALFORMED`` names.
+CATALOG_FILES = {"invalid.json": "{not json", "list.json": "[1]",
+                 "empty.json": "{}"}
 
 
 def digest(*parts) -> str:
@@ -246,24 +260,28 @@ def record_resolve(acdcdyn, out: dict) -> None:
 
 def record_configs(acdcdyn, out: dict) -> None:
     system = acdcdyn.system
-    for case, (name, path, value) in MALFORMED.items():
-        scenario, overrides = name, {path: value}
-        if value is DELETE:
-            scenario, overrides = system._load_preset(name), {}
-            *parents, key = path.split(".")
-            block = scenario
-            for seg in parents:
-                block = block[int(seg) if isinstance(block, list) else seg]
-            del block[key]
-        try:
-            system.config_from_dict(
-                system.resolve_scenario(scenario, overrides))
-        except Exception as exc:  # the class and message are the record
-            message = (exc.args[0] if isinstance(exc, KeyError) and exc.args
-                       else exc)
-            out[f"config/{case}"] = f"{type(exc).__name__}: {message}"
-        else:
-            out[f"config/{case}"] = "loads"
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        for file, content in CATALOG_FILES.items():
+            Path(file).write_text(content)
+        for case, (name, path, value) in MALFORMED.items():
+            scenario, overrides = name, {path: value}
+            if value is DELETE:
+                scenario, overrides = system._load_preset(name), {}
+                *parents, key = path.split(".")
+                block = scenario
+                for seg in parents:
+                    block = block[int(seg) if isinstance(block, list)
+                                  else seg]
+                del block[key]
+            try:
+                system.config_from_dict(
+                    system.resolve_scenario(scenario, overrides))
+            except Exception as exc:  # the class and message are the record
+                message = (exc.args[0] if isinstance(exc, KeyError)
+                           and exc.args else exc)
+                out[f"config/{case}"] = f"{type(exc).__name__}: {message}"
+            else:
+                out[f"config/{case}"] = "loads"
 
 
 def record(tree: Path, path: Path) -> int:
