@@ -22,6 +22,12 @@ class NumericFailure(Exception):
     """A computation failed on valid input (exit 2); bad input is ValueError."""
 
 
+#: Largest condition number of a matrix that is solved, not reported singular
+#: (``kron_reduce``, ``compose``, ``steady_state``, ``dc_gain``).  One zero
+#: mode's W^T V in ``dc_gain`` exceeds it only when exactly singular.
+MAX_COND = 1e12
+
+
 def is_real(x) -> bool:
     """A real number that is not a bool: an int, a float or a NumPy one."""
     return isinstance(x, numbers.Real) and not isinstance(x, bool)
@@ -175,6 +181,9 @@ class RationalTF:
     @property
     def is_proper(self) -> bool:
         return self.num.degree <= self.den.degree or self.num.is_zero()
+
+    def __bool__(self) -> bool:
+        return not self.num.is_zero()
 
     def __call__(self, s: complex) -> complex:
         d = self.den(s)
@@ -564,7 +573,7 @@ def compose(blocks: Mapping[str, StateSpace | EntrywiseBlock],
                                            external_inputs, external_outputs)
     n_states = A.shape[0]
     loop = np.eye(K.shape[0]) - K @ D
-    if np.linalg.cond(loop) > 1e12:
+    if np.linalg.cond(loop) > MAX_COND:
         raise AlgebraicLoop("feedthrough loop matrix is near singular")
     M = np.linalg.inv(loop)
     BM = B @ M
@@ -833,11 +842,6 @@ def step_response(ss: StateSpace, input_name: str, T: float,
     return TimeSeries(t, dict(zip(ss.output_names, y.T)))
 
 
-#: Largest condition number of W^T V in ``dc_gain``, the bound ``compose``
-#: puts on its loop matrix.  With one zero mode only an exactly singular
-#: W^T V exceeds it: |w^T v| reads 1e-29 on feeders whose gains the Schur
-#: deflation returned as well.
-_MAX_COND_WV = 1e12
 #: Largest residue of the zero modes in ``dc_gain``, relative to
 #: 1 + |B| |C|, that still counts as an angle-reference mode.
 _RESIDUE_TOL = 1e-6
@@ -905,7 +909,7 @@ def dc_gain(ss: StateSpace) -> np.ndarray:
     bound = tol * max(1.0, rho)
     WV = W.T @ V
     if (np.linalg.norm(A @ V) > bound or np.linalg.norm(W.T @ A) > bound
-            or np.linalg.cond(WV) > _MAX_COND_WV):
+            or np.linalg.cond(WV) > MAX_COND):
         raise NoDcGain("defective pole cluster at the origin")
     scale = 1.0 + float(np.linalg.norm(ss.B)) * float(np.linalg.norm(ss.C))
     residue = ss.C @ V @ np.linalg.solve(WV, W.T @ ss.B)

@@ -17,8 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .lti import (EntrywiseBlock, NumericFailure, Polynomial, RationalTF,
-                  check_fields, check_real, tf_to_ss)
+from .lti import (MAX_COND, EntrywiseBlock, NumericFailure, Polynomial,
+                  RationalTF, check_fields, check_real, tf_to_ss)
 
 
 class ParseError(ValueError):
@@ -215,84 +215,81 @@ def _components(nodes, edges) -> list[set[str]]:
 # Laplacian assembly
 # --------------------------------------------------------------------------
 
+def _laplacian(names, edges, weights, zero) -> list[list]:
+    """The weighted Laplacian over `names` as nested lists: each edge
+    (n, k) with weights (w_n, w_k, ...) adds w_n at (n, n) and w_k at
+    (k, k), and subtracts w_n at (n, k) and w_k at (k, n).  The entries are
+    transfer functions or their values, starting from `zero`."""
+    idx = {n: i for i, n in enumerate(names)}
+    L = [[zero for _ in names] for _ in names]
+    for e, (wn, wk, *_) in zip(edges, weights):
+        i, j = idx[e.n], idx[e.k]
+        L[i][i] = L[i][i] + wn
+        L[j][j] = L[j][j] + wk
+        L[i][j] = L[i][j] - wn
+        L[j][i] = L[j][i] - wk
+    return L
+
+
+def _at(edges, weights, s: complex) -> list[tuple]:
+    """Each edge's transfer functions in `weights` evaluated at s; EdgePole
+    when s is a pole of one, |den(s)| < 1e-12 (1 + |s|)^degree."""
+    for e, tfs in zip(edges, weights):
+        if any(abs(tf.den(s)) < 1e-12 * (1.0 + abs(s)) ** tf.den.degree
+               for tf in tfs):
+            raise EdgePole(f"s = {s} is a pole of edge ({e.n},{e.k})")
+    return [tuple(tf(s) for tf in tfs) for tfs in weights]
+
+
+def _ac_edge_tfs(g: HybridGraph) -> list[tuple[RationalTF, RationalTF]]:
+    return [(ac_edge_tf(e, g.V_ac_star, g.omega_star),) * 2
+            for e in g.ac_edges]
+
+
 def ac_laplacian_tfs(g: HybridGraph) -> list[list[RationalTF]]:
     """Rational weighted AC Laplacian in the load-last node order."""
-    names = g.ac_names
-    idx = {n: i for i, n in enumerate(names)}
-    zero = RationalTF.constant(0.0)
-    L = [[zero for _ in names] for _ in names]
-    for e in g.ac_edges:
-        w = ac_edge_tf(e, g.V_ac_star, g.omega_star)
-        i, j = idx[e.n], idx[e.k]
-        L[i][i] = L[i][i] + w
-        L[j][j] = L[j][j] + w
-        L[i][j] = L[i][j] - w
-        L[j][i] = L[j][i] - w
-    return L
+    return _laplacian(g.ac_names, g.ac_edges, _ac_edge_tfs(g),
+                      RationalTF.constant(0.0))
 
 
 def assemble_ac_laplacian(g: HybridGraph, s: complex) -> np.ndarray:
     """The weighted AC Laplacian at s, over ``g.ac_names``: conversion
     nodes first, so that with nc of them ``L[nc:, nc:]`` is the load block
     that ``kron_reduce`` eliminates."""
-    names = g.ac_names
-    idx = {n: i for i, n in enumerate(names)}
-    L = np.zeros((len(names), len(names)), dtype=complex)
-    for e in g.ac_edges:
-        tf = ac_edge_tf(e, g.V_ac_star, g.omega_star)
-        if abs(tf.den(s)) < 1e-12 * (1.0 + abs(s)) ** 2:
-            raise EdgePole(f"s = {s} is a pole of edge ({e.n},{e.k})")
-        w = tf(s)
+    w = _at(g.ac_edges, _ac_edge_tfs(g), s)
+    return np.array(_laplacian(g.ac_names, g.ac_edges, w, 0j), dtype=complex)
+
+
+def _dc_laplacian(g: HybridGraph, s: complex | None = None):
+    """The DC Laplacian and loss vector from each edge's v*_n/(ls + r),
+    v*_k/(ls + r) and loss injection (v*_n - v*_k)/(ls + r): transfer
+    functions, or with `s` their values at s."""
+    v, zero = g.v_dc_star, RationalTF.constant(0.0)
+    w = [(dc_edge_tf(e, v[e.n]), dc_edge_tf(e, v[e.k]),
+          dc_edge_tf(e, v[e.n] - v[e.k])) for e in g.dc_edges]
+    if s is not None:
+        w, zero = _at(g.dc_edges, w, s), 0j
+    L = _laplacian(g.dc_names, g.dc_edges, w, zero)
+    idx = {n: i for i, n in enumerate(g.dc_names)}
+    loss = [zero for _ in idx]
+    for e, (_, _, dv) in zip(g.dc_edges, w):
         i, j = idx[e.n], idx[e.k]
-        L[i, i] += w
-        L[j, j] += w
-        L[i, j] -= w
-        L[j, i] -= w
-    return L
+        loss[i] = loss[i] + dv
+        loss[j] = loss[j] - dv
+    return L, loss
 
 
 def assemble_dc_laplacian(g: HybridGraph, s: complex):
     """Evaluate the weighted DC Laplacian (asymmetric for unequal setpoints)
     at s, plus the diagonal loss-injection vector."""
-    names = g.dc_names
-    idx = {n: i for i, n in enumerate(names)}
-    L = np.zeros((len(names), len(names)), dtype=complex)
-    loss = np.zeros(len(names), dtype=complex)
-    for e in g.dc_edges:
-        den = e.r_dc + e.l_dc * s
-        if abs(den) < 1e-12 * (1.0 + abs(s)):
-            raise EdgePole(f"s = {s} is a pole of DC edge ({e.n},{e.k})")
-        vn = g.v_dc_star[e.n]
-        vk = g.v_dc_star[e.k]
-        i, j = idx[e.n], idx[e.k]
-        L[i, i] += vn / den
-        L[i, j] -= vn / den
-        L[j, j] += vk / den
-        L[j, i] -= vk / den
-        loss[i] += (vn - vk) / den
-        loss[j] += (vk - vn) / den
-    return L, loss
+    L, loss = _dc_laplacian(g, s)
+    return (np.array(L, dtype=complex).reshape(len(loss), len(loss)),
+            np.array(loss, dtype=complex))
 
 
 def dc_laplacian_tfs(g: HybridGraph):
     """Rational DC Laplacian and diagonal loss injection transfer functions."""
-    names = g.dc_names
-    idx = {n: i for i, n in enumerate(names)}
-    zero = RationalTF.constant(0.0)
-    L = [[zero for _ in names] for _ in names]
-    loss = [zero for _ in names]
-    for e in g.dc_edges:
-        wn = dc_edge_tf(e, g.v_dc_star[e.n])
-        wk = dc_edge_tf(e, g.v_dc_star[e.k])
-        dv = dc_edge_tf(e, g.v_dc_star[e.n] - g.v_dc_star[e.k])
-        i, j = idx[e.n], idx[e.k]
-        L[i][i] = L[i][i] + wn
-        L[i][j] = L[i][j] - wn
-        L[j][j] = L[j][j] + wk
-        L[j][i] = L[j][i] - wk
-        loss[i] = loss[i] + dv
-        loss[j] = loss[j] - dv
-    return L, loss
+    return _dc_laplacian(g)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +298,7 @@ def dc_laplacian_tfs(g: HybridGraph):
 
 def kron_reduce(L: np.ndarray, n_conv: int, s: complex = None):
     """Joint Schur-complement elimination of the trailing load block of a
-    Laplacian evaluated at one point.
+    Laplacian evaluated at one point; the reference for ``_eliminate``.
 
     Returns (G_conv, G_load) with G_conv = L11 - L12 L22^-1 L21 and the
     consumption-positive load map G_load = -L12 L22^-1 (columns sum to one at
@@ -317,72 +314,61 @@ def kron_reduce(L: np.ndarray, n_conv: int, s: complex = None):
     L12 = L[:n_conv, n_conv:]
     L21 = L[n_conv:, :n_conv]
     L22 = L[n_conv:, n_conv:]
-    if np.linalg.cond(L22) > 1e12:
+    if np.linalg.cond(L22) > MAX_COND:
         raise SingularLL(f"load block singular at s = {s}")
     X = np.linalg.solve(L22.T, L12.T).T      # L12 L22^-1
     return L11 - X @ L21, -X
 
 
-def kron_reduce_sequential(L: np.ndarray, n_conv: int):
-    """One-at-a-time scalar-pivot elimination of load nodes; agrees with the
-    joint Schur complement up to roundoff."""
-    M = np.array(L, dtype=complex)
-    n = M.shape[0]
-    W = np.zeros((n, n - n_conv), dtype=complex)
+def _eliminate(L, n_conv: int, one, cancel):
+    """Scalar-pivot elimination of the trailing load nodes of L, last first,
+    skipping zero (falsy) entries: (G_conv, G_load) of ``kron_reduce`` as
+    nested lists.  The entries are transfer functions or their values, with
+    unit `one`, and `cancel` runs on every updated entry."""
+    M = [list(row) for row in L]
+    n = len(M)
+    W = [[0.0 * one for _ in range(n - n_conv)] for _ in range(n)]
     for c in range(n - n_conv):
-        W[n_conv + c, c] = -1.0
+        W[n_conv + c][c] = -1.0 * one
     for e in range(n - 1, n_conv - 1, -1):
-        piv = M[e, e]
-        if abs(piv) < 1e-300:
+        piv = M[e][e]
+        if not piv:
             raise SingularLL("zero pivot in sequential elimination")
-        rows = list(range(e))
-        for i in rows:
-            f = M[i, e] / piv
-            M[i, :e] -= f * M[e, :e]
-            W[i] -= f * W[e]
-        M = M[:e, :e]
-        W = W[:e]
-    return M, -W
+        for i in range(e):
+            if not M[i][e]:
+                continue
+            f = cancel(M[i][e] / piv)
+            for j in range(e):
+                if M[e][j]:
+                    M[i][j] = cancel(M[i][j] - f * M[e][j])
+            for c in range(n - n_conv):
+                if W[e][c]:
+                    W[i][c] = cancel(W[i][c] - f * W[e][c])
+    return ([row[:n_conv] for row in M[:n_conv]],
+            [[cancel(-1.0 * w) for w in row] for row in W[:n_conv]])
+
+
+def kron_reduce_sequential(L: np.ndarray, n_conv: int):
+    """``_eliminate`` on the values of a Laplacian at one point; agrees
+    with ``kron_reduce`` up to roundoff."""
+    M, W = _eliminate(np.asarray(L, dtype=complex).tolist(), n_conv, 1 + 0j,
+                      lambda x: x)
+    return (np.array(M, dtype=complex).reshape(n_conv, n_conv),
+            np.array(W, dtype=complex).reshape(n_conv, len(L) - n_conv))
 
 
 def kron_reduce_symbolic(L: Sequence[Sequence[RationalTF]], n_conv: int):
-    """Sequential scalar-pivot elimination with rational arithmetic; common
-    factors are cancelled by root matching after each update.
-
-    Returns (G_conv, G_load) as matrices of RationalTF, with the same
-    consumption-positive load-map convention as kron_reduce.
-    """
-    M = [list(row) for row in L]
-    n = len(M)
-    zero = RationalTF.constant(0.0)
-    W = [[zero for _ in range(n - n_conv)] for _ in range(n)]
-    for c in range(n - n_conv):
-        W[n_conv + c][c] = RationalTF.constant(-1.0)
-    for e in range(n - 1, n_conv - 1, -1):
-        piv = M[e][e]
-        if piv.num.is_zero():
-            raise SingularLL("zero pivot in symbolic elimination")
-        for i in range(e):
-            if M[i][e].num.is_zero():
-                continue
-            f = (M[i][e] / piv).simplify()
-            for j in range(e):
-                if not M[e][j].num.is_zero():
-                    M[i][j] = (M[i][j] - f * M[e][j]).simplify()
-            for c in range(n - n_conv):
-                if not W[e][c].num.is_zero():
-                    W[i][c] = (W[i][c] - f * W[e][c]).simplify()
-        M = [row[:e] for row in M[:e]]
-        W = W[:e]
-    G_load = [[(-1.0 * w).simplify() for w in row] for row in W]
-    return M, G_load
+    """``_eliminate`` on transfer functions, cancelling common factors by
+    root matching after each update: (G_conv, G_load) of RationalTF."""
+    return _eliminate(L, n_conv, RationalTF.constant(1.0),
+                      lambda tf: tf.simplify())
 
 
 def _mimo_from_tf_matrix(tfm, input_names, output_names) -> EntrywiseBlock:
     """Realize a matrix of rational transfer functions entrywise: one SISO
     part per nonzero entry, in row-major order, for ``compose`` to place."""
     parts = tuple((i, j, tf_to_ss(tf)) for i, row in enumerate(tfm)
-                  for j, tf in enumerate(row) if not tf.num.is_zero())
+                  for j, tf in enumerate(row) if tf)
     return EntrywiseBlock(parts, tuple(input_names), tuple(output_names))
 
 
@@ -545,7 +531,8 @@ def _read_json(path: str, what: str):
 def load_cable_catalog(path: str | None = None) -> dict:
     """Per-km series impedance catalog (external datasheet values, not
     measured ground truth): the packaged one, or the ``cables`` object of
-    the JSON file at `path`."""
+    the JSON file at `path`, each of whose entries must be an object with a
+    nonnegative ``r_ohm_per_km`` and a positive ``x_ohm_per_km``."""
     if path is None:
         return json.loads(resources.files("acdcdyn").joinpath(
             "data/cables.json").read_text())["cables"]
@@ -555,6 +542,13 @@ def load_cable_catalog(path: str | None = None) -> dict:
     if not (isinstance(data, dict) and isinstance(data.get("cables"), dict)):
         raise ValueError(f"cable_catalog {path!r} must be a JSON object with "
                          f"a 'cables' object")
+    for name, entry in data["cables"].items():
+        where = f"cable_catalog {path!r}: cables.{name}"
+        if not isinstance(entry, dict):
+            raise TypeError(f"{where} must be an object, got {entry!r}")
+        for key, kind in (("r_ohm_per_km", "nonnegative"),
+                          ("x_ohm_per_km", "positive")):
+            check_real(f"{where}.{key}", entry.get(key), kind)
     return data["cables"]
 
 

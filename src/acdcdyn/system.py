@@ -19,8 +19,8 @@ from importlib import resources
 
 import numpy as np
 
-from .lti import (NumericFailure, StateSpace, check_real, compose,
-                  integrator, is_real, tf_to_ss)
+from .lti import (MAX_COND, NumericFailure, StateSpace, check_real,
+                  compose, integrator, is_real, tf_to_ss)
 from .network import (AcEdge, DcEdge, HybridGraph, NodeKind,
                       check_assumption1, line_impedance, load_cable_catalog,
                       network_blocks)
@@ -238,7 +238,7 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
                 M[j, a] -= sign * inv_kp
                 M[a, j] += sign * v_pu[end]
                 M[a, a] += sign * i_star[-1] * inv_kp
-    if size and np.linalg.cond(M) > 1e12:
+    if size and np.linalg.cond(M) > MAX_COND:
         raise NoDroop("an AC area has no steady-state droop")
     x = np.linalg.solve(M, rhs).tolist()
 

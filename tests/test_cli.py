@@ -613,12 +613,28 @@ class TestSetFlag:
         (None, "5", "TypeError", "cable_catalog must be a path string, got 5"),
         (None, "{}", "TypeError",
          "cable_catalog must be a path string, got {}"),
+        ('{"cables": {"NAYY 4x240": {"x_ohm_per_km": 0.08}}}', "{path}",
+         "TypeError", "cable_catalog '{path}': cables.NAYY 4x240.r_ohm_per_km "
+         "must be a real number, got None"),
+        ('{"cables": {"NAYY 4x35": {"r_ohm_per_km": "0.868", '
+         '"x_ohm_per_km": 0.083}}}', "{path}", "TypeError",
+         "cable_catalog '{path}': cables.NAYY 4x35.r_ohm_per_km must be a "
+         "real number, got '0.868'"),
+        ('{"cables": {"NAYY 4x35": {"r_ohm_per_km": 0.868, '
+         '"x_ohm_per_km": 0}}}', "{path}", "ValueError",
+         "cable_catalog '{path}': cables.NAYY 4x35.x_ohm_per_km must be "
+         "finite and positive, got 0"),
+        ('{"cables": {"NAYY 4x35": 0.868}}', "{path}", "TypeError",
+         "cable_catalog '{path}': cables.NAYY 4x35 must be an object, "
+         "got 0.868"),
     ], ids=["missing", "invalid-json", "list", "cables-list", "bool", "int",
-            "object"])
+            "object", "entry-no-r", "entry-string-r", "entry-zero-x",
+            "entry-not-object"])
     def test_bad_cable_catalog_exit_1(self, tmp_path, capsys, content, value,
                                       error, message):
-        # a catalog that is not a readable JSON file of a 'cables' object
-        # is named with its path: no traceback, no file descriptor opened
+        # a catalog that is not a readable JSON file of a 'cables' object,
+        # or has a bad entry, is named with its path (and the entry's field):
+        # no traceback, no file descriptor opened
         path = tmp_path / "cables.json"
         if content is not None:
             path.write_text(content)

