@@ -13,7 +13,7 @@ import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -90,28 +90,27 @@ class UnstableWarning(UserWarning):
 # polynomials and rational functions
 # --------------------------------------------------------------------------
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    """Drop trailing exactly-zero coefficients, keeping at least one."""
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    nz = np.nonzero(c)[0]
-    if nz.size == 0:
-        return c[:1]
-    return c[: nz[-1] + 1]
-
-
 @dataclass(frozen=True)
 class Polynomial:
     """Real polynomial with ascending-degree coefficients."""
 
     coeffs: tuple[float, ...]
 
-    def __init__(self, coeffs: Sequence[float]):
-        c = _trim(np.asarray(coeffs, dtype=float))
-        if c.size == 0:
+    def __init__(self, coeffs: Sequence[float] | float):
+        """Take a scalar or a 1-D sequence and drop trailing zero (and -0.0)
+        coefficients, keeping at least one."""
+        a = np.asarray(coeffs, dtype=float)
+        if a.ndim > 1:
+            raise ValueError("polynomial coefficients must be a scalar or "
+                             f"1-D, got shape {a.shape}")
+        c = a.tolist() if a.ndim else [float(a)]
+        while len(c) > 1 and c[-1] == 0.0:
+            c.pop()
+        if not c:
             raise ValueError("empty coefficient list")
-        if not np.all(np.isfinite(c)):
+        if not all(map(math.isfinite, c)):
             raise ValueError("non-finite polynomial coefficients")
-        object.__setattr__(self, "coeffs", tuple(c.tolist()))
+        object.__setattr__(self, "coeffs", tuple(c))
 
     @property
     def degree(self) -> int:
@@ -142,17 +141,39 @@ class Polynomial:
     __rmul__ = __mul__
 
     def roots(self) -> np.ndarray:
-        if self.degree == 0:
-            return np.array([], dtype=complex)
-        return np.roots(list(reversed(self.coeffs)))
+        """The roots as ``np.roots`` gives them, bit for bit: the eigenvalues
+        of the companion matrix above the zero low-order coefficients, then
+        one zero per such coefficient in their dtype (float64 when every
+        root is real or there are no others)."""
+        c = self.coeffs
+        k = 0
+        while k < len(c) - 1 and c[k] == 0.0:
+            k += 1
+        n = len(c) - 1 - k
+        if n == 0:
+            return np.zeros(k)
+        A = np.zeros((n, n))
+        A.flat[n::n + 1] = 1.0              # the subdiagonal
+        lead = c[-1]
+        A[0] = [-x / lead for x in reversed(c[k:-1])]
+        r = np.linalg.eigvals(A)
+        return np.concatenate((r, np.zeros(k, r.dtype))) if k else r
 
     def is_zero(self) -> bool:
         return len(self.coeffs) == 1 and self.coeffs[0] == 0.0
 
 
-def poly_from_roots(roots: Iterable[complex], leading: float = 1.0) -> Polynomial:
-    c = np.atleast_1d(np.poly(list(roots)))  # descending
-    return Polynomial(np.real(c)[::-1] * leading)
+def poly_from_roots(roots: Sequence[complex], leading: float = 1.0) -> Polynomial:
+    """leading * prod(s - z), multiplied out as ``np.poly`` does: one
+    ``np.convolve`` with [1, -z] per root, in order, in float64 if every
+    root is real and complex128 otherwise; the real part is kept."""
+    z = np.asarray(roots)
+    v = np.ones(2, complex if z.dtype.kind == "c" else float)
+    a = np.ones(1, v.dtype)
+    for x in z.tolist():
+        v[1] = -x
+        a = np.convolve(a, v)
+    return Polynomial(a.real[::-1] * leading)
 
 
 #: ``RationalTF.simplify`` cancels roots z, p with |z - p| <= tol (1 + |z|).

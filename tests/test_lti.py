@@ -37,11 +37,56 @@ coeff = st.floats(min_value=-10, max_value=10, allow_nan=False,
                   allow_infinity=False)
 
 
+#: Signed magnitudes from 1e-12 to 1e12.
+magnitude = st.floats(min_value=-12, max_value=12).flatmap(
+    lambda e: st.sampled_from([10.0 ** e, -10.0 ** e]))
+
+
+@st.composite
+def oracle_coeffs(draw):
+    """Ascending coefficient tuples of degree 0-80: free coefficients, or a
+    lone leading one, or the product of real, conjugate-pair and repeated
+    roots; each with up to 6 zero low-order coefficients."""
+    kind = draw(st.sampled_from(["free", "lone", "roots"]))
+    if kind == "free":
+        c = draw(st.lists(magnitude | st.just(0.0), min_size=1, max_size=75))
+    elif kind == "lone":
+        c = [draw(magnitude)]
+    else:
+        roots, n = [], draw(st.integers(1, 20))
+        while len(roots) < n:
+            re = draw(magnitude)
+            shape = draw(st.sampled_from(["real", "pair", "repeated"]))
+            if shape == "pair":
+                im = abs(draw(magnitude))
+                roots += [complex(re, im), complex(re, -im)]
+            else:
+                roots += [re] * (draw(st.integers(2, 4))
+                                 if shape == "repeated" else 1)
+        c = (np.real(np.poly(roots))[::-1] * draw(magnitude)).tolist()
+    return (0.0,) * draw(st.integers(0, 6)) + tuple(c)
+
+
+def _poly_outcome(make):
+    """The coefficient bytes of make(), or its exception and message."""
+    try:
+        return np.array(make().coeffs).tobytes()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
 class TestPolynomial:
     def test_trim_and_degree(self):
         p = Polynomial([1.0, 2.0, 0.0, 0.0])
         assert p.degree == 1
         assert p.coeffs == (1.0, 2.0)
+        assert Polynomial([2.0, 0.0, -0.0]).coeffs == (2.0,)
+        z = Polynomial([-0.0, 0.0]).coeffs      # at least one is kept
+        assert z == (0.0,) and math.copysign(1.0, z[0]) == -1.0
+        assert Polynomial(3.0).coeffs == (3.0,)     # a scalar: degree 0
+        assert Polynomial(np.float64(-0.5)).coeffs == (-0.5,)
+        with pytest.raises(ValueError, match="^empty coefficient list$"):
+            Polynomial([])
 
     def test_eval_horner(self):
         p = Polynomial([1.0, -3.0, 2.0])  # 1 - 3s + 2s^2
@@ -61,8 +106,49 @@ class TestPolynomial:
         assert p.coeffs[-1] == pytest.approx(3.0)
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Polynomial([1.0, math.nan])
+        # a plain ValueError: a symbolic overflow is a build:ValueError
+        for make in (lambda: Polynomial([1.0, math.nan]),
+                     lambda: Polynomial([math.inf, 1.0]),
+                     lambda: Polynomial([1.0, -math.inf, 0.0]),
+                     lambda: Polynomial([1e200]) * Polynomial([1e200])):
+            with pytest.raises(ValueError) as info:
+                make()
+            assert type(info.value) is ValueError
+            assert str(info.value) == "non-finite polynomial coefficients"
+
+    @pytest.mark.parametrize("coeffs, shape", [
+        ([[1.0, 2.0]], r"\(1, 2\)"),
+        ([[1.0], [2.0]], r"\(2, 1\)"),
+        (np.ones((2, 2, 1)), r"\(2, 2, 1\)"),
+    ], ids=["row", "column", "3-d"])
+    def test_rejects_more_than_one_dimension(self, coeffs, shape):
+        with pytest.raises(ValueError, match=f"1-D, got shape {shape}"):
+            Polynomial(coeffs)
+        with pytest.raises(ValueError, match=f"1-D, got shape {shape}"):
+            RationalTF.from_coeffs(coeffs, [1.0, 1.0])
+
+    @given(oracle_coeffs(), st.data())
+    @example((0.0, 0.0, 3.0), None)      # float64 zeros, as np.roots gives
+    @example((0.0,), None)
+    @example((5.0,), None)
+    @example((0.0, -2.0, 0.0, 1.0), None)
+    @settings(max_examples=300, deadline=None)
+    def test_numpy_is_the_oracle(self, c, data):
+        """roots() is np.roots and poly_from_roots is np.poly, bit for bit:
+        the same dtype, the same bytes, the same exception."""
+        r = Polynomial(c).roots()
+        ref = np.roots(c[::-1])
+        assert (r.dtype, r.tobytes()) == (ref.dtype, ref.tobytes())
+        subsets = [r, list(r)]
+        if data is not None:
+            keep = data.draw(st.lists(st.booleans(), min_size=r.size,
+                                      max_size=r.size))
+            subsets.append(r[np.array(keep, dtype=bool)])
+        for lead in (1.0, -2.5e-3, 7.0e11):
+            for z in subsets:
+                assert _poly_outcome(lambda: poly_from_roots(z, lead)) == \
+                    _poly_outcome(lambda: Polynomial(np.real(np.atleast_1d(
+                        np.poly(z)))[::-1] * lead))
 
     @given(st.lists(coeff, min_size=1, max_size=5),
            st.lists(coeff, min_size=1, max_size=5))
