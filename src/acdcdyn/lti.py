@@ -316,8 +316,21 @@ class StateSpace:
 
     @cached_property
     def eigvals(self) -> np.ndarray:
-        """Eigenvalues of A, computed once per model (read-only)."""
-        ev = np.linalg.eigvals(self.A) if self.n_states else np.array([])
+        """Eigenvalues of A, computed once per model (read-only).
+
+        They are the union of the eigenvalues of the diagonal blocks of A's
+        Frobenius normal form, the strongly connected blocks of
+        ``_strong_blocks``: one dense solve per block of two or more states
+        (its states in their order in A), and the diagonal entry of a 1 x 1
+        block.  An irreducible A is one dense solve of A itself."""
+        blocks = _strong_blocks(self.A)
+        if len(blocks) == 1:
+            ev = np.linalg.eigvals(self.A)
+        else:
+            A = self.A
+            ev = np.concatenate(
+                [np.linalg.eigvals(A[np.ix_(b, b)]) if len(b) > 1
+                 else A[b, b] for b in blocks] or [np.array([])])
         ev.flags.writeable = False
         return ev
 
@@ -327,6 +340,56 @@ class StateSpace:
         p, m = D.shape
         return cls(np.zeros((0, 0)), np.zeros((0, m)), np.zeros((p, 0)), D,
                    tuple(input_names), tuple(output_names))
+
+
+def _strong_blocks(A: np.ndarray) -> list[list[int]]:
+    """The strongly connected components of the digraph with an edge i -> j
+    for each off-diagonal A[i, j] != 0, each as its sorted state indices,
+    by Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) run on an explicit
+    stack.  Permuted to these blocks, A is block triangular."""
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    edge = rows != cols
+    start = np.searchsorted(rows[edge], np.arange(n + 1)).tolist()
+    succ = cols[edge].tolist()
+    nxt = start[:n]                  # the next successor to visit, per state
+    index = [-1] * n                 # the visit order, -1 before the visit
+    low = [0] * n
+    on_stack = [False] * n
+    stack, blocks, visited = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [root]
+        while path:
+            v = path[-1]
+            k = nxt[v]
+            if k < start[v + 1]:
+                nxt[v] = k + 1
+                w = succ[k]
+                if index[w] < 0:
+                    index[w] = low[w] = visited
+                    visited += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append(w)
+                elif on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1]]:
+                low[path[-1]] = low[v]
+            if low[v] == index[v]:
+                block = []
+                while not block or block[-1] != v:
+                    block.append(stack.pop())
+                    on_stack[block[-1]] = False
+                blocks.append(sorted(block))
+    return blocks
 
 
 def tf_to_ss(tf: RationalTF, input_name: str = "u",

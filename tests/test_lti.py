@@ -11,10 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm, matrix_balance, schur
+from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 import acdcdyn.lti as lti
 import acdcdyn.network as network
 import acdcdyn.system as system
+from acdcdyn.analysis import stability
 from acdcdyn.lti import (AlgebraicLoop, ImproperTF, NoDcGain, PoleHit,
                          Polynomial, RationalTF, SingularAtFrequency,
                          StateSpace, TimeSeries, TooShort, UnstableWarning,
@@ -1181,6 +1184,78 @@ class TestStepKernel:
             assert_step_matches_reference(ss, "u", 5.0, 0.01)
 
 
+def as_ss(A):
+    """A one-input, one-output model with state matrix A."""
+    n = A.shape[0]
+    return StateSpace(A, np.zeros((n, 1)), np.zeros((1, n)), np.zeros((1, 1)),
+                      ("u",), ("y",))
+
+
+def strong_blocks_reference(A):
+    """SciPy's strongly connected components of the digraph of A != 0,
+    each as its sorted state indices, in sorted order."""
+    if A.shape[0] == 0:
+        return []
+    k, labels = connected_components(A != 0, connection="strong")
+    return sorted(np.flatnonzero(labels == c).tolist() for c in range(k))
+
+
+def multiset_distance(x, y):
+    """The largest distance between the entries of x and y, matched one to
+    one so that this distance is least (assignment on |x_i - y_j|)."""
+    assert len(x) == len(y)
+    if len(x) == 0:
+        return 0.0
+    d = np.abs(np.subtract.outer(x, y))
+    rows, cols = linear_sum_assignment(d)
+    return float(np.max(d[rows, cols]))
+
+
+@st.composite
+def sparse_digraphs(draw):
+    """Adjacency matrices of up to 30 states and up to 3n edges, the
+    diagonal (self-loops) included."""
+    n = draw(st.integers(0, 30))
+    state = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(state, state), max_size=3 * n))
+    A = np.zeros((n, n))
+    for i, j in edges:
+        A[i, j] = 1.0
+    return A
+
+
+@st.composite
+def planted_block_matrices(draw):
+    """(A, blocks): a permuted block upper triangular A whose diagonal
+    blocks are dense normal matrices Q D Q^T (D of real 1 x 1 and complex
+    2 x 2 rotation-scaling parts, Q orthogonal) of 1..6 states, and those
+    blocks, each as its rows of A.  The coupling above the diagonal blocks
+    is sparse and of any scale up to 1e3."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coupling = 10.0 ** draw(st.floats(-3.0, 3.0))
+    n = sum(sizes)
+    A = np.zeros((n, n))
+    parts, at = [], 0
+    for m in sizes:
+        D = np.diag(rng.standard_normal(m))
+        for i in range(0, m - 1, 2):
+            if rng.random() < 0.5:
+                D[i, i + 1], D[i + 1, i] = (b := rng.standard_normal()), -b
+                D[i + 1, i + 1] = D[i, i]
+        Q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+        A[at:at + m, at:at + m] = Q @ D @ Q.T
+        A[at:at + m, at + m:] = coupling * (
+            rng.standard_normal((m, n - at - m))
+            * (rng.random((m, n - at - m)) < 0.2))
+        parts.append(range(at, at + m))
+        at += m
+    perm = rng.permutation(n)          # state i of A is state perm[i] here
+    where = np.argsort(perm)
+    return A[np.ix_(perm, perm)], [sorted(where[list(p)].tolist())
+                                   for p in parts]
+
+
 class TestEigvals:
     def test_read_only_and_cached(self):
         ss = tf_to_ss(RationalTF.from_coeffs([1.0], [2.0, 3.0, 1.0]))
@@ -1191,7 +1266,10 @@ class TestEigvals:
         assert np.array_equal(ev, np.linalg.eigvals(ss.A))
 
     def test_one_eigensolve_per_model(self, monkeypatch):
-        ss = build(config_from_dict(_load_preset("islanded_pv"))).ss
+        # the first read of eigvals solves each strongly connected block
+        # of two or more states once, and no later reader solves again
+        models = [build(config_from_dict(_load_preset(name))).ss
+                  for name in PRESETS]
         calls = []
         eigvals = np.linalg.eigvals
 
@@ -1200,12 +1278,95 @@ class TestEigvals:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counted)
-        poles(ss)
-        dc_gain(ss)
-        freq_response(ss, "p_load_load1", "omega_vsc1",
-                      np.logspace(-1, 3, 5))
-        step_response(ss, "p_load_load1", 1.0, 0.01)
-        assert calls == [ss.A.shape]
+        for ss in models:
+            calls.clear()
+            ss.eigvals
+            sizes = [len(b) for b in lti._strong_blocks(ss.A) if len(b) > 1]
+            assert sorted(calls) == sorted((m, m) for m in sizes)
+            assert len(calls) > 1
+            assert sum(sizes) <= ss.n_states
+            calls.clear()
+            poles(ss)
+            dc_gain(ss)
+            freq_response(ss, "p_load_load1", "omega_sg",
+                          np.logspace(-1, 3, 5))
+            step_response(ss, "p_load_load1", 1.0, 0.01)
+            assert calls == []
+
+    @given(sparse_digraphs())
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_match_scipy(self, A):
+        assert sorted(lti._strong_blocks(A)) == strong_blocks_reference(A)
+
+    @given(planted_block_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_spectrum_is_the_planted_blocks(self, case):
+        A, blocks = case
+        assert sorted(lti._strong_blocks(A)) == sorted(blocks)
+        ref = np.concatenate([np.linalg.eigvals(A[np.ix_(b, b)])
+                              for b in blocks])
+        ev = as_ss(A).eigvals
+        rho = float(np.max(np.abs(ref)))
+        assert multiset_distance(ev, ref) <= 1e-12 * rho
+
+    @given(st.integers(1, 30), st.integers(0, 2 ** 32 - 1), st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_irreducible_is_one_dense_solve(self, n, seed, symmetric):
+        # a cycle through every state, plus Gaussian entries on about a
+        # third of the others; a symmetric A has a real spectrum
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.3)
+        A[np.arange(n), np.roll(np.arange(n), 1)] = 1.0 + rng.random(n)
+        if symmetric:
+            A = A + A.T
+        ev, ref = as_ss(A).eigvals, np.linalg.eigvals(A)
+        assert len(lti._strong_blocks(A)) == 1
+        assert ev.dtype == ref.dtype
+        assert np.array_equal(ev, ref)
+        if symmetric:
+            assert ev.dtype == np.float64
+
+    def test_empty_and_all_one_by_one(self):
+        ev = StateSpace.static(2.0).eigvals
+        assert ev.shape == (0,) and ev.dtype == np.float64
+        assert poles(StateSpace.static(2.0)) == []
+        rng = np.random.default_rng(0)
+        A = np.triu(rng.standard_normal((6, 6)))
+        A[2, 2] = 0.0
+        perm = rng.permutation(6)
+        A = A[np.ix_(perm, perm)]
+        ev = as_ss(A).eigvals
+        assert len(lti._strong_blocks(A)) == 6
+        assert ev.dtype == np.float64
+        assert np.array_equal(np.sort(ev), np.sort(np.diag(A)))
+        assert np.array_equal(as_ss(np.diag([3.0, -1.0])).eigvals,
+                              [3.0, -1.0])
+
+    @pytest.mark.parametrize("name", PRESETS)
+    def test_presets_match_dense_spectrum(self, name):
+        ss = build(config_from_dict(_load_preset(name))).ss
+        dense = np.linalg.eigvals(ss.A)
+        rho = float(np.max(np.abs(dense)))
+        assert multiset_distance(ss.eigvals, dense) <= 1e-8 * rho
+
+    def test_feeders_keep_the_dense_verdicts(self, unpatched_builds):
+        # the readers of the spectrum decide as they do on dense
+        # eigenvalues; the eigenvalues themselves are not compared, since
+        # at norm(A) of 1e11-1e32 both solvers scatter clustered poles
+        models = 0
+        for _, ss in unpatched_builds["feeders"]:
+            if not isinstance(ss, StateSpace):
+                continue         # failed symbolic Kron reductions, blow-ups
+            models += 1
+            dense = np.linalg.eigvals(ss.A)
+            mask = lti._eig_structural_mask(ss.A, dense)
+            ps = poles(ss)
+            assert stability(ss).stable == bool(
+                np.all(dense[~mask].real < 0))
+            assert sum(p.structural for p in ps) == np.count_nonzero(mask)
+            assert (np.count_nonzero(lti._zero_modes(ss.eigvals)[2])
+                    == np.count_nonzero(lti._zero_modes(dense)[2]))
+        assert models >= 55
 
 
 class TestSpectrum:

@@ -18,6 +18,14 @@
   ``kron_reduce_symbolic(ac_laplacian_tfs(g))`` and of
   ``dc_laplacian_tfs(g)``, or the class name of the exception raised on
   the way.  A change to the network algebra shows here before ``build``.
+* ``analysis/<preset>/...`` and ``analysis/feeder<seed>/<i>/...``: for
+  each of those models that built with at most ``MAX_ANALYSED_STATES``
+  states, ``stable``, the verdict of ``analysis.stability``;
+  ``structural``, the number of poles that ``lti.poles`` tags structural
+  (or, under ``stable`` alone, the class name of the exception of either);
+  and ``dc_gain``, the sha256 of ``lti.dc_gain``'s array or the class name
+  of its exception.  These read the spectrum, so a change to the
+  eigenvalues shows here without comparing eigenvalues bit for bit.
 * ``cli/<run>/<preset>/exit`` and ``cli/<run>/<preset>/<file>``: the exit
   code of each run of ``CLI_RUNS`` on each preset, and the sha256 of every
   file the run writes (CSV, manifest, error record).  A run is named after
@@ -66,6 +74,11 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 FEEDERS = 72
+#: The ``feeder`` benchmark's bound: it counts a model above it as an order
+#: blow-up and does not analyse it.  Such models reach norm(A) of 1e35 and
+#: more, where the stability verdict is not a property of the model: a
+#: permutation of its states moves the rightmost pole across the axis.
+MAX_ANALYSED_STATES = 800
 CHANNEL = {"input": "p_load_load1", "output": "omega_vsc1"}
 #: run -> (command, options), run on every preset.
 CLI_RUNS = {
@@ -217,16 +230,39 @@ def import_tree(tree: Path):
     return acdcdyn
 
 
-def build_digest(system, data) -> str:
+def build_model(system, data):
+    """``build``'s model of `data`, or the class name of the exception that
+    ``config_from_dict`` or ``build`` raised."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            model = system.build(system.config_from_dict(data))
+            return system.build(system.config_from_dict(data))
     except Exception as exc:  # the class is the record
         return type(exc).__name__
+
+
+def build_digest(model) -> str:
+    if isinstance(model, str):
+        return model
     ss = model.ss
     return digest(ss.A, ss.B, ss.C, ss.D, list(ss.input_names),
                   list(ss.output_names), model.network_verdict)
+
+
+def record_analysis(acdcdyn, key: str, model, out: dict) -> None:
+    """The ``analysis/<key>/...`` keys of a model that built."""
+    try:
+        verdict = acdcdyn.analysis.stability(model).stable
+        structural = sum(p.structural for p in acdcdyn.lti.poles(model.ss))
+    except Exception as exc:  # the class is the record
+        out[f"analysis/{key}/stable"] = type(exc).__name__
+    else:
+        out[f"analysis/{key}/stable"] = verdict
+        out[f"analysis/{key}/structural"] = structural
+    try:
+        out[f"analysis/{key}/dc_gain"] = digest(acdcdyn.lti.dc_gain(model.ss))
+    except Exception as exc:  # the class is the record
+        out[f"analysis/{key}/dc_gain"] = type(exc).__name__
 
 
 def coefficients(tfs):
@@ -260,7 +296,11 @@ def record_builds(acdcdyn, out: dict) -> None:
                 for i, data in enumerate(itertools.islice(FeederStream(seed),
                                                           FEEDERS))]
     for key, data in configs:
-        out[f"build/{key}"] = build_digest(system, data)
+        model = build_model(system, data)
+        out[f"build/{key}"] = build_digest(model)
+        if (not isinstance(model, str)
+                and model.ss.n_states <= MAX_ANALYSED_STATES):
+            record_analysis(acdcdyn, key, model, out)
         out[f"network/{key}"] = network_digest(acdcdyn, data)
 
 
