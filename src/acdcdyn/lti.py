@@ -323,14 +323,10 @@ class StateSpace:
         ``_strong_blocks``: one dense solve per block of two or more states
         (its states in their order in A), and the diagonal entry of a 1 x 1
         block.  An irreducible A is one dense solve of A itself."""
-        blocks = _strong_blocks(self.A)
-        if len(blocks) == 1:
-            ev = np.linalg.eigvals(self.A)
-        else:
-            A = self.A
-            ev = np.concatenate(
-                [np.linalg.eigvals(A[np.ix_(b, b)]) if len(b) > 1
-                 else A[b, b] for b in blocks] or [np.array([])])
+        A = self.A
+        ev = np.concatenate(
+            [np.linalg.eigvals(A[np.ix_(b, b)]) if len(b) > 1
+             else A[b, b] for b in _strong_blocks(A)] or [np.array([])])
         ev.flags.writeable = False
         return ev
 

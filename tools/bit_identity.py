@@ -19,12 +19,11 @@
   ``dc_laplacian_tfs(g)``, or the class name of the exception raised on
   the way.  A change to the network algebra shows here before ``build``.
 * ``analysis/<preset>/...`` and ``analysis/feeder<seed>/<i>/...``: for
-  each of those models that built with at most ``MAX_ANALYSED_STATES``
-  states, ``stable``, the verdict of ``analysis.stability``;
-  ``structural``, the number of poles that ``lti.poles`` tags structural
-  (or, under ``stable`` alone, the class name of the exception of either);
-  and ``dc_gain``, the sha256 of ``lti.dc_gain``'s array or the class name
-  of its exception.  These read the spectrum, so a change to the
+  each of those models that built, ``stable``, the verdict of
+  ``analysis.stability``; ``structural``, the number of poles that
+  ``lti.poles`` tags structural (or, under ``stable`` alone, the class
+  name of the exception of either); and ``dc_gain``, the sha256 of
+  ``lti.dc_gain``'s array or the class name of its exception.  These read the spectrum, so a change to the
   eigenvalues shows here without comparing eigenvalues bit for bit.
 * ``cli/<run>/<preset>/exit`` and ``cli/<run>/<preset>/<file>``: the exit
   code of each run of ``CLI_RUNS`` on each preset, and the sha256 of every
@@ -74,11 +73,6 @@ import numpy as np
 HERE = Path(__file__).resolve().parent
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
 FEEDERS = 72
-#: The ``feeder`` benchmark's bound: it counts a model above it as an order
-#: blow-up and does not analyse it.  Such models reach norm(A) of 1e35 and
-#: more, where the stability verdict is not a property of the model: a
-#: permutation of its states moves the rightmost pole across the axis.
-MAX_ANALYSED_STATES = 800
 CHANNEL = {"input": "p_load_load1", "output": "omega_vsc1"}
 #: run -> (command, options), run on every preset.
 CLI_RUNS = {
@@ -298,8 +292,7 @@ def record_builds(acdcdyn, out: dict) -> None:
     for key, data in configs:
         model = build_model(system, data)
         out[f"build/{key}"] = build_digest(model)
-        if (not isinstance(model, str)
-                and model.ss.n_states <= MAX_ANALYSED_STATES):
+        if not isinstance(model, str):
             record_analysis(acdcdyn, key, model, out)
         out[f"network/{key}"] = network_digest(acdcdyn, data)
 
