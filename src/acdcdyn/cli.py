@@ -22,7 +22,7 @@ from . import __version__
 from .lti import (NoDcGain, NumericFailure, _channel_index,
                   _eig_structural_mask, check_real, dc_gain, fft_magnitude,
                   step_response)
-from .network import _read_json, check_assumption1
+from .network import _read_json
 from .system import build, config_from_dict, resolve_scenario, steady_state
 from . import analysis
 
@@ -101,14 +101,19 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
 
 
 def load_config(path: str, command: str, sets: list[str]) -> RunConfig:
-    """Read a run: the JSON config at `path`, with each ``key=value`` of
-    `sets` applied, ``options.<key>`` to the options and any other key to
-    the overrides.  A value that is not JSON is taken as a string."""
+    """Read a run: the JSON config at `path`, an object with a
+    ``scenario`` and optional ``overrides`` and ``options`` objects and no
+    other key, with each ``key=value`` of `sets` applied, ``options.<key>``
+    to the options and any other key to the overrides.  A value that is
+    not JSON is taken as a string."""
     data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise ValidationError("config must be a JSON object")
     if "scenario" not in data:
         raise ValidationError("config is missing the 'scenario' field")
+    unknown = sorted(set(data) - {"scenario", "overrides", "options"})
+    if unknown:
+        raise ValidationError(f"unknown keys {unknown} in the config")
     blocks = {key: data.get(key, {}) for key in ("overrides", "options")}
     for key, block in blocks.items():
         if not isinstance(block, dict):
@@ -272,16 +277,15 @@ def _dispatch(cfg: RunConfig, sysconf, out: Path, manifest: dict) -> None:
               [spec.freq_hz, spec.magnitude])
 
     elif cfg.command == "check":
-        verdict = check_assumption1(sysconf.graph)
-        model = build(sysconf, check_network=False)
+        model = build(sysconf)
         stab = analysis.stability(model)
-        rows = [("assumption1", verdict.verdict),
+        rows = [("assumption1", model.network_verdict),
                 ("stable", "true" if stab.stable else "false")]
         rows += [(f"ratio_bound_{n}", "pass" if ok else "fail")
                  for n, ok in sorted(analysis.check_ratio_bounds(sysconf)
                                      .items())]
         write("check.csv", ["check", "result"], zip(*rows))
-        manifest["assumption1"] = verdict.verdict
+        manifest["assumption1"] = model.network_verdict
         manifest["stable"] = stab.stable
         try:
             dc_gain(model.ss)

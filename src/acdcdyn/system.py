@@ -374,6 +374,8 @@ def config_from_dict(data: dict) -> SystemConfig:
             with _Block(v, f"vscs.{i}",
                         unused=("s_rated_va", "v_rated_v")) as v:
                 node = v["node"]
+                if node in vsc_params:
+                    raise ValueError(f"node {node!r} already has a VSC entry")
                 k_pv = None
                 if v.get("pv"):
                     with _Block(v["pv"], f"vscs.{i}.pv", unused=(

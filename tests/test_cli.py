@@ -69,6 +69,29 @@ class TestConfigHandling:
         assert err.startswith("error: ") and "must be" in err
         assert "Traceback" not in err
 
+    def test_unknown_top_level_key_exit_1(self, tmp_path, capsys):
+        # a misspelt "overrides" was ignored, and the run used the
+        # preset's gains
+        cfg = write_config(tmp_path, {"scenario": "islanded_pv",
+                                      "overide": {"k_p": 9}})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: unknown keys ['overide'] in the config\n"
+        assert not out.exists()
+
+    def test_repeated_ac_node_exit_1(self, tmp_path, capsys):
+        # it built a graph whose load block failed in build, as a numeric
+        # failure (exit 2)
+        data = _load_preset("lvdc_async")
+        data["ac_nodes"].append(["load1", "load_ac"])
+        cfg = write_config(tmp_path, {"scenario": data})
+        out = tmp_path / "o"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: AC node 'load1' is listed twice\n"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_unknown_preset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "bogus"})
         assert main(["poles", "--config", cfg, "--out",

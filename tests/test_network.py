@@ -23,9 +23,8 @@ from conftest import preset
 W0 = 2 * math.pi * 50.0
 
 
-def chain_graph(r2=0.0217, uniform_rho=False):
-    l1, r1 = 1.02e-6, 5.0e-4
-    l2 = 6.6e-6
+def chain_graph(r2=0.0217, uniform_rho=False, r1=5.0e-4):
+    l1, l2 = 1.02e-6, 6.6e-6
     if uniform_rho:
         r2 = r1 * l2 / l1
     return HybridGraph(
@@ -133,6 +132,17 @@ class TestGraph:
                 ac_nodes=(("a", NodeKind.SM), ("b", NodeKind.SM)),
                 ac_edges=(), dc_edges=(),
                 V_ac_star=400.0, omega_star=W0)
+
+    @pytest.mark.parametrize("kind", [NodeKind.LOAD_AC, NodeKind.SM])
+    def test_repeated_node_name_rejected(self, kind):
+        # a load listed twice gave a load block with an empty row, which
+        # surfaced only in build, as a zero pivot
+        with pytest.raises(ValueError, match="AC node 'ld' is listed twice"):
+            HybridGraph(
+                ac_nodes=(("sm", NodeKind.SM), ("ld", NodeKind.LOAD_AC),
+                          ("ld", kind)),
+                ac_edges=(AcEdge("sm", "ld", 1e-5, 1e-3),),
+                dc_edges=(), V_ac_star=400.0, omega_star=W0)
 
     def test_incidence_shape(self):
         g = chain_graph()
@@ -305,10 +315,15 @@ def radial_feeder(n_loads):
         v_dc_star={v: 740.0 for v in vscs})
 
 
+#: The line resistances (Ohm) that ``meshed_graphs`` draws from.
+RESISTANCES = (0.0, 1e-4, 3e-3, 2e-2, 0.1)
+
+
 @st.composite
-def meshed_graphs(draw):
+def meshed_graphs(draw, resistances=RESISTANCES):
     """Connected AC graphs: a random spanning tree plus extra mesh edges,
-    SG and VSC conversion nodes, lossless lines allowed."""
+    SG and VSC conversion nodes, line resistances from `resistances`
+    (lossless lines allowed by default)."""
     n_sm = draw(st.integers(0, 2))
     n_vsc = draw(st.integers(1 if n_sm == 0 else 0, 2))
     n_load = draw(st.integers(1, 11))
@@ -321,7 +336,7 @@ def meshed_graphs(draw):
     edges = []
     for a, b in pairs:
         l = draw(st.floats(1e-6, 1e-3))
-        r = draw(st.sampled_from([0.0, 1e-4, 3e-3, 2e-2, 0.1]))
+        r = draw(st.sampled_from(resistances))
         l_virt = draw(st.sampled_from([0.0, 1e-4, 2.3e-3]))
         kw = {"l_virt_n": l_virt} if names[a].startswith("vsc") else {}
         edges.append(AcEdge(names[a], names[b], l, r, **kw))
@@ -331,6 +346,19 @@ def meshed_graphs(draw):
         ac_nodes=tuple((n, kinds[n[:2]]) for n in names),
         ac_edges=tuple(edges), dc_edges=(), V_ac_star=400.0, omega_star=W0,
         v_dc_star={n: 740.0 for n, _ in vscs})
+
+
+def with_resistances(g, rho=None):
+    """`g` with every AC line lossless, or with `rho` given, with
+    r = rho l on every line, so that every edge has that rho."""
+    return dataclasses.replace(g, ac_edges=tuple(
+        dataclasses.replace(e, r=0.0 if rho is None else rho * e.l)
+        for e in g.ac_edges))
+
+
+def has_adjacent_loads(g):
+    loads = set(g.load_names)
+    return any(e.n in loads and e.k in loads for e in g.ac_edges)
 
 
 def denominator_groups(g):
@@ -404,8 +432,7 @@ class TestMeshedKron:
         # meshed graphs with adjacent load nodes: the elimination that
         # kron_reduce_symbolic runs against the joint Schur complement;
         # 3000 examples read at most 1.2e-16 and 8.3e-12
-        loads = set(g.load_names)
-        assume(any(e.n in loads and e.k in loads for e in g.ac_edges))
+        assume(has_adjacent_loads(g))
         nc = len(g.conv_names)
         L = assemble_ac_laplacian(g, 1j * w)
         Gc1, Gl1 = kron_reduce(L, nc)
@@ -493,11 +520,65 @@ class TestAssumption1:
     @settings(max_examples=80, deadline=None)
     def test_roots_are_all_zeros_of_det_LL(self, g):
         v = check_assumption1(g)
-        if v.reason:
-            return
         assert_zeros_of_load_block(g, v.roots)
-        if v.verdict == "holds":
-            assert_all_zeros(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    @given(meshed_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_fails_exactly_on_a_zero_at_the_axis(self, g):
+        v = check_assumption1(g)
+        on_axis = any(z.real >= -1e-9 * abs(z) for z in v.roots)
+        assert (v.verdict == "fails") == on_axis
+        assert (v.verdict == "holds_trivially") == (
+            not on_axis and not has_adjacent_loads(g))
+        assert v.reason == ("" if v.verdict != "holds_trivially" else
+                            "single interior node between conversion nodes")
+
+    @given(meshed_graphs(resistances=RESISTANCES[1:]))
+    @settings(max_examples=80, deadline=None)
+    def test_lossy_loads_never_fail(self, g):
+        # the zero dynamics are a mechanical system with positive definite
+        # damping when every edge at a load is lossy
+        v = check_assumption1(g)
+        assert v.verdict != "fails"
+        assert all(z.real < 0 for z in v.roots)
+
+    def test_single_load_between_lossless_lines_fails(self):
+        # the uniform-ratio shortcut read holds_trivially here, without
+        # computing the zeros, which lie on the imaginary axis
+        g = chain_graph(r1=0.0, r2=0.0)
+        v = check_assumption1(g)
+        assert v.verdict == "fails"
+        assert v.reason == ""
+        assert sorted(v.roots, key=lambda z: z.imag) == [
+            pytest.approx(-14806.36j, abs=0.01),
+            pytest.approx(14806.36j, abs=0.01)]
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    def test_lossless_area_with_adjacent_loads_fails(self):
+        g = with_resistances(adjacent_loads_graph())
+        v = check_assumption1(g)
+        assert v.verdict == "fails"
+        assert len(v.roots) == 2
+        assert all(abs(z.real) <= 1e-9 * abs(z) for z in v.roots)
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    def test_uniform_rho_with_adjacent_loads_holds(self):
+        # the uniform-ratio shortcut returned no roots here
+        g = with_resistances(adjacent_loads_graph(), rho=1000.0)
+        v = check_assumption1(g)
+        assert v.verdict == "holds"
+        assert v.reason == ""
+        assert len(v.roots) == 2
+        assert all(z.real < 0 for z in v.roots)
+        assert_zeros_of_load_block(g, v.roots)
+        assert_all_zeros(g, v.roots)
+
+    def test_no_loads(self):
+        v = check_assumption1(dc_pair_graph())
+        assert dataclasses.astuple(v) == ("holds_trivially", (), "no load nodes")
 
     def test_loads_without_conversion_node_rejected(self):
         with pytest.raises(ValueError):

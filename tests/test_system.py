@@ -244,6 +244,17 @@ class TestConfigSurface:
         with pytest.raises(ValueError):
             replace(cfg, vsc=dict(cfg.vsc, load1=cfg.vsc["vsc1"]))
 
+    def test_second_vsc_entry_for_a_node_rejected(self):
+        # the later entry's gains replaced the earlier ones without a word
+        data = _load_preset("lvdc_async")
+        extra = json.loads(json.dumps(data["vscs"][0]))
+        extra["control"]["k_p"] = 0.5
+        data["vscs"].append(extra)
+        with pytest.raises(ValueError) as info:
+            config_from_dict(data)
+        assert info.value.args[0] == \
+            "vscs.2: node 'vsc1' already has a VSC entry"
+
     def test_sg_keys_must_match_sm_nodes(self):
         cfg = preset("islanded_pv")
         with pytest.raises(ValueError):

@@ -25,6 +25,11 @@
   name of the exception of either); and ``dc_gain``, the sha256 of
   ``lti.dc_gain``'s array or the class name of its exception.  These read the spectrum, so a change to the
   eigenvalues shows here without comparing eigenvalues bit for bit.
+* ``assumption1/<preset>``, ``assumption1/feeder<seed>/<i>`` and
+  ``assumption1/<graph>``: the verdict and reason of
+  ``network.check_assumption1`` and the sha256 of its roots (or the
+  class name of the exception raised on the way), for the same configs
+  and for the graphs of ``REGRESSIONS``.
 * ``cli/<run>/<preset>/exit`` and ``cli/<run>/<preset>/<file>``: the exit
   code of each run of ``CLI_RUNS`` on each preset, and the sha256 of every
   file the run writes (CSV, manifest, error record).  A run is named after
@@ -41,7 +46,8 @@
   that ``config_from_dict(resolve_scenario(...))`` raises, for each of
   ``MALFORMED``: a preset with a block or a record key deleted, an
   unknown key in each block, a block that is not an object, a
-  ``virtual_at`` that names no VSC end of its edge, and a
+  ``virtual_at`` that names no VSC end of its edge, a second VSC entry
+  for a node, an AC node listed twice, and a
   ``cable_catalog`` that is not a path or names a file that is missing,
   not JSON, not an object with a ``cables`` object, or has an entry
   without ``r_ohm_per_km`` or with a string for it.  The catalog files
@@ -63,6 +69,7 @@ import importlib
 import io
 import itertools
 import json
+import math
 import sys
 import tempfile
 import warnings
@@ -137,8 +144,9 @@ OVERRIDES = (
 )
 #: Marks a ``MALFORMED`` case that deletes the key at its path.
 DELETE = object()
-#: case -> (preset, dotted path, the value an override sets there, or
-#: DELETE to remove the key from the preset).
+#: case -> (preset, dotted path, the value an override sets there, DELETE
+#: to remove the key from the preset, or a function of the preset's value
+#: there that returns the value to put in its place).
 MALFORMED = {
     "no-base": ("islanded_pv", "base", DELETE),
     "no-sg": ("lvdc_async", "sg", DELETE),
@@ -187,6 +195,10 @@ MALFORMED = {
     "catalog-entry-no-r": ("islanded_pv", "cable_catalog", "no-r.json"),
     "catalog-entry-string-r": ("islanded_pv", "cable_catalog",
                                "string-r.json"),
+    "duplicate-vsc": ("lvdc_async", "vscs", lambda vscs: vscs + [{
+        **vscs[0], "control": {**vscs[0]["control"], "k_p": 0.5}}]),
+    "duplicate-ac-node": ("lvdc_async", "ac_nodes",
+                          lambda nodes: nodes + [["load1", "load_ac"]]),
 }
 #: file name -> content of the catalog files that ``MALFORMED`` names.
 CATALOG_FILES = {
@@ -197,6 +209,29 @@ CATALOG_FILES = {
     "string-r.json": json.dumps({"cables": {
         "NAYY 4x240": {"r_ohm_per_km": 0.125, "x_ohm_per_km": 0.08},
         "NAYY 4x35": {"r_ohm_per_km": "0.868", "x_ohm_per_km": 0.083}}}),
+}
+
+
+#: graph -> (AC nodes as (name, kind), AC edges as (n, k, l in H, rho in
+#: 1/s, l_virt_k in H), with r = rho l) of the Assumption-1 regressions:
+#: one load between two lossless lines, a lossless area with adjacent
+#: loads, and adjacent loads at one uniform rho.
+REGRESSIONS = {
+    "lossless-chain": (
+        (("sm", "sm"), ("vsc", "vsc"), ("load", "load_ac")),
+        (("sm", "load", 1.02e-6, 0.0, 0.0),
+         ("load", "vsc", 6.6e-6, 0.0, 0.0023))),
+    "lossless-adjacent": (
+        (("sm", "sm"), ("vsc", "vsc"), ("ld1", "load_ac"),
+         ("ld2", "load_ac")),
+        (("sm", "ld1", 1e-6, 0.0, 0.0), ("ld1", "ld2", 5e-6, 0.0, 0.0),
+         ("ld2", "vsc", 2e-6, 0.0, 1e-4))),
+    "uniform-rho-adjacent": (
+        (("sm", "sm"), ("vsc", "vsc"), ("ld1", "load_ac"),
+         ("ld2", "load_ac")),
+        (("sm", "ld1", 1e-6, 1000.0, 0.0),
+         ("ld1", "ld2", 5e-6, 1000.0, 0.0),
+         ("ld2", "vsc", 2e-6, 1000.0, 1e-4))),
 }
 
 
@@ -259,6 +294,31 @@ def record_analysis(acdcdyn, key: str, model, out: dict) -> None:
         out[f"analysis/{key}/dc_gain"] = type(exc).__name__
 
 
+def assumption1_record(network, graph):
+    """[verdict, reason, sha256 of the roots] of ``check_assumption1`` on
+    the graph that ``graph()`` returns, or the class name of the exception
+    raised on the way."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            v = network.check_assumption1(graph())
+    except Exception as exc:  # the class is the record
+        return type(exc).__name__
+    return [v.verdict, v.reason, digest(np.array(v.roots, dtype=complex))]
+
+
+def record_assumption1(acdcdyn, out: dict) -> None:
+    """The ``assumption1/<graph>`` keys of ``REGRESSIONS``."""
+    network = acdcdyn.network
+    for name, (nodes, edges) in REGRESSIONS.items():
+        out[f"assumption1/{name}"] = assumption1_record(
+            network, lambda: network.HybridGraph(
+                tuple((n, network.NodeKind(kind)) for n, kind in nodes),
+                tuple(network.AcEdge(n, k, l, rho * l, l_virt_k=lv)
+                      for n, k, l, rho, lv in edges),
+                (), 400.0, 2.0 * math.pi * 50.0, {"vsc": 650.0}))
+
+
 def coefficients(tfs):
     """The (numerator, denominator) coefficients of nested sequences of
     transfer functions, nested alike."""
@@ -295,6 +355,8 @@ def record_builds(acdcdyn, out: dict) -> None:
         if not isinstance(model, str):
             record_analysis(acdcdyn, key, model, out)
         out[f"network/{key}"] = network_digest(acdcdyn, data)
+        out[f"assumption1/{key}"] = assumption1_record(
+            acdcdyn.network, lambda: system.config_from_dict(data).graph)
 
 
 def record_cli(acdcdyn, out: dict) -> None:
@@ -337,14 +399,17 @@ def record_configs(acdcdyn, out: dict) -> None:
             Path(file).write_text(content)
         for case, (name, path, value) in MALFORMED.items():
             scenario, overrides = name, {path: value}
-            if value is DELETE:
+            if value is DELETE or callable(value):
                 scenario, overrides = system._load_preset(name), {}
                 *parents, key = path.split(".")
                 block = scenario
                 for seg in parents:
                     block = block[int(seg) if isinstance(block, list)
                                   else seg]
-                del block[key]
+                if value is DELETE:
+                    del block[key]
+                else:
+                    block[key] = value(block[key])
             try:
                 system.config_from_dict(
                     system.resolve_scenario(scenario, overrides))
@@ -360,6 +425,7 @@ def record(tree: Path, path: Path) -> int:
     acdcdyn = import_tree(tree)
     out: dict = {}
     record_builds(acdcdyn, out)
+    record_assumption1(acdcdyn, out)
     record_cli(acdcdyn, out)
     record_resolve(acdcdyn, out)
     record_configs(acdcdyn, out)
