@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lti import (NumericFailure, Pole, StateSpace, check_real,
-                  freq_response, poles)
+                  freq_response, is_stable, poles)
 from .system import ClosedLoopModel, SystemConfig, build
 
 
@@ -76,9 +76,11 @@ def bode(model, input: str, output: str,
 
 
 def stability(model) -> StabilityResult:
-    """Stable iff every non-structural pole lies in the open left half-plane."""
-    ps = [p for p in poles(_model_ss(model)) if not p.structural]
-    return StabilityResult(all(p.value.real < 0 for p in ps), tuple(ps))
+    """``lti.is_stable`` of the model's poles: stable iff every
+    non-structural pole lies in the open left half-plane."""
+    ps = poles(_model_ss(model))
+    return StabilityResult(is_stable(ps),
+                           tuple(p for p in ps if not p.structural))
 
 
 def dominant_damping(result: StabilityResult) -> float | None:

@@ -83,7 +83,7 @@ class TooShort(NumericFailure):
 
 
 class UnstableWarning(UserWarning):
-    """Attached to time responses of models with unstable non-structural poles."""
+    """Attached to time responses of models that ``is_stable`` rejects."""
 
 
 # --------------------------------------------------------------------------
@@ -284,10 +284,13 @@ class StateSpace:
         if A.size == 0:
             A = np.zeros((0, 0))
         p, m = D.shape
-        B = np.asarray(self.B, dtype=float).reshape(n, m)
-        C = np.asarray(self.C, dtype=float).reshape(p, n)
+        B = np.asarray(self.B, dtype=float)
+        C = np.asarray(self.C, dtype=float)
         if A.shape != (n, n):
             raise ValueError("A must be square")
+        for name, M, shape in (("B", B, (n, m)), ("C", C, (p, n))):
+            if M.shape != shape:
+                raise ValueError(f"{name} must be {shape}, got {M.shape}")
         for M in (A, B, C, D):
             # min and max propagate NaN and +-inf without an n x n mask
             if M.size and not (math.isfinite(M.min())
@@ -342,7 +345,10 @@ def _strong_blocks(A: np.ndarray) -> list[list[int]]:
     """The strongly connected components of the digraph with an edge i -> j
     for each off-diagonal A[i, j] != 0, each as its sorted state indices,
     by Tarjan's algorithm (SIAM J. Comput. 1(2), 1972) run on an explicit
-    stack.  Permuted to these blocks, A is block triangular."""
+    stack.  Permuted to these blocks, A is block triangular.  For a
+    symmetric A, the adjacency matrix of an undirected graph, the blocks
+    are the graph's connected components in the order of their first
+    node: each search from a new root finds the root's whole component."""
     n = A.shape[0]
     rows, cols = np.nonzero(A)
     edge = rows != cols
@@ -730,6 +736,12 @@ def poles(ss: StateSpace) -> list[Pole]:
     return [Pole(complex(v), bool(m)) for v, m in zip(ss.eigvals, mask)]
 
 
+def is_stable(ps: Sequence[Pole]) -> bool:
+    """Stable iff every non-structural pole lies in the open left
+    half-plane: the rule of ``analysis.stability`` and ``step_response``."""
+    return all(p.value.real < 0 for p in ps if not p.structural)
+
+
 @dataclass(frozen=True)
 class FrequencyResponse:
     omega: np.ndarray                   # rad/s, ascending
@@ -879,11 +891,9 @@ def step_response(ss: StateSpace, input_name: str, T: float,
         raise ValueError(f"{T / dt + 1.0:.3g} samples of {ss.n_outputs} "
                          f"outputs exceed {_STEP_OUTPUT_BYTES} bytes")
     j = _channel_index(ss.input_names, input_name, "input")
-    for p in poles(ss):
-        if not p.structural and p.value.real > 0:
-            warnings.warn("model has unstable non-structural poles",
-                          UnstableWarning, stacklevel=2)
-            break
+    if not is_stable(poles(ss)):
+        warnings.warn("model has non-structural poles with Re >= 0",
+                      UnstableWarning, stacklevel=2)
     n, p = ss.n_states, ss.n_outputs
     steps = int(round(T / dt))
     t = np.arange(steps + 1) * dt

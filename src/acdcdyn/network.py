@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .lti import (MAX_COND, EntrywiseBlock, NumericFailure, Polynomial,
-                  RationalTF, check_fields, check_real, tf_to_ss)
+                  RationalTF, _strong_blocks, check_fields, check_real,
+                  tf_to_ss)
 
 
 class ParseError(ValueError):
@@ -58,6 +59,8 @@ class AcEdge:
     r_virt_k: float = 0.0
 
     def __post_init__(self):
+        if self.n == self.k:
+            raise ValueError(f"AC edge joins node {self.n!r} to itself")
         check_fields(self, positive=("l",), nonnegative=(
             "r", "l_virt_n", "l_virt_k", "r_virt_n", "r_virt_k"))
 
@@ -80,6 +83,8 @@ class DcEdge:
     r_dc: float              # Ohm
 
     def __post_init__(self):
+        if self.n == self.k:
+            raise ValueError(f"DC edge joins node {self.n!r} to itself")
         check_fields(self, positive=("l_dc",), nonnegative=("r_dc",))
 
 
@@ -109,7 +114,8 @@ class HybridGraph:
 
     AC node order is normalized so load nodes come last.  The DC nodes are
     the VSC nodes, in AC order: every VSC has a DC terminal, and only VSCs
-    do.
+    do.  The graph must be connected, and a lossless DC edge must join
+    equal setpoints: between unequal ones it has no operating point.
     """
 
     ac_nodes: tuple[tuple[str, NodeKind], ...]
@@ -155,7 +161,11 @@ class HybridGraph:
                 raise ValueError(f"missing DC setpoint for node {n}")
             check_real(f"HybridGraph.v_dc_star[{n!r}]", self.v_dc_star[n],
                        "positive")
-        if len(_components(kinds, self.ac_edges + self.dc_edges)) != 1:
+        for e in self.dc_edges:
+            if e.r_dc == 0 and self.v_dc_star[e.n] != self.v_dc_star[e.k]:
+                raise ValueError(f"lossless DC edge {e.n}-{e.k} between "
+                                 "unequal setpoints has no operating point")
+        if len(self._connected_sets(self.ac_edges + self.dc_edges)) != 1:
             raise ValueError("hybrid graph must be connected")
 
     # -- node bookkeeping ---------------------------------------------------
@@ -189,31 +199,20 @@ class HybridGraph:
         return B
 
     def ac_components(self) -> list[set[str]]:
-        """Connected components of the AC subgraph."""
-        return _components(self.ac_names, self.ac_edges)
+        """Connected components of the AC subgraph, in the order of their
+        first node."""
+        return self._connected_sets(self.ac_edges)
 
-
-def _components(nodes, edges) -> list[set[str]]:
-    """Connected components of the graph (nodes, edges), in the order of
-    their first node."""
-    adj = {n: set() for n in nodes}
-    for e in edges:
-        adj[e.n].add(e.k)
-        adj[e.k].add(e.n)
-    comps, seen = [], set()
-    for start in nodes:
-        if start in seen:
-            continue
-        comp, stack = set(), [start]
-        while stack:
-            n = stack.pop()
-            if n in comp:
-                continue
-            comp.add(n)
-            stack.extend(adj[n] - comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    def _connected_sets(self, edges) -> list[set[str]]:
+        """Connected components of the graph on the AC nodes with `edges`,
+        in the order of their first node: the strongly connected blocks of
+        its symmetric adjacency matrix."""
+        names = self.ac_names
+        idx = {n: i for i, n in enumerate(names)}
+        adj = np.zeros((len(names), len(names)))
+        for e in edges:
+            adj[idx[e.n], idx[e.k]] = adj[idx[e.k], idx[e.n]] = 1.0
+        return [{names[i] for i in b} for b in _strong_blocks(adj)]
 
 
 # --------------------------------------------------------------------------

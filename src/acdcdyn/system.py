@@ -191,10 +191,11 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     area's frequency, dv = domega/k_p.  Each unpinned area balances power:
     governor and PV droop plus the VSCs' DC export meet the load.  Each DC
     edge obeys r di = dv_n - dv_k; a lossless edge makes this a constraint,
-    and has no operating point between unequal setpoints (ValueError).  A
-    VSC exports dp = v*_n di + i* dv_n into an edge, the product rule on
-    v i at the nominal current i* = (v*_n - v*_k)/r.  Raises NoDroop when
-    the system is singular, i.e. some area has no steady-state droop."""
+    and joins equal setpoints (``HybridGraph`` refuses any other).  A VSC
+    exports dp = v*_n di + i* dv_n into an edge, the product rule on v i
+    at the nominal current i* = (v*_n - v*_k)/r, zero on a lossless edge.
+    Raises NoDroop when the system is singular, i.e. some area has no
+    steady-state droop."""
     g, base = config.graph, config.base
     if not g.load_names:
         raise ValueError("the steady state needs a load node")
@@ -225,11 +226,7 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
     i_star = []
     for j, e in enumerate(g.dc_edges, start=na):
         r = e.r_dc / r_base
-        dv_star = v_pu[e.n] - v_pu[e.k]
-        if r == 0 and dv_star != 0:
-            raise ValueError(f"lossless DC edge {e.n}-{e.k} between unequal "
-                             "setpoints has no operating point")
-        i_star.append(dv_star / r if r else 0.0)
+        i_star.append((v_pu[e.n] - v_pu[e.k]) / r if r else 0.0)
         M[j, j] = r
         for end, sign in ((e.n, 1.0), (e.k, -1.0)):
             if end in area:
@@ -259,18 +256,17 @@ def steady_state(config: SystemConfig, dp_load: float) -> SteadyState:
 def nominal_dc_dispatch(config: SystemConfig) -> dict:
     """Nominal operating-point power flow per DC edge and the resulting AC
     injection of each VSC (p.u.): P_ac = -P_dc,export under lossless
-    conversion.  Requires resistive DC links."""
+    conversion.  A lossless edge joins equal setpoints and carries none."""
     flows = {}
     p_ac = {n: 0.0 for n in config.vsc}
     for e in config.graph.dc_edges:
-        if e.r_dc == 0:
-            raise ValueError("nominal dispatch undefined for a lossless link")
         vn = config.graph.v_dc_star[e.n]
         vk = config.graph.v_dc_star[e.k]
-        p_nk = vn * (vn - vk) / e.r_dc / config.base.S_base
+        r = e.r_dc or math.inf
+        p_nk = vn * (vn - vk) / r / config.base.S_base
         flows[(e.n, e.k)] = p_nk
         p_ac[e.n] -= p_nk
-        p_ac[e.k] -= vk * (vk - vn) / e.r_dc / config.base.S_base
+        p_ac[e.k] -= vk * (vk - vn) / r / config.base.S_base
     return {"edge_flows": flows, "p_ac": p_ac}
 
 

@@ -92,6 +92,42 @@ class TestConfigHandling:
             "error: AC node 'load1' is listed twice\n"
         assert sorted(p.name for p in out.iterdir()) == ["error.json"]
 
+    @pytest.mark.parametrize("scenario, block, edge, message", [
+        ("islanded_pv", "ac_edges",
+         {"n": "sg", "k": "sg",
+          "segments": [{"cable": "NAYY 4x240", "length_m": 4.0}]},
+         "ac_edges.2: AC edge joins node 'sg' to itself"),
+        ("lvdc_async", "dc_edges",
+         {"n": "vsc1", "k": "vsc1", "cable": "H07RN-F 2x6",
+          "length_m": 40.0},
+         "dc_edges.1: DC edge joins node 'vsc1' to itself"),
+    ], ids=["ac", "dc"])
+    def test_self_loop_exit_1(self, tmp_path, capsys, scenario, block, edge,
+                              message):
+        # the AC self-loop gave 32 poles instead of 24, and the DC one 44
+        # states instead of 40, both with exit 0
+        data = _load_preset(scenario)
+        data[block].append(edge)
+        cfg = write_config(tmp_path, {"scenario": data})
+        out = tmp_path / "o"
+        assert main(["poles", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_lossless_link_between_unequal_setpoints_exit_1(
+            self, tmp_path, capsys, command):
+        # check wrote stable,true (exit 0) for this network, which has no
+        # operating point, while steady refused it
+        cfg = write_config(tmp_path, {"scenario": "parallel_ac_dc"})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--set", "r_dc=0"]) == 1
+        assert capsys.readouterr().err == (
+            "error: lossless DC edge vsc1-vsc2 between unequal setpoints has "
+            "no operating point\n")
+        assert sorted(p.name for p in out.iterdir()) == ["error.json"]
+
     def test_unknown_preset_exit_1(self, tmp_path):
         cfg = write_config(tmp_path, {"scenario": "bogus"})
         assert main(["poles", "--config", cfg, "--out",

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -311,6 +312,20 @@ class TestStateSpace:
             spoiled[name][-1, -1] = bad
             with pytest.raises(ValueError, match="non-finite"):
                 StateSpace(*spoiled.values(), ("u",), ("y",))
+
+    @pytest.mark.parametrize("name, M, shape", [
+        ("B", np.arange(6.0).reshape(3, 2), (2, 3)),
+        ("B", np.arange(6.0), (2, 3)),
+        ("C", np.arange(2.0).reshape(2, 1), (1, 2)),
+    ], ids=["B-transposed", "B-flat", "C-column"])
+    def test_rejects_misshapen_b_and_c(self, name, M, shape):
+        # B and C were reshaped to (n, m) and (p, n): a 3 x 2 B became
+        # [[0, 1, 2], [3, 4, 5]] without an error
+        mats = {"A": np.diag([-1.0, -2.0]), "B": np.zeros((2, 3)),
+                "C": np.zeros((1, 2)), "D": np.zeros((1, 3)), name: M}
+        with pytest.raises(ValueError, match=re.escape(
+                f"{name} must be {shape}, got {M.shape}")):
+            StateSpace(*mats.values(), ("a", "b", "c"), ("y",))
 
     def test_tf_to_ss_improper(self):
         with pytest.raises(ImproperTF):
@@ -936,6 +951,27 @@ class TestResponses:
         ss = tf_to_ss(RationalTF.from_coeffs([1.0], [-1.0, 1.0]))
         with pytest.warns(UnstableWarning):
             step_response(ss, "u", 1.0, 0.001)
+
+    @pytest.mark.parametrize("A", [[[0.0, 1.0], [0.0, 0.0]],
+                                   [[0.0, 1.0], [-1.0, 0.0]]],
+                             ids=["double-integrator", "undamped-pair"])
+    def test_step_warns_exactly_when_not_stable(self, A):
+        # poles with Re = 0 that are not structural: stability reads not
+        # stable, and the step warned only for Re > 0 (the double
+        # integrator reaches y = 5000 at 100 s)
+        ss = StateSpace(A, [[0.0], [1.0]], [[1.0, 0.0]], [[0.0]], ("u",),
+                        ("y",))
+        with pytest.warns(UnstableWarning):
+            step_response(ss, "u", 100.0, 0.01)
+        assert not lti.is_stable(poles(ss))
+        assert not stability(ss).stable
+
+    def test_step_quiet_when_stable(self):
+        ss = tf_to_ss(RationalTF.from_coeffs([1.0], [1.0, 1.0]))
+        assert stability(ss).stable
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnstableWarning)
+            step_response(ss, "u", 1.0, 0.01)
 
     def test_step_dt_validation(self):
         ss = integrator(1.0)

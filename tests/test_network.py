@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import warnings
@@ -80,6 +81,16 @@ class TestEdges:
         with pytest.raises(ValueError):
             DcEdge("a", "b", 1e-5, -0.1)
 
+    def test_self_loop_rejected(self):
+        # an AC self-loop added poles, since the symbolic Laplacian does
+        # not cancel w - w exactly, and a DC self-loop added states
+        with pytest.raises(ValueError,
+                           match="AC edge joins node 'a' to itself"):
+            AcEdge("a", "a", 1e-5, 1e-3)
+        with pytest.raises(ValueError,
+                           match="DC edge joins node 'a' to itself"):
+            DcEdge("a", "a", 1e-5, 0.1)
+
 
 class TestGraph:
     def test_load_last_normalization(self):
@@ -143,6 +154,16 @@ class TestGraph:
                           ("ld", kind)),
                 ac_edges=(AcEdge("sm", "ld", 1e-5, 1e-3),),
                 dc_edges=(), V_ac_star=400.0, omega_star=W0)
+
+    def test_lossless_dc_edge_needs_equal_setpoints(self):
+        g = dc_pair_graph()
+        lossless = (DcEdge("v1", "v2", 2.6e-5, 0.0),)
+        with pytest.raises(ValueError, match="lossless DC edge v1-v2 between "
+                           "unequal setpoints has no operating point"):
+            dataclasses.replace(g, dc_edges=lossless)
+        g = dataclasses.replace(g, dc_edges=lossless,
+                                v_dc_star={"v1": 740.0, "v2": 740.0})
+        assert g.dc_edges == lossless
 
     def test_incidence_shape(self):
         g = chain_graph()
@@ -423,6 +444,62 @@ def assert_all_zeros(g, roots):
             for e, r in groups)
         rhs = log_det_gl + sum(np.log(s - z) for z in roots)
         assert abs(np.exp(lhs - rhs) - 1.0) < 1e-7
+
+
+def breadth_first_components(names, edges):
+    """Connected components of the graph (names, edges) by breadth-first
+    search, in the order of their first node."""
+    adj = {n: [] for n in names}
+    for e in edges:
+        adj[e.n].append(e.k)
+        adj[e.k].append(e.n)
+    comps, seen = [], set()
+    for root in names:
+        if root in seen:
+            continue
+        comp, queue = {root}, collections.deque([root])
+        while queue:
+            for m in adj[queue.popleft()]:
+                if m not in comp:
+                    comp.add(m)
+                    queue.append(m)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+class TestComponents:
+    @given(meshed_graphs(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_match_breadth_first_search(self, g, data):
+        # meshed graphs with some loads made VSCs, some AC lines dropped and
+        # DC links drawn between the VSCs: the AC components in first-node
+        # order, and the verdict on the whole graph's connectivity
+        vscs = set(g.dc_names) | data.draw(st.sets(st.sampled_from(
+            g.load_names)))
+        nodes = tuple((n, NodeKind.VSC if n in vscs else k)
+                      for n, k in g.ac_nodes)
+        ac = tuple(e for e in g.ac_edges
+                   if data.draw(st.sampled_from((True, True, True, False))))
+        links = []
+        if len(vscs) > 1:
+            links = data.draw(st.lists(st.permutations(sorted(vscs)),
+                                       max_size=8))
+        dc = tuple(DcEdge(n, k, 2.6e-5, data.draw(st.sampled_from(
+            (0.0, 0.27)))) for n, k, *_ in links)
+        names = [n for n, k in nodes if k is not NodeKind.LOAD_AC] + [
+            n for n, k in nodes if k is NodeKind.LOAD_AC]
+
+        def graph():
+            return HybridGraph(nodes, ac, dc, g.V_ac_star, g.omega_star,
+                               dict.fromkeys(vscs, 740.0))
+
+        if len(breadth_first_components(names, ac + dc)) == 1:
+            assert graph().ac_components() == breadth_first_components(
+                names, ac)
+        else:
+            with pytest.raises(ValueError, match="must be connected"):
+                graph()
 
 
 class TestMeshedKron:

@@ -589,10 +589,9 @@ class TestSteadyState:
         assert steady_state_gap(preset(scenario, overrides)) <= 1e-7
 
     def test_lossless_link_between_unequal_setpoints_raises(self):
-        cfg = preset("lvdc_async", {"r_dc": 0.0,
-                                    "v_dc_star_pu": (0.9975, 1.0)})
         with pytest.raises(ValueError, match="lossless"):
-            steady_state(cfg, 0.05)
+            steady_state(preset("lvdc_async", {
+                "r_dc": 0.0, "v_dc_star_pu": (0.9975, 1.0)}), 0.05)
 
     def test_needs_a_load_node(self):
         cfg = preset("islanded_pv")
@@ -630,3 +629,10 @@ class TestNominalDispatch:
     def test_equal_setpoints_zero_flow(self):
         d = nominal_dc_dispatch(preset("lvdc_async"))
         assert all(abs(f) < 1e-12 for f in d["edge_flows"].values())
+
+    def test_lossless_link_zero_flow(self):
+        # the graph admits a lossless link only between equal setpoints;
+        # the dispatch refused it anyway
+        d = nominal_dc_dispatch(preset("lvdc_async", {"r_dc": 0.0}))
+        assert d == {"edge_flows": {("vsc1", "vsc2"): 0.0},
+                     "p_ac": {"vsc1": 0.0, "vsc2": 0.0}}

@@ -47,7 +47,8 @@
   ``MALFORMED``: a preset with a block or a record key deleted, an
   unknown key in each block, a block that is not an object, a
   ``virtual_at`` that names no VSC end of its edge, a second VSC entry
-  for a node, an AC node listed twice, and a
+  for a node, an AC node listed twice, a lossless DC edge between
+  unequal setpoints, an AC and a DC edge from a node to itself, and a
   ``cable_catalog`` that is not a path or names a file that is missing,
   not JSON, not an object with a ``cables`` object, or has an entry
   without ``r_ohm_per_km`` or with a string for it.  The catalog files
@@ -199,6 +200,11 @@ MALFORMED = {
         **vscs[0], "control": {**vscs[0]["control"], "k_p": 0.5}}]),
     "duplicate-ac-node": ("lvdc_async", "ac_nodes",
                           lambda nodes: nodes + [["load1", "load_ac"]]),
+    "lossless-unequal-setpoints": ("parallel_ac_dc", "r_dc", 0.0),
+    "ac-self-loop": ("islanded_pv", "ac_edges", lambda edges: edges + [{
+        **edges[0], "k": edges[0]["n"]}]),
+    "dc-self-loop": ("lvdc_async", "dc_edges", lambda edges: edges + [{
+        **edges[0], "k": edges[0]["n"]}]),
 }
 #: file name -> content of the catalog files that ``MALFORMED`` names.
 CATALOG_FILES = {
