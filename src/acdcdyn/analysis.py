@@ -117,44 +117,33 @@ def check_ratio_bounds(config: SystemConfig) -> dict:
             for n, b in config.ratio_bounds.items()}
 
 
-def _local_maxima(y: np.ndarray) -> list[int]:
-    """Indices of the interior samples that no neighbour exceeds and at
-    least one lies below."""
-    return [i for i in range(1, len(y) - 1)
-            if y[i] >= y[i - 1] and y[i] >= y[i + 1]
-            and (y[i] > y[i - 1] or y[i] > y[i + 1])]
-
-
-def _refine_peak(x: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
-    """Vertex of the 3-point quadratic fit in log-x coordinates around
-    sample i, or the sample itself when the fit is not concave or its
-    vertex leaves the three points."""
-    xs = np.log10(x[i - 1:i + 2])
-    a, b, c = np.polyfit(xs, y[i - 1:i + 2], 2)
-    if a < 0:
-        xv = -b / (2.0 * a)
-        if xs[0] <= xv <= xs[2]:
-            return float(10.0 ** xv), float(np.polyval([a, b, c], xv))
-    return float(x[i]), float(y[i])
+def interior_peaks(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
+    """Every interior local maximum of y over x, in ascending x order: each
+    sample that no neighbour exceeds and at least one lies below, refined
+    to the vertex of the 3-point quadratic fit in log-x coordinates around
+    it, or kept as the sample when the fit is not concave or its vertex
+    leaves the three points."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    peaks = []
+    for i in range(1, len(y) - 1):
+        if not (y[i] >= y[i - 1] and y[i] >= y[i + 1]
+                and (y[i] > y[i - 1] or y[i] > y[i + 1])):
+            continue
+        xs = np.log10(x[i - 1:i + 2])
+        a, b, c = np.polyfit(xs, y[i - 1:i + 2], 2)
+        xv = -b / (2.0 * a) if a < 0 else math.nan    # a vertex if concave
+        peaks.append((float(10.0 ** xv), float(np.polyval([a, b, c], xv)))
+                     if xs[0] <= xv <= xs[2] else (float(x[i]), float(y[i])))
+    return peaks
 
 
 def interior_peak(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Largest interior local maximum of y over x, refined by a 3-point
-    quadratic fit in log-x coordinates."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cand = _local_maxima(y)
-    if not cand:
+    """The largest of ``interior_peaks``, the first in x among equals."""
+    peaks = interior_peaks(x, y)
+    if not peaks:
         raise NoInteriorPeak("no interior local maximum")
-    return _refine_peak(x, y, max(cand, key=lambda j: y[j]))
-
-
-def interior_peaks(x: np.ndarray, y: np.ndarray) -> list[tuple[float, float]]:
-    """All interior local maxima of y over x, each refined like
-    interior_peak, in ascending x order."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return [_refine_peak(x, y, i) for i in _local_maxima(y)]
+    return max(peaks, key=lambda p: p[1])
 
 
 def resonance_peak(table: BodeTable) -> tuple[float, float]:

@@ -207,8 +207,11 @@ class RationalTF:
         return not self.num.is_zero()
 
     def __call__(self, s: complex) -> complex:
+        """num(s)/den(s); PoleHit when s is a pole, where den(s) cancels to
+        rounding: |den(s)| <= 1e-12 sum_k |c_k| |s|^k."""
         d = self.den(s)
-        if abs(d) < 1e-300:
+        if abs(d) <= 1e-12 * sum(abs(c) * abs(s) ** k
+                                 for k, c in enumerate(self.den.coeffs)):
             raise PoleHit(f"denominator vanishes at s = {s}")
         return self.num(s) / d
 

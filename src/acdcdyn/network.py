@@ -17,9 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .lti import (MAX_COND, EntrywiseBlock, NumericFailure, Polynomial,
-                  RationalTF, _strong_blocks, check_fields, check_real,
-                  tf_to_ss)
+from .lti import (MAX_COND, EntrywiseBlock, NumericFailure, PoleHit,
+                  Polynomial, RationalTF, _strong_blocks, check_fields,
+                  check_real, tf_to_ss)
 
 
 class ParseError(ValueError):
@@ -237,12 +237,14 @@ def _laplacian(names, edges, weights, zero) -> list[list]:
 
 def _at(edges, weights, s: complex) -> list[tuple]:
     """Each edge's transfer functions in `weights` evaluated at s; EdgePole
-    when s is a pole of one, |den(s)| < 1e-12 (1 + |s|)^degree."""
+    naming the edge when s is a pole of one (``RationalTF``'s PoleHit)."""
+    out = []
     for e, tfs in zip(edges, weights):
-        if any(abs(tf.den(s)) < 1e-12 * (1.0 + abs(s)) ** tf.den.degree
-               for tf in tfs):
+        try:
+            out.append(tuple(tf(s) for tf in tfs))
+        except PoleHit:
             raise EdgePole(f"s = {s} is a pole of edge ({e.n},{e.k})")
-    return [tuple(tf(s) for tf in tfs) for tfs in weights]
+    return out
 
 
 def _ac_edge_tfs(g: HybridGraph) -> list[tuple[RationalTF, RationalTF]]:

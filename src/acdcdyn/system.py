@@ -331,6 +331,13 @@ class _Block:
         self._read.add(key)
         return self._data.get(key, default)
 
+    def array(self, key: str) -> list:
+        """``self[key]``, a TypeError naming `key` unless it is a list."""
+        value = self[key]
+        if not isinstance(value, list):
+            raise TypeError(f"{key} must be an array, got {value!r}")
+        return value
+
     def __exit__(self, kind, exc, tb):
         if exc is None:
             unknown = sorted(set(self._data) - self._read)
@@ -361,19 +368,19 @@ def config_from_dict(data: dict) -> SystemConfig:
         catalog = load_cable_catalog(top.get("cable_catalog"))
 
         sg_params, vsc_params, v_dc_star, virtual = {}, {}, {}, {}
-        if top["sg"]:
+        if top["sg"] is not None:
             with _Block(top["sg"], "sg", unused=("v_n_v", "n_r_hz")) as s:
                 sg_params[s["node"]] = SgParams(
                     s["s_n_va"], s["p_max_w"], s["h_s"], s["k_tg"],
                     s["k_omega"], s["t1_s"], s["t2_s"])
-        for i, v in enumerate(top["vscs"]):
+        for i, v in enumerate(top.array("vscs")):
             with _Block(v, f"vscs.{i}",
                         unused=("s_rated_va", "v_rated_v")) as v:
                 node = v["node"]
                 if node in vsc_params:
                     raise ValueError(f"node {node!r} already has a VSC entry")
                 k_pv = None
-                if v.get("pv"):
+                if v.get("pv") is not None:
                     with _Block(v["pv"], f"vscs.{i}.pv", unused=(
                             "v_oc_v", "i_sc_a", "v_mpp_v", "i_mpp_a",
                             "v_op_v")) as pv:
@@ -394,7 +401,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                                  v.get("r_virtual_ohm", 0.0))
 
         ac_nodes = []
-        for i, node in enumerate(top["ac_nodes"]):
+        for i, node in enumerate(top.array("ac_nodes")):
             if not (isinstance(node, (list, tuple)) and len(node) == 2):
                 raise TypeError(f"ac_nodes.{i} must be a [name, kind] "
                                 f"pair, got {node!r}")
@@ -404,10 +411,10 @@ def config_from_dict(data: dict) -> SystemConfig:
                 raise ValueError(f"ac_nodes.{i}: {exc}") from None
 
         ac_edges = []
-        for i, e in enumerate(top["ac_edges"]):
+        for i, e in enumerate(top.array("ac_edges")):
             with _Block(e, f"ac_edges.{i}") as e:
                 r = l = 0.0
-                for j, seg in enumerate(e["segments"]):
+                for j, seg in enumerate(e.array("segments")):
                     with _Block(seg, f"ac_edges.{i}.segments.{j}") as seg:
                         rr, ll = line_impedance(catalog, seg["cable"],
                                                 seg["length_m"], f_hz=f_hz)
@@ -427,7 +434,7 @@ def config_from_dict(data: dict) -> SystemConfig:
                 ac_edges.append(AcEdge(e["n"], e["k"], l, r, **kw))
 
         dc_edges = []
-        for i, e in enumerate(top["dc_edges"]):
+        for i, e in enumerate(top.array("dc_edges")):
             with _Block(e, f"dc_edges.{i}") as e:
                 if e.get("cable") is None:
                     r, l = e["r_ohm"], e["l_h"]
@@ -438,11 +445,14 @@ def config_from_dict(data: dict) -> SystemConfig:
                     r, l = e.get("r_ohm", r), e.get("l_h", l)
                 dc_edges.append(DcEdge(e["n"], e["k"], l, r))
 
+        bounds = top.get("ratio_bounds")
+        if not isinstance(bounds, (dict, type(None))):
+            raise TypeError(f"ratio_bounds must be an object, got {bounds!r}")
         graph = HybridGraph(tuple(ac_nodes), tuple(ac_edges),
                             tuple(dc_edges), base.V_base_ac, base.omega_base,
                             v_dc_star)
         return SystemConfig(graph, base, sg_params, vsc_params,
-                            dict(top.get("ratio_bounds") or {}))
+                            dict(bounds or {}))
 
 
 #: Named gains: name -> (the list it reaches, what one item of that list
@@ -462,9 +472,10 @@ NAMED_GAINS = {
 
 def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     """The item name of a named gain's list and the (dotted path, value)
-    pairs it sets.  KeyError for an empty list, TypeError for a value that
-    is not a real number (a list of them for ``v_dc_star_pu``), ValueError
-    for a ``v_dc_star_pu`` of another length than the VSCs."""
+    pairs it sets.  KeyError for an empty list or an index, as written,
+    that is not one of 1 to n, TypeError for a value that is not a real
+    number (a list of them for ``v_dc_star_pu``), ValueError for a
+    ``v_dc_star_pu`` of another length than the VSCs."""
     name, index = key, None
     if key not in NAMED_GAINS:
         name, _, index = key.rpartition("_")
@@ -480,8 +491,10 @@ def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     if n == 0:
         raise KeyError(f"override {key!r}: the scenario has no {item}")
     if index is not None:
-        i = int(index) - 1 if index.isdecimal() else index
-        return item, [(f"{items}.{i}.{path}", value)]
+        if not (index.isdecimal() and 1 <= int(index) <= n):
+            raise KeyError(f"override {key!r}: {items} has {n} {item}s, "
+                           f"counted from 1 to {n}; no {item} {index!r}")
+        return item, [(f"{items}.{int(index) - 1}.{path}", value)]
     values = [value] * n
     if name == "v_dc_star_pu":
         if len(value) != n:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from acdcdyn import analysis, lti, system
 from acdcdyn.lti import RationalTF, tf_to_ss
@@ -157,6 +159,46 @@ class TestPeaks:
         t = analysis.bode(islanded_model, "p_load_load1", "omega_vsc1")
         f, _ = analysis.resonance_peak(t)
         assert 0.5 < f < 20.0
+
+    def test_largest_refined_peak_not_largest_sample(self):
+        # the sample at x = 10 (1.0) exceeds the one at 1e4 (0.95), but the
+        # 3-point fit around 1e4 peaks at 10^4.4375 with 1.0266 > 1.0
+        x = np.logspace(0, 6, 7)
+        y = np.array([0.0, 1.0, 0.0, 0.2, 0.95, 0.9, 0.0])
+        f, m = analysis.interior_peak(x, y)
+        assert f == pytest.approx(10 ** 4.4375, rel=1e-12)
+        assert m == pytest.approx(1.0265625, rel=1e-12)
+        assert analysis.interior_peaks(x, y)[0] == pytest.approx((10.0, 1.0))
+
+    def test_resonance_peak_is_largest_refined_on_coarse_band(self):
+        # at 25 points the largest sample of this channel sits at the
+        # 24.7 Hz peak (2.35 dB), while the 6.00 Hz one refines to 3.88 dB
+        m = build(preset("parallel_ac_dc", {"k_d": 0.005}))
+        t = analysis.bode(m, "p_load_load1", "p_ac_sg", f_min=0.05,
+                          f_max=500.0, points=25)
+        peaks = analysis.interior_peaks(t.f_hz, t.mag_db)
+        assert [round(f, 2) for f, _ in peaks] == [1.23, 6.0, 24.7]
+        assert t.mag_db.max() < peaks[1][1]
+        f, mag = analysis.resonance_peak(t)
+        assert (f, mag) == peaks[1]
+        assert f == pytest.approx(6.0013, rel=1e-4)
+        assert mag == pytest.approx(3.8793, abs=1e-3)
+
+    @given(st.lists(st.integers(-3, 3) | st.floats(-5.0, 5.0),
+                    min_size=3, max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_peak_is_the_first_largest_of_peaks(self, ys):
+        # small integers make ties: symmetric triples refine to the sample
+        x = np.logspace(-1, 3, len(ys))
+        y = np.array(ys, dtype=float)
+        peaks = analysis.interior_peaks(x, y)
+        if not peaks:
+            with pytest.raises(analysis.NoInteriorPeak):
+                analysis.interior_peak(x, y)
+            return
+        top = max(m for _, m in peaks)
+        assert analysis.interior_peak(x, y) == \
+            next(p for p in peaks if p[1] == top)
 
 
 class TestSweep:

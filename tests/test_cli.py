@@ -624,6 +624,26 @@ class TestSetFlag:
          "unknown output channel 'nope'"),
         ("bode", "options.output=nope", "KeyError",
          "unknown output channel 'nope'"),
+        ("poles", "ac_edges=5", "TypeError",
+         "ac_edges must be an array, got 5"),
+        ("poles", "dc_edges=null", "TypeError",
+         "dc_edges must be an array, got None"),
+        ("poles", 'vscs="ab"', "TypeError",
+         "vscs must be an array, got 'ab'"),
+        ("poles", "vscs.0.pv=false", "TypeError",
+         "vscs.0.pv must be an object, got False"),
+        ("poles", "vscs.0.pv={}", "KeyError",
+         "vscs.0.pv: missing key 's_base_va'"),
+        ("poles", "ratio_bounds=0", "TypeError",
+         "ratio_bounds must be an object, got 0"),
+        ("poles", 'ratio_bounds="x"', "TypeError",
+         "ratio_bounds must be an object, got 'x'"),
+        ("poles", "k_p_0=0.1", "KeyError",
+         "override 'k_p_0': vscs has 2 VSCs, counted from 1 to 2; "
+         "no VSC '0'"),
+        ("poles", "tau_kd_3=0.02", "KeyError",
+         "override 'tau_kd_3': vscs has 2 VSCs, counted from 1 to 2; "
+         "no VSC '3'"),
     ], ids=["k_p-nan", "k_p_2-nan", "h_s-nan", "k_d-list", "h_s-bool",
             "r_virtual-negative", "r_dc-negative", "t_end_s-bool",
             "dt_s-string", "delta_p_l_pu-bool", "segment-length-negative",
@@ -631,7 +651,10 @@ class TestSetFlag:
             "dc-edge-cable-unknown", "node-kind-unknown",
             "virtual-at-other-vsc", "virtual-at-non-vsc", "values-int",
             "values-object", "parameter-int", "step-input-unknown",
-            "spectrum-channel-unknown", "bode-output-unknown"])
+            "spectrum-channel-unknown", "bode-output-unknown",
+            "ac-edges-int", "dc-edges-null", "vscs-string", "pv-false",
+            "pv-empty", "ratio-bounds-zero", "ratio-bounds-string",
+            "k_p_0", "tau_kd_3"])
     def test_bad_value_is_named_exit_1(self, tmp_path, capsys, command, item,
                                        error, message):
         # a value of the wrong type or range, or a name the model lacks, is

@@ -170,6 +170,19 @@ class TestRationalTF:
         with pytest.raises(PoleHit):
             g(-1.0)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_pole_rule_ignores_the_denominator_scale(self, scale):
+        # |den(s)| <= 1e-12 sum |c_k| |s|^k: a pole of scale (s + 1) is one
+        # at every scale, and the constant scale never is
+        g = RationalTF.from_coeffs([scale], [scale, scale])
+        for s in (-1.0, -1.0 - 1e-13):
+            with pytest.raises(PoleHit):
+                g(s)
+        assert g(-1.0 + 1e-9) == pytest.approx(1e9, rel=1e-6)
+        c = RationalTF.from_coeffs([1.0], [scale])
+        for s in (0.0, 1e-6j, 1e6j):
+            assert c(s) == 1.0 / scale
+
     def test_arithmetic_pointwise(self):
         a = RationalTF.from_coeffs([1.0], [1.0, 1.0])
         b = RationalTF.from_coeffs([2.0, 1.0], [1.0, 0.5])

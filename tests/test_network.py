@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from acdcdyn.lti import NumericFailure, RationalTF
+from acdcdyn.lti import NumericFailure, PoleHit, RationalTF
 from acdcdyn.network import (AcEdge, DcEdge, EdgePole, HybridGraph, NodeKind,
                              SingularLL,
                              ac_edge_tf, ac_laplacian_tfs,
@@ -247,6 +248,27 @@ class TestLaplacian:
         with pytest.raises(NumericFailure) as info:
             assemble_dc_laplacian(g, -e.r_dc / e.l_dc)
         assert isinstance(info.value, EdgePole)
+
+    @pytest.mark.parametrize("name", ["islanded_pv", "lvdc_async",
+                                      "parallel_ac_dc"])
+    def test_preset_edge_poles(self, name):
+        # at each edge's pole, and 1e-13 (relative) off it, where den(s)
+        # has cancelled to rounding: the edge's transfer function raises
+        # PoleHit and the Laplacian EdgePole naming the edge
+        g = preset(name).graph
+        cases = [(ac_edge_tf(e, g.V_ac_star, g.omega_star), e,
+                  complex(-e.rho, e.k_nk * g.omega_star),
+                  assemble_ac_laplacian) for e in g.ac_edges]
+        cases += [(dc_edge_tf(e, g.v_dc_star[e.n]), e, -e.r_dc / e.l_dc,
+                   assemble_dc_laplacian) for e in g.dc_edges]
+        for tf, e, pole, assemble in cases:
+            for s in (pole, pole * (1.0 + 1e-13)):
+                with pytest.raises(PoleHit):
+                    tf(s)
+                with pytest.raises(EdgePole,
+                                   match=re.escape(f"({e.n},{e.k})")):
+                    assemble(g, s)
+            assert np.isfinite(tf(pole * (1.0 + 1e-9)))
 
 
 class TestKron:

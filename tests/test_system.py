@@ -92,6 +92,17 @@ class TestOverrides:
         with pytest.raises(ValueError, match="2 VSCs"):
             preset("lvdc_async", {"v_dc_star_pu": value})
 
+    @pytest.mark.parametrize("scenario, key, n", [
+        ("islanded_pv", "k_p_0", 1), ("lvdc_async", "tau_kd_3", 2),
+        ("lvdc_async", "k_d_-1", 2), ("lvdc_async", "k_p_x", 2)])
+    def test_indexed_gain_names_the_index_as_written(self, scenario, key, n):
+        with pytest.raises(KeyError) as info:
+            resolve_scenario(scenario, {key: 0.01})
+        index = key.rpartition("_")[2]
+        assert info.value.args[0] == (
+            f"override {key!r}: vscs has {n} VSCs, counted from 1 to {n}; "
+            f"no VSC {index!r}")
+
     def test_resolve_unknown_named_gain(self):
         # a key that is no named gain is a top-level path, which
         # config_from_dict names as a key it does not read
@@ -205,12 +216,41 @@ class TestSchema:
          "ac_nodes.0 must be a [name, kind] pair, got ['sg']"),
         ("ac_nodes.2", "load1",
          "ac_nodes.2 must be a [name, kind] pair, got 'load1'"),
+        # a scenario list that is no array is not iterated, and a falsy
+        # block that is not null is not read as absent
+        ("ac_nodes", {"sg": "sm"},
+         "ac_nodes must be an array, got {'sg': 'sm'}"),
+        ("ac_edges", 5, "ac_edges must be an array, got 5"),
+        ("dc_edges", None, "dc_edges must be an array, got None"),
+        ("vscs", "ab", "vscs must be an array, got 'ab'"),
+        ("ac_edges.0.segments", {"cable": "NAYY 4x240"},
+         "ac_edges.0: segments must be an array, got {'cable': "
+         "'NAYY 4x240'}"),
+        ("sg", False, "sg must be an object, got False"),
+        ("vscs.0.pv", False, "vscs.0.pv must be an object, got False"),
+        ("vscs.0.pv", 0, "vscs.0.pv must be an object, got 0"),
+        ("ratio_bounds", 0, "ratio_bounds must be an object, got 0"),
+        ("ratio_bounds", "x", "ratio_bounds must be an object, got 'x'"),
+        ("ratio_bounds", [], "ratio_bounds must be an object, got []"),
     ])
     def test_malformed_block_is_named(self, path, value, message):
         data = resolve_scenario("islanded_pv", {path: value})
         with pytest.raises(TypeError) as info:
             config_from_dict(data)
         assert info.value.args[0] == message
+
+    @pytest.mark.parametrize("path, key", [("sg", "s_n_va"),
+                                           ("vscs.0.pv", "s_base_va")])
+    def test_empty_block_names_its_first_missing_key(self, path, key):
+        # an empty block is not read as an absent one
+        data = resolve_scenario("islanded_pv", {path: {}})
+        with pytest.raises(KeyError) as info:
+            config_from_dict(data)
+        assert info.value.args[0] == f"{path}: missing key {key!r}"
+
+    def test_null_ratio_bounds_is_absent(self):
+        assert preset("lvdc_async", {"ratio_bounds": None}).ratio_bounds \
+            == {}
 
     def test_inner_error_is_named_once(self):
         # an unknown key of a nested block passes its outer block unchanged

@@ -39,6 +39,13 @@
   ``step-default`` (the 10 s default), ``step-amplitude`` (-2),
   ``steady-w`` (the load step in W) and ``spectrum-times`` (20 s at 2 ms)
   reach the other defaults and options of ``cli.OPTIONS``.
+* ``peak/<config>/<band>``: for each config of ``PEAK_CONFIGS`` (every
+  preset, as it is and with ``k_d`` 0.005 or ``k_p`` 0.05), an object of
+  ``analysis.resonance_peak`` of every channel, ``"<input>><output>"`` ->
+  [f_hz, mag_db] or the class name of the exception, at each band of
+  ``PEAK_BANDS``: the default of ``analysis.bode`` and 0.05-500 Hz at 25
+  points.  The peak rule shows here; ``build`` evaluates no transfer
+  function and no default-band CLI run changes with it.
 * ``resolve/<scenario> <overrides>``: the sha256 of
   ``json.dumps(resolve_scenario(scenario, overrides), sort_keys=True)``
   for the overrides that the tests and the benchmark use.
@@ -48,17 +55,20 @@
   unknown key in each block, a block that is not an object, a
   ``virtual_at`` that names no VSC end of its edge, a second VSC entry
   for a node, an AC node listed twice, a lossless DC edge between
-  unequal setpoints, an AC and a DC edge from a node to itself, and a
+  unequal setpoints, an AC and a DC edge from a node to itself, a
   ``cable_catalog`` that is not a path or names a file that is missing,
   not JSON, not an object with a ``cables`` object, or has an entry
-  without ``r_ohm_per_km`` or with a string for it.  The catalog files
+  without ``r_ohm_per_km`` or with a string for it, a scenario list
+  that is not an array, an ``sg``, ``pv`` or ``ratio_bounds`` that is
+  falsy but not null, and an indexed gain outside 1..n.  The catalog files
   are written from ``CATALOG_FILES`` into a temporary working directory,
   so the paths in the messages are the same in every record.  Input-layer
   changes show here as the messages they change.
 
 ``compare`` prints every key whose value differs or that only one record
-has, and exits 1 if there is any.  Recording takes a few minutes and about
-200 MB.  Nothing under ``perfbench/`` is written.
+has (of an object, each entry that differs), and exits 1 if there is
+any.  Recording takes about 45 s and 200 MB.  Nothing under
+``perfbench/`` is written.
 """
 
 from __future__ import annotations
@@ -103,6 +113,14 @@ CLI_RUNS = {
                                     "t_end_s": 20.0, "dt_s": 0.002}),
     "check": ("check", {}),
 }
+#: config -> (preset, overrides) of the ``peak/*`` keys.
+PEAK_CONFIGS = {f"{name}{suffix}": (name, overrides) for name in PRESETS
+                for suffix, overrides in (("", {}),
+                                          ("-k_d-0.005", {"k_d": 0.005}),
+                                          ("-k_p-0.05", {"k_p": 0.05}))}
+#: band -> the band options of ``analysis.bode``.
+PEAK_BANDS = {"default": {},
+              "0.05-500Hz-25": {"f_min": 0.05, "f_max": 500.0, "points": 25}}
 #: (scenario, overrides) that the tests and the benchmark resolve.
 OVERRIDES = (
     ("islanded_pv", {"k_p": 0.05}),
@@ -205,6 +223,20 @@ MALFORMED = {
         **edges[0], "k": edges[0]["n"]}]),
     "dc-self-loop": ("lvdc_async", "dc_edges", lambda edges: edges + [{
         **edges[0], "k": edges[0]["n"]}]),
+    "array-ac-nodes": ("lvdc_async", "ac_nodes", {"sg": "sm"}),
+    "array-ac-edges": ("lvdc_async", "ac_edges", 5),
+    "array-dc-edges": ("lvdc_async", "dc_edges", None),
+    "array-vscs": ("lvdc_async", "vscs", "ab"),
+    "array-segments": ("lvdc_async", "ac_edges.0.segments",
+                       {"cable": "NAYY 4x240"}),
+    "sg-false": ("islanded_pv", "sg", False),
+    "sg-empty": ("islanded_pv", "sg", {}),
+    "pv-false": ("islanded_pv", "vscs.0.pv", False),
+    "pv-empty": ("islanded_pv", "vscs.0.pv", {}),
+    "ratio-bounds-zero": ("islanded_pv", "ratio_bounds", 0),
+    "ratio-bounds-string": ("islanded_pv", "ratio_bounds", "x"),
+    "index-k_p_0": ("islanded_pv", "k_p_0", 0.1),
+    "index-tau_kd_3": ("lvdc_async", "tau_kd_3", 0.02),
 }
 #: file name -> content of the catalog files that ``MALFORMED`` names.
 CATALOG_FILES = {
@@ -387,6 +419,25 @@ def record_cli(acdcdyn, out: dict) -> None:
                     path.unlink()
 
 
+def record_peaks(acdcdyn, out: dict) -> None:
+    analysis, system = acdcdyn.analysis, acdcdyn.system
+    for config, (name, overrides) in PEAK_CONFIGS.items():
+        model = build_model(system, system.resolve_scenario(name, overrides))
+        for band, options in PEAK_BANDS.items():
+            if isinstance(model, str):
+                out[f"peak/{config}/{band}"] = model
+                continue
+            peaks = {}
+            for i, o in itertools.product(model.ss.input_names,
+                                          model.ss.output_names):
+                try:
+                    peaks[f"{i}>{o}"] = list(analysis.resonance_peak(
+                        analysis.bode(model, i, o, **options)))
+                except Exception as exc:  # the class is the record
+                    peaks[f"{i}>{o}"] = type(exc).__name__
+            out[f"peak/{config}/{band}"] = peaks
+
+
 def record_resolve(acdcdyn, out: dict) -> None:
     for scenario, overrides in OVERRIDES:
         key = f"resolve/{scenario} {json.dumps(overrides)}"
@@ -433,6 +484,7 @@ def record(tree: Path, path: Path) -> int:
     record_builds(acdcdyn, out)
     record_assumption1(acdcdyn, out)
     record_cli(acdcdyn, out)
+    record_peaks(acdcdyn, out)
     record_resolve(acdcdyn, out)
     record_configs(acdcdyn, out)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
@@ -450,7 +502,14 @@ def compare(a: Path, b: Path) -> int:
     differ = sorted(k for k in ra.keys() | rb.keys()
                     if ra.get(k, "<missing>") != rb.get(k, "<missing>"))
     for k in differ:
-        print(f"{k}: {ra.get(k, '<missing>')} != {rb.get(k, '<missing>')}")
+        va, vb = ra.get(k, "<missing>"), rb.get(k, "<missing>")
+        if isinstance(va, dict) and isinstance(vb, dict):
+            for e in sorted(va.keys() | vb.keys()):
+                if va.get(e, "<missing>") != vb.get(e, "<missing>"):
+                    print(f"{k} [{e}]: {va.get(e, '<missing>')} != "
+                          f"{vb.get(e, '<missing>')}")
+        else:
+            print(f"{k}: {va} != {vb}")
     print(f"{len(ra.keys() | rb.keys())} keys, {len(differ)} differ")
     return 1 if differ else 0
 
