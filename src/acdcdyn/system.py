@@ -473,7 +473,8 @@ NAMED_GAINS = {
 def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     """The item name of a named gain's list and the (dotted path, value)
     pairs it sets.  KeyError for an empty list or an index, as written,
-    that is not one of 1 to n, TypeError for a value that is not a real
+    that is not one of 1 to n, TypeError for a list that is not an array
+    (as ``config_from_dict`` says it) or a value that is not a real
     number (a list of them for ``v_dc_star_pu``), ValueError for a
     ``v_dc_star_pu`` of another length than the VSCs."""
     name, index = key, None
@@ -487,7 +488,10 @@ def _named_gain_paths(data: dict, key: str, value) -> tuple[str, list]:
     elif not is_real(value):
         raise TypeError(f"override {key!r} takes a number, got {value!r}")
     items, item, path = NAMED_GAINS[name]
-    n = len(data.get(items) or [])
+    listed = data.get(items)
+    if listed is not None and not isinstance(listed, list):
+        raise TypeError(f"{items} must be an array, got {listed!r}")
+    n = len(listed or [])
     if n == 0:
         raise KeyError(f"override {key!r}: the scenario has no {item}")
     if index is not None:

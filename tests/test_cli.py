@@ -809,6 +809,110 @@ class TestCsvWriter:
         _write_csv(tmp_path / "none.csv", ["re", "im"], zip(*[]))
         assert (tmp_path / "none.csv").read_text() == "re,im\n"
 
+    @staticmethod
+    def ulp_neighbours(values):
+        values = np.asarray(values, dtype=np.float64)
+        return np.concatenate([values, np.nextafter(values, np.inf),
+                               np.nextafter(values, -np.inf)])
+
+    def test_decimal_ties_at_the_ninth_digit(self, tmp_path):
+        # each value is exact in binary and has a 5 after its 9th digit,
+        # so %g rounds half to even; its neighbours round one way
+        q = np.array([100000000, 123456788, 123456789, 987654321,
+                      999999998, 999999999])
+        ties = [q + 0.5, (10 * q + 5) * 10.0, (10 * q + 5) * 1e5,
+                (q + 0.5) / 1024]
+        values = self.ulp_neighbours(np.concatenate(ties))
+        assert_same_bytes_as_reference(tmp_path, [values, -values])
+
+    def test_doubles_nearest_decimal_ties(self, tmp_path):
+        # not ties in binary, but |x| * 10**(8 - e) rounds onto a half:
+        # only the exact value says which way %g rounds
+        rng = np.random.default_rng(2)
+        near = [float(f"{q}5e{x}") for q, x in zip(
+            rng.integers(10**8, 10**9, 3000), rng.integers(-40, 30, 3000))]
+        near += [56379300.45, 4.676258845e-23, 1.407476745e-30,
+                 9.992585035e-19, 3.110591815e-14, 4.914527965e-15]
+        values = np.array(near)
+        assert_same_bytes_as_reference(tmp_path, [values, -values])
+
+    def test_rounding_that_carries_into_the_next_power(self, tmp_path):
+        values = self.ulp_neighbours(
+            [9.9999999995, 999999999.5, 99999999.95, 9.9999999995e-20,
+             9.9999999995e20, 0.99999999995, 9.999999999e-5])
+        assert_same_bytes_as_reference(tmp_path, [values, -values])
+
+    def test_both_g_switch_points(self, tmp_path):
+        # %g turns scientific below 1e-4 and from 1e9, after rounding
+        values = self.ulp_neighbours(
+            [1e-4, 9.99999999949e-5, 9.99999999951e-5, 1e-5, 1e9,
+             999999999.4, 999999999.6, 1e8, 123456789.0, 1.0, 0.1])
+        assert_same_bytes_as_reference(tmp_path, [values, -values])
+
+    def test_extreme_and_special_values(self, tmp_path):
+        values = np.array([
+            1.5e-100, -1.23456789e-100, 1e300, -2.5e123, 1e-45, 3.4e38,
+            1e39, 1.7976931348623157e308, 2.2250738585072014e-308,
+            2.2250738585072e-310, 5e-324, -5e-324, 0.0, -0.0, math.nan,
+            math.inf, -math.inf])
+        assert_same_bytes_as_reference(tmp_path, [values, values[::-1]])
+        _write_csv(tmp_path / "one.csv", ["x"], [values[1:2]])
+        assert (tmp_path / "one.csv").read_text() == "x\n-1.23456789e-100\n"
+
+    def test_float32_and_python_float_columns(self, tmp_path):
+        rng = np.random.default_rng(1)
+        wide = rng.standard_normal(300) * 10.0 ** rng.integers(-40, 40, 300)
+        with np.errstate(over="ignore"):    # to inf in float16 and float32
+            narrow = [wide.astype(np.float32), wide.astype(np.float16)]
+        assert_same_bytes_as_reference(tmp_path, [
+            *narrow, wide.tolist(), [float(v) for v in narrow[0]]])
+
+    @pytest.mark.parametrize("n", [_CSV_BLOCK_ROWS - 1, _CSV_BLOCK_ROWS,
+                                   _CSV_BLOCK_ROWS + 1])
+    def test_all_nan_column_at_block_edges(self, tmp_path, n):
+        t = np.arange(n) * 1e-3
+        assert_same_bytes_as_reference(tmp_path, [
+            t, np.full(n, math.nan), -t, np.zeros(n)])
+
+    def test_text_cells_of_any_width(self, tmp_path):
+        # text slots grow by whole words; a NUL in a text stays
+        texts = ["", "a", "seven77", "eight888", "x" * 40, "a\0b", "\0",
+                 "µs ünïcode"]
+        n = len(texts)
+        assert_same_bytes_as_reference(tmp_path, [
+            texts, np.arange(n) * 10**17, np.arange(n) % 2 == 0,
+            np.linspace(-1, 1, n)])
+
+    def test_blocks_bound_the_kernel(self, tmp_path, monkeypatch):
+        sizes = []
+        kernel = acdcdyn.cli._float_words
+
+        def spy(x):
+            sizes.append(x.size)
+            return kernel(x)
+        monkeypatch.setattr(acdcdyn.cli, "_float_words", spy)
+        n = 3 * _CSV_BLOCK_ROWS + 5
+        _write_csv(tmp_path / "b.csv", ["a", "b", "c"],
+                   [np.ones(n), [1.5] * n, np.arange(n)])
+        assert sizes == [3 * _CSV_BLOCK_ROWS] * 3 + [15]
+
+    def test_tables_are_read_only(self):
+        tables = acdcdyn.cli._csv_tables()
+        arrays = [a for a in vars(tables).values()
+                  if isinstance(a, np.ndarray)]
+        assert len(arrays) >= 8
+        assert not any(a.flags.writeable for a in arrays)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    max_size=40),
+           st.sampled_from([np.float64, np.float32]))
+    @settings(max_examples=200, deadline=None)
+    def test_float_array_matches_per_cell_writer(self, values, dtype):
+        with np.errstate(over="ignore"):
+            column = np.array(values, dtype=dtype)
+        with tempfile.TemporaryDirectory() as d:
+            assert_same_bytes_as_reference(Path(d), [column, -column])
+
     @given(st.lists(st.tuples(
         st.floats(allow_nan=True, allow_infinity=True),
         st.one_of(st.booleans(), st.integers(), st.text(
@@ -854,6 +958,24 @@ class TestImports:
         proc = subprocess.run(
             [sys.executable, "-c", probe, command, "--config", cfg,
              "--out", str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_csv_tables_wait_for_the_first_write(self, tmp_path):
+        # and the write imports no module (np.unique would load numpy.ma)
+        probe = ("import sys, math, numpy as np, acdcdyn.cli as cli\n"
+                 "assert cli._csv_tables.cache_info().currsize == 0\n"
+                 "loaded = set(sys.modules)\n"
+                 "x = np.array([1.5, math.nan, -1e-300, 0.0, 9.9999999995])\n"
+                 "cli._write_csv(sys.argv[1], list('abcd'),\n"
+                 "               [x, list('xyz\\0w'), x > 1, x.tolist()])\n"
+                 "assert cli._csv_tables.cache_info().currsize == 1\n"
+                 "new = set(sys.modules) - loaded\n"
+                 "assert not new, new\n")
+        src = str(Path(acdcdyn.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(tmp_path / "x.csv")],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr

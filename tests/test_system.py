@@ -103,6 +103,22 @@ class TestOverrides:
             f"override {key!r}: vscs has {n} VSCs, counted from 1 to {n}; "
             f"no VSC {index!r}")
 
+    @pytest.mark.parametrize("overrides", [
+        {"vscs": "ab", "k_p": 0.1}, {"vscs": {"a": 1}, "k_p_1": 0.1},
+        {"dc_edges": 0, "r_dc": 0.1}],
+        ids=["string-global", "object-indexed", "zero-dc-edges"])
+    def test_named_gain_on_a_list_that_is_no_array(self, overrides):
+        # the override says what config_from_dict says of the list
+        items = next(iter(overrides))
+        data = _load_preset("lvdc_async")
+        data[items] = overrides[items]
+        with pytest.raises(TypeError) as expected:
+            config_from_dict(data)
+        with pytest.raises(TypeError) as got:
+            resolve_scenario("lvdc_async", overrides)
+        assert str(got.value) == str(expected.value) == (
+            f"{items} must be an array, got {overrides[items]!r}")
+
     def test_resolve_unknown_named_gain(self):
         # a key that is no named gain is a top-level path, which
         # config_from_dict names as a key it does not read

@@ -38,7 +38,11 @@
   both the defaults and the options reach ``analysis.bode``.  The runs
   ``step-default`` (the 10 s default), ``step-amplitude`` (-2),
   ``steady-w`` (the load step in W) and ``spectrum-times`` (20 s at 2 ms)
-  reach the other defaults and options of ``cli.OPTIONS``.
+  reach the other defaults and options of ``cli.OPTIONS``.  ``step-zero``
+  (amplitude 0) writes cells of 0 and -0, and ``step-unstable`` (``k_d``
+  10, from ``CLI_OVERRIDES``) grows to three-digit exponents, inf and
+  nan, so every class of cell that ``cli._float_words`` leaves to ``%``
+  is in the record.
 * ``peak/<config>/<band>``: for each config of ``PEAK_CONFIGS`` (every
   preset, as it is and with ``k_d`` 0.005 or ``k_p`` 0.05), an object of
   ``analysis.resonance_peak`` of every channel, ``"<input>><output>"`` ->
@@ -112,7 +116,11 @@ CLI_RUNS = {
                                     "channel": "omega_vsc1",
                                     "t_end_s": 20.0, "dt_s": 0.002}),
     "check": ("check", {}),
+    "step-zero": ("step", {"input": "p_load_load1", "amplitude": 0}),
+    "step-unstable": ("step", {"input": "p_load_load1"}),
 }
+#: run -> the overrides of its config; other runs have none.
+CLI_OVERRIDES = {"step-unstable": {"k_d": 10}}
 #: config -> (preset, overrides) of the ``peak/*`` keys.
 PEAK_CONFIGS = {f"{name}{suffix}": (name, overrides) for name in PRESETS
                 for suffix, overrides in (("", {}),
@@ -404,8 +412,10 @@ def record_cli(acdcdyn, out: dict) -> None:
             for name in PRESETS:
                 key = f"cli/{run}/{name}"
                 cfg = tmp / f"{run}-{name}.json"
-                cfg.write_text(json.dumps({"scenario": name,
-                                           "options": options}))
+                config = {"scenario": name, "options": options}
+                if run in CLI_OVERRIDES:
+                    config["overrides"] = CLI_OVERRIDES[run]
+                cfg.write_text(json.dumps(config))
                 run_dir = tmp / f"{run}-{name}"
                 with contextlib.redirect_stderr(io.StringIO()), \
                         warnings.catch_warnings():
