@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lti import (NumericFailure, Pole, StateSpace, check_real,
-                  freq_response, is_stable, poles)
+from .lti import (_STEP_OUTPUT_BYTES, NumericFailure, Pole, StateSpace,
+                  check_real, freq_response, is_stable, poles)
 from .system import ClosedLoopModel, SystemConfig, build
 
 
@@ -58,7 +58,9 @@ def bode(model, input: str, output: str,
          f_max: float = 1e4 / (2.0 * math.pi),
          points: int = 400) -> BodeTable:
     """Log-spaced magnitude/phase table of one closed-loop channel, at
-    `points` frequencies from `f_min` to `f_max` (Hz)."""
+    `points` frequencies from `f_min` to `f_max` (Hz).  Raises ValueError
+    when the table's three float columns would exceed the output budget
+    of ``step_response``, ``lti._STEP_OUTPUT_BYTES``."""
     ss = _model_ss(model)
     f_min = check_real("f_min", f_min, "positive")
     f_max = check_real("f_max", f_max, "positive")
@@ -68,6 +70,9 @@ def bode(model, input: str, output: str,
     if isinstance(points, bool) or not (isinstance(points, numbers.Integral)
                                         and points > 0):
         raise ValueError(f"points must be a positive int, got {points!r}")
+    if 3 * 8 * points > _STEP_OUTPUT_BYTES:
+        raise ValueError(f"points = {points}: a table of 3 x {points} "
+                         f"floats exceeds {_STEP_OUTPUT_BYTES} bytes")
     f = np.logspace(math.log10(f_min), math.log10(f_max), points)
     h = freq_response(ss, input, output, 2.0 * math.pi * f).values
     mag_db = 20.0 * np.log10(np.abs(h))

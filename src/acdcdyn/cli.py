@@ -7,7 +7,8 @@ Configs are JSON; every run writes its artifacts plus a manifest with the
 fully resolved parameters and per-unit bases.  Identical configs produce
 byte-identical CSVs in a fixed order: every float cell equals
 ``'%.9g' % float(x)`` byte for byte, a bool is 1 or 0, an int its ``str``
-and a string itself (``_write_csv``).
+and a string itself, quoted per RFC 4180 when it holds a comma, quote, CR
+or LF (``_write_csv``).
 """
 
 from __future__ import annotations
@@ -80,11 +81,20 @@ _EXP_ROWS = _EXP_MAX - _EXP_MIN + 2
 _TRAILING = 4 * 1000
 
 
+def _quote(text: str) -> str:
+    """A text cell or header name as RFC 4180 writes it: as given, or in
+    double quotes with each quote doubled when it holds a comma, a quote,
+    a CR or a LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _cell(x) -> tuple[str, object]:
     """The %-format and the value that write one CSV cell: ``%.9g`` for
-    floats, 1/0 for bools, ``str`` for ints, strings as given."""
+    floats, 1/0 for bools, ``str`` for ints, strings by ``_quote``."""
     if isinstance(x, str):
-        return "%s", x
+        return "%s", _quote(x)
     if isinstance(x, (bool, np.bool_, int, np.integer)):
         return "%d", int(x)
     return "%.9g", float(x)
@@ -286,11 +296,11 @@ def _write_csv(path: Path, header: list[str], columns) -> None:
     """Write one sequence per header name as the columns of a CSV file,
     ``_CSV_BLOCK_ROWS`` rows at a time.  Every float cell is
     ``'%.9g' % float(x)`` byte for byte, a bool 1 or 0, an int its
-    ``str`` and a string itself."""
+    ``str``, and a string and a header name as ``_quote`` writes them."""
     cols = [_column(c) for c in columns]
     n = len(cols[0]) if cols else 0
     with open(path, "wb") as f:
-        f.write((",".join(header) + "\n").encode())
+        f.write((",".join(map(_quote, header)) + "\n").encode())
         for i in range(0, n, _CSV_BLOCK_ROWS):
             f.write(_csv_block([c[i:i + _CSV_BLOCK_ROWS] for c in cols]))
 

@@ -194,6 +194,21 @@ class TestConfigHandling:
         assert "Traceback" not in err
         assert (out / "error.json").exists()
 
+    def test_bode_points_cap_exit_1(self, tmp_path, capsys):
+        # refused before the frequency grid is allocated
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"input": "p_load_load1", "output": "omega_vsc1",
+                        "points": 10**15}})
+        out = tmp_path / "o"
+        assert main(["bode", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: points = 1000000000000000") \
+            and "exceeds" in err
+        assert "Traceback" not in err
+        assert (out / "error.json").exists()
+        assert not (out / "bode.csv").exists()
+
     @pytest.mark.parametrize("command, options, sets, message", [
         ("bode", {"f_min_hz": math.nan}, [],
          "f_min must be finite and positive, got nan"),
@@ -390,6 +405,36 @@ class TestArtifacts:
         assert rows[1][4].startswith("ImproperController: ")
         assert rows[2][1] == "1" and rows[2][4] == ""
         assert float(rows[2][2]) > 0
+
+    def test_sweep_error_text_with_a_comma_is_one_cell(self, tmp_path):
+        cfg = write_config(tmp_path, {
+            "scenario": "islanded_pv",
+            "options": {"parameter": "k_p", "values": [0.025, -0.1, 0.0],
+                        "input": "p_load_load1", "output": "omega_vsc1"}})
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "sweep.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert [len(r) for r in rows] == [5] * 4
+        assert rows[2][4] == ("ValueError: vscs.0: GfmCtrlParams.k_p must "
+                              "be finite and positive, got -0.1")
+
+    @pytest.mark.parametrize("name", ["s,g", "s\ng", 's"g'])
+    def test_node_names_that_need_quotes(self, tmp_path, name):
+        data = _load_preset("islanded_pv")
+        data["sg"]["node"] = data["ac_nodes"][0][0] = name
+        data["ac_edges"][0]["n"] = name
+        cfg = write_config(tmp_path, {
+            "scenario": data,
+            "options": {"input": "p_load_load1", "t_end_s": 1.0,
+                        "dt_s": 0.01}})
+        out = tmp_path / "run"
+        assert main(["step", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "step.csv", newline="") as f:
+            rows = list(csv.reader(f))
+        assert rows[0][:4] == ["t_s", f"omega_{name}", f"p_ac_{name}",
+                               f"p_tg_{name}"]
+        assert [len(r) for r in rows] == [8] * 102
 
     @pytest.mark.parametrize("options", [
         {"parameter": "bogus", "values": [1.0, 2.0],
@@ -771,13 +816,21 @@ def _fmt_reference(x) -> str:
     return "%.9g" % float(x)
 
 
+def _quote_reference(text: str) -> str:
+    # RFC 4180: a field with a comma, quote, CR or LF goes in quotes, and
+    # each quote in it is doubled
+    if set(text) & set(',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_csv_reference(path, header, rows):
     """The per-cell writer: one formatted cell at a time."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(",".join(header) + "\n")
+        f.write(",".join(map(_quote_reference, header)) + "\n")
         for row in rows:
             f.write(",".join(_fmt_reference(x) if not isinstance(x, str)
-                             else x for x in row) + "\n")
+                             else _quote_reference(x) for x in row) + "\n")
 
 
 def assert_same_bytes_as_reference(tmp_path, columns):
@@ -883,6 +936,23 @@ class TestCsvWriter:
             texts, np.arange(n) * 10**17, np.arange(n) % 2 == 0,
             np.linspace(-1, 1, n)])
 
+    def test_text_that_needs_quotes_reads_back(self, tmp_path):
+        texts = ["a,b", 'say "hi"', '"', ",", "x\ny", "x\r\ny", "\r", "",
+                 "plain", '""', "a\0,b"]
+        header = ["t,ext", 'q"uote', "new\nline", "x"]
+        columns = [texts, texts[::-1], np.arange(len(texts)) * 0.5,
+                   np.arange(len(texts))]
+        _write_csv(tmp_path / "new.csv", header, columns)
+        write_csv_reference(tmp_path / "ref.csv", header, zip(*columns))
+        assert (tmp_path / "new.csv").read_bytes() == \
+            (tmp_path / "ref.csv").read_bytes()
+        with open(tmp_path / "new.csv", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+        assert rows[0] == header
+        assert [r[0] for r in rows[1:]] == texts
+        assert [r[1] for r in rows[1:]] == texts[::-1]
+        assert all(len(r) == len(header) for r in rows)
+
     def test_blocks_bound_the_kernel(self, tmp_path, monkeypatch):
         sizes = []
         kernel = acdcdyn.cli._float_words
@@ -916,7 +986,7 @@ class TestCsvWriter:
     @given(st.lists(st.tuples(
         st.floats(allow_nan=True, allow_infinity=True),
         st.one_of(st.booleans(), st.integers(), st.text(
-            alphabet="abc ", max_size=3)),
+            alphabet='abc ,"\r\n', max_size=3)),
         st.one_of(st.floats(), st.just(""))), max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_rows_match_per_cell_writer(self, rows):
@@ -948,9 +1018,11 @@ class TestImports:
                                          options):
         cfg = write_config(tmp_path, {"scenario": scenario,
                                       "options": options})
+        # nor numpy.random, which NumPy loads only on first use
         probe = ("import sys, acdcdyn.cli\n"
                  "loaded = lambda: sorted(m for m in sys.modules\n"
-                 "                        if m.split('.')[0] == 'scipy')\n"
+                 "                        if m.split('.')[0] == 'scipy'\n"
+                 "                        or m.startswith('numpy.random'))\n"
                  "assert not loaded(), loaded()\n"
                  "assert acdcdyn.cli.main(sys.argv[1:]) == 0\n"
                  "assert not loaded(), loaded()\n")
@@ -979,6 +1051,13 @@ class TestImports:
             env=dict(os.environ, PYTHONPATH=src), capture_output=True,
             text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
+
+    def test_no_module_draws_random_numbers(self):
+        package = Path(acdcdyn.__file__).resolve().parent
+        found = [path.name for path in sorted(package.rglob("*.py"))
+                 if any(word in path.read_text() for word in (
+                     "numpy.random", "np.random", "default_rng"))]
+        assert not found, found
 
     def test_no_module_imports_scipy(self):
         package = Path(acdcdyn.__file__).resolve().parent

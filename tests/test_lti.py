@@ -26,6 +26,7 @@ from acdcdyn.lti import (AlgebraicLoop, ImproperTF, NoDcGain, PoleHit,
                          integrator, poles, poly_from_roots,
                          step_response, tf_to_ss)
 from acdcdyn.system import build, config_from_dict, _load_preset
+from conftest import preset
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PRESETS = ("islanded_pv", "lvdc_async", "parallel_ac_dc")
@@ -883,19 +884,28 @@ class TestDcGain:
     def test_bordered_null_bases_and_three_solves(self, monkeypatch,
                                                   unpatched_builds):
         # every model the benchmark analyses among the presets and the
-        # FeederStream(1) configs 0-23: orthonormal null bases within the
-        # zero-mode tolerance, at most three solves of order n or more
-        # (one without zero modes), and no more than two (n + k)^2 arrays
-        # alive besides A
-        solve = np.linalg.solve
-        orders = []
+        # FeederStream(1) configs 0-23, and lossless lvdc_async with its 5
+        # zero modes: orthonormal null bases within the zero-mode
+        # tolerance, at most three solves of order n or more (one without
+        # zero modes), and no more than two (n + k)^2 arrays alive besides
+        # A.  The fixed border is generic on each: it meets both null
+        # spaces (Keller's condition), and on lvdc_async, lossless or not,
+        # the bordered matrix is as well conditioned as A allows
+        solve, bordered = np.linalg.solve, lti._bordered
+        orders, borders = [], []
 
         def spy(a, b):
             orders.append(a.shape[0])
             return solve(a, b)
 
+        def spy_bordered(A, P, Q):
+            borders.append((P, Q))
+            return bordered(A, P, Q)
+
+        lossless = ({"scenario": "lvdc_async"},
+                    build(preset("lvdc_async", {"r_dc": 0.0})).ss)
         checked = with_modes = 0
-        for _, ss in benchmark_builds(unpatched_builds):
+        for data, ss in benchmark_builds(unpatched_builds) + [lossless]:
             if not isinstance(ss, StateSpace):
                 continue         # failed symbolic Kron reductions, blow-ups
             n = ss.n_states
@@ -915,15 +925,25 @@ class TestDcGain:
             checked += 1
             if k == 0:
                 continue
-            V, W = lti._zero_mode_bases(ss.A, k)
+            borders.clear()
+            with monkeypatch.context() as m:
+                m.setattr(lti, "_bordered", spy_bordered)
+                V, W = lti._zero_mode_bases(ss.A, k)
+            [(P, Q)] = borders
             for X in (V, W):
                 assert X.shape == (n, k)
                 assert np.allclose(X.T @ X, np.eye(k), rtol=0, atol=1e-12)
             bound = tol * max(1.0, rho)
             assert np.linalg.norm(ss.A @ V) <= bound
             assert np.linalg.norm(W.T @ ss.A) <= bound
+            for X, Y in ((Q, V), (P, W)):
+                meet = np.linalg.svd(X.T @ Y, compute_uv=False)[-1]
+                assert meet >= 1e-5 * np.linalg.norm(X, 2)
+            if data["scenario"] == "lvdc_async":
+                K = bordered(ss.A, P, Q)
+                assert np.linalg.cond(K) <= 100 * np.linalg.norm(ss.A, 2)
             with_modes += 1
-        assert checked >= 20 and with_modes >= 18
+        assert checked >= 21 and with_modes >= 19
 
     def test_repeat_calls_bit_equal(self):
         ss = build(config_from_dict(_load_preset("parallel_ac_dc"))).ss

@@ -22,9 +22,11 @@
   each of those models that built, ``stable``, the verdict of
   ``analysis.stability``; ``structural``, the number of poles that
   ``lti.poles`` tags structural (or, under ``stable`` alone, the class
-  name of the exception of either); and ``dc_gain``, the sha256 of
-  ``lti.dc_gain``'s array or the class name of its exception.  These read the spectrum, so a change to the
-  eigenvalues shows here without comparing eigenvalues bit for bit.
+  name of the exception of either); and ``dc_gain``, the values of
+  ``lti.dc_gain``'s array as nested lists of JSON floats (exact: Python
+  writes the shortest text that reads back to the same double) or the
+  class name of its exception.  These read the spectrum, so a change to
+  the eigenvalues shows here without comparing eigenvalues bit for bit.
 * ``assumption1/<preset>``, ``assumption1/feeder<seed>/<i>`` and
   ``assumption1/<graph>``: the verdict and reason of
   ``network.check_assumption1`` and the sha256 of its roots (or the
@@ -71,7 +73,10 @@
 
 ``compare`` prints every key whose value differs or that only one record
 has (of an object, each entry that differs), and exits 1 if there is
-any.  Recording takes about 45 s and 200 MB.  Nothing under
+any.  Of two numbers or two equal-shape arrays of numbers it prints the
+largest |b - a| / max(1, |a|) instead of the values, and the largest of
+those over all keys at the end, so a change at rounding level reads as
+a number.  Recording takes about 45 s and 200 MB.  Nothing under
 ``perfbench/`` is written.
 """
 
@@ -335,7 +340,8 @@ def record_analysis(acdcdyn, key: str, model, out: dict) -> None:
         out[f"analysis/{key}/stable"] = verdict
         out[f"analysis/{key}/structural"] = structural
     try:
-        out[f"analysis/{key}/dc_gain"] = digest(acdcdyn.lti.dc_gain(model.ss))
+        out[f"analysis/{key}/dc_gain"] = acdcdyn.lti.dc_gain(
+            model.ss).tolist()
     except Exception as exc:  # the class is the record
         out[f"analysis/{key}/dc_gain"] = type(exc).__name__
 
@@ -507,20 +513,39 @@ def record(tree: Path, path: Path) -> int:
     return 0
 
 
+def numbers(value):
+    """`value` as a float array if it is a number or a nested list of
+    numbers (not a bool), else None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
+        return None
+    try:
+        return np.array(value, dtype=float)
+    except ValueError:     # strings, ragged lists
+        return None
+
+
 def compare(a: Path, b: Path) -> int:
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
     differ = sorted(k for k in ra.keys() | rb.keys()
                     if ra.get(k, "<missing>") != rb.get(k, "<missing>"))
+    worst = 0.0
     for k in differ:
         va, vb = ra.get(k, "<missing>"), rb.get(k, "<missing>")
+        xa, xb = numbers(va), numbers(vb)
         if isinstance(va, dict) and isinstance(vb, dict):
             for e in sorted(va.keys() | vb.keys()):
                 if va.get(e, "<missing>") != vb.get(e, "<missing>"):
                     print(f"{k} [{e}]: {va.get(e, '<missing>')} != "
                           f"{vb.get(e, '<missing>')}")
+        elif xa is not None and xb is not None and xa.shape == xb.shape:
+            change = float(np.max(np.abs(xb - xa)
+                                  / np.maximum(1.0, np.abs(xa))))
+            worst = max(worst, change)
+            print(f"{k}: largest |b - a| / max(1, |a|) = {change:.3g}")
         else:
             print(f"{k}: {va} != {vb}")
-    print(f"{len(ra.keys() | rb.keys())} keys, {len(differ)} differ")
+    print(f"{len(ra.keys() | rb.keys())} keys, {len(differ)} differ; "
+          f"largest numeric change {worst:.3g}")
     return 1 if differ else 0
 
 
